@@ -1,7 +1,8 @@
 """Exact transverse-field Ising rings and their quantum-correlation measures.
 
-The library solves H = -J sum_n sx_n sx_{n+1} + B sum_n sz_n on periodic
-rings of 2..12 spins by dense diagonalization and evaluates pairwise
+The library solves H = -J sum_n sx_n sx_{n+1} + B sum_n sz_n (J >= 0) on
+periodic rings of 2..12 spins exactly, diagonalizing only the block spanned
+by the ring's rotation- and reflection-symmetric states, and evaluates pairwise
 discord/MID/AMID, global quantum discord, bipartition-entanglement
 statistics, thermodynamic-limit Toeplitz correlators, and B/J sweep
 analyses of all of the above.
@@ -61,7 +62,6 @@ from .ring import (
     MAX_SITES,
     FermionSector,
     RingConfig,
-    build_hamiltonian,
     fermion_sector,
     free_fermion_energy,
     ghz_state,
@@ -131,7 +131,6 @@ __all__ = [
     "MAX_SITES",
     "FermionSector",
     "RingConfig",
-    "build_hamiltonian",
     "fermion_sector",
     "free_fermion_energy",
     "ghz_state",

@@ -16,9 +16,6 @@ import numpy as np
 # negative marks a genuinely invalid operator.
 EIG_CLIP = 1e-10
 
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-
 #: Sentinel returned by relative_entropy on a support violation.
 INF_DIVERGENCE = math.inf
 

@@ -2,7 +2,7 @@
 
 
 class CapacityError(ValueError):
-    """Requested system size exceeds the dense-diagonalization capacity."""
+    """Requested ring size exceeds ``MAX_SITES``."""
 
 
 class UnsupportedSectorError(ValueError):

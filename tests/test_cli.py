@@ -84,6 +84,12 @@ def test_invalid_ring_size_exits_with_error(capsys):
     assert "error" in err
 
 
+def test_negative_coupling_exits_with_error(capsys):
+    code, _, err = run_cli(capsys, "ground-state", "--n", "4", "--j", "-1", "--b", "0.5")
+    assert code == 3
+    assert "coupling_j" in err
+
+
 def test_sweep_writes_table_with_manifest(capsys, tmp_path):
     out_file = os.fspath(tmp_path / "sweep.csv")
     code, _, _ = run_cli(

@@ -8,7 +8,6 @@ from isingring.errors import CapacityError, UnsupportedSectorError
 from isingring.ring import (
     MAX_SITES,
     RingConfig,
-    build_hamiltonian,
     fermion_sector,
     free_fermion_energy,
     ghz_state,
@@ -26,27 +25,47 @@ def test_config_validation():
         RingConfig(n_sites=MAX_SITES + 1)
     with pytest.raises(ValueError):
         RingConfig(n_sites=4, field_b=-0.5)
+    with pytest.raises(ValueError):
+        RingConfig(n_sites=4, coupling_j=-1.0, field_b=0.5)
+    RingConfig(n_sites=4, coupling_j=0.0, field_b=0.5)
     cfg = RingConfig(n_sites=4, coupling_j=2.0, field_b=1.0)
     assert cfg.ratio == 0.5
     with pytest.raises(ValueError):
         _ = RingConfig(n_sites=4, coupling_j=0.0, field_b=1.0).ratio
 
 
-def test_hamiltonian_matches_independent_kron_build(rng):
-    for n in (2, 3, 4, 5, 6):
-        j, b = rng.uniform(0.2, 2.0), rng.uniform(0.0, 2.0)
-        dense = build_hamiltonian(RingConfig(n_sites=n, coupling_j=j, field_b=b))
-        reference = oracles.sparse_tfim(n, j, b).toarray().real
-        assert np.max(np.abs(dense - reference)) < 1e-12, f"N={n}"
+def _oracle_parity(n):
+    pop = np.array([bin(i).count("1") for i in range(2 ** n)])
+    return np.where(pop % 2 == 0, 1.0, -1.0)
 
 
-def test_hamiltonian_symmetric_and_parity_commuting():
-    for n in (3, 4, 5):
-        ham = build_hamiltonian(RingConfig(n_sites=n, coupling_j=1.0, field_b=0.7))
-        assert np.max(np.abs(ham - ham.T)) == 0.0
-        par = parity_diagonal(n)
-        # [H, P] = 0 for diagonal P means H_ij (p_i - p_j) = 0 elementwise.
-        assert np.max(np.abs(ham * (par[:, None] - par[None, :]))) == 0.0
+def test_ground_state_matches_dense_oracle():
+    """Energy against the full dense spectrum; state against the nondegenerate
+    lowest state of the oracle's block with the parity ground_state chose.
+    N = 2 covers the bond that the cyclic sum visits twice."""
+    for n in range(2, 11):
+        par = _oracle_parity(n)
+        for b in (0.0, 1e-3, 0.5, 1.0, 2.0):
+            ham = oracles.sparse_tfim(n, 1.0, b).toarray().real
+            gs, energy = ground_state(RingConfig(n_sites=n, coupling_j=1.0, field_b=b))
+            assert abs(energy - np.linalg.eigvalsh(ham)[0]) < 1e-10, (n, b)
+            parity = parity_expectation(gs)
+            assert abs(abs(parity) - 1.0) < 1e-12, (n, b)
+            sector = np.flatnonzero(par == np.sign(parity))
+            evals, evecs = np.linalg.eigh(ham[np.ix_(sector, sector)])
+            overlap = abs(np.vdot(evecs[:, 0], gs.amplitudes[sector]))
+            assert overlap >= 1.0 - 1e-10, (n, b)
+            if b == 0.5:
+                assert abs(parity - (-1.0) ** n) < 1e-12, (n, b)
+            if b == 0.0:
+                assert abs(parity - 1.0) < 1e-12, n
+
+
+def test_zero_coupling_ground_state_is_all_down():
+    for n in (2, 3, 4, 7):
+        gs, energy = ground_state(RingConfig(n_sites=n, coupling_j=0.0, field_b=0.3))
+        assert abs(energy + 0.3 * n) < 1e-12
+        assert abs(np.vdot(product_state_down(n).amplitudes, gs.amplitudes)) > 1.0 - 1e-12
 
 
 def test_ground_state_matches_sparse_oracle(rng):
@@ -82,13 +101,13 @@ def test_ground_state_phase_fix_deterministic():
 
 
 def test_free_fermion_energy_matches_dense_even_sizes():
-    for n in (4, 6, 8):
+    for n in (4, 6, 8, MAX_SITES):
         for ratio in (0.5, 1.0, 2.0):
             cfg = RingConfig(n_sites=n, coupling_j=1.0, field_b=ratio)
             gs, dense_energy = ground_state(cfg)
             if parity_expectation(gs) > 1.0 - 1e-8:
                 analytic = free_fermion_energy(cfg)
-                assert abs(analytic - dense_energy) < 1e-9, (n, ratio)
+                assert abs(analytic - dense_energy) < 1e-10, (n, ratio)
 
 
 def test_fermion_sector_structure():
