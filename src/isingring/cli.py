@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import warnings
@@ -337,21 +336,11 @@ def _cmd_sweep(args) -> int:
         n_workers=args.threads,
     )
     table.metadata["manifest"] = _manifest(args, "sweep", t0).to_dict()
-    fmt = args.fmt or ("csv" if args.out and args.out.endswith(".csv") else None)
+    fmt = args.fmt or ("json" if (args.out or "").endswith(".json") else "csv")
     if args.out:
-        fmt = fmt or ("json" if args.out.endswith(".json") else "csv")
-        if fmt == "csv":
-            table.to_csv(args.out)
-        else:
-            table.to_json(args.out)
+        (table.to_json if fmt == "json" else table.to_csv)(args.out)
     else:
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmpdir:
-            path = os.path.join(tmpdir, "table.out")
-            (table.to_csv if (fmt or "csv") == "csv" else table.to_json)(path)
-            with open(path, "r", encoding="utf-8") as fh:
-                sys.stdout.write(fh.read())
+        sys.stdout.write(table._json_text() if fmt == "json" else table._csv_text())
     ok = not table.metadata["row_errors"]
     if "gd" in measures:
         ok = ok and bool(np.all(table.columns["gd_converged"] == 1.0))
@@ -412,8 +401,6 @@ def _cmd_fit(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        os.environ["ISINGRING_THREADS"] = str(args.threads)
     try:
         return args.func(args)
     except SystemExit:

@@ -99,11 +99,13 @@ def pure_density(amplitudes: np.ndarray, site_labels) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()), tuple(site_labels))
 
 
-def _entropy_from_eigs(evals: np.ndarray) -> float:
-    lam = np.asarray(evals, dtype=float)
-    if lam.min() < -EIG_CLIP:
-        raise ValueError(f"negative weight {lam.min():.3e} beyond clip window")
-    lam = np.clip(lam, 0.0, None)
+def _entropy_bits(weights: np.ndarray) -> float:
+    """Entropy kernel in bits: negatives clipped to 0, no validation.
+
+    For spectra that are valid by construction, such as those inside the
+    optimizer loops; the public entropies below check their input first.
+    """
+    lam = np.clip(weights, 0.0, None)
     nz = lam[lam > 0.0]
     return float(-np.dot(nz, np.log2(nz)))
 
@@ -117,12 +119,15 @@ def binary_entropy(p: float) -> float:
 
 def shannon_entropy(probs: np.ndarray) -> float:
     """Entropy in bits of a probability vector (small negatives clipped)."""
-    return _entropy_from_eigs(probs)
+    lam = np.asarray(probs, dtype=float)
+    if lam.min() < -EIG_CLIP:
+        raise ValueError(f"negative weight {lam.min():.3e} beyond clip window")
+    return _entropy_bits(lam)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -Tr[rho log2 rho] in bits."""
-    return _entropy_from_eigs(np.linalg.eigvalsh(rho.matrix))
+    return shannon_entropy(np.linalg.eigvalsh(rho.matrix))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

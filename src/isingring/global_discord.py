@@ -18,7 +18,9 @@ from scipy.optimize import minimize
 from .density import (
     DensityMatrix,
     PureState,
+    _entropy_bits,
     as_angles,
+    binary_entropy,
     dephase,
     partial_trace,
     reduced_state,
@@ -104,42 +106,36 @@ def measured_spectrum(gs: PureState, angles) -> MeasuredSpectrum:
     O(2^N * N) rather than a full 2^N x 2^N similarity transform.
     """
     ang = as_angles(angles, gs.n_sites)
-    amps = gs.as_tensor()
-    for j in range(gs.n_sites):
+    return MeasuredSpectrum(_outcome_probs(gs.as_tensor(), ang), ang)
+
+
+def _outcome_probs(amps: np.ndarray, ang: np.ndarray) -> np.ndarray:
+    """Rotation cascade behind :func:`measured_spectrum`, without checks."""
+    for j in range(ang.shape[0]):
         rot = rotation_matrix(ang[j, 0], ang[j, 1])
         amps = np.moveaxis(np.tensordot(rot.conj(), amps, axes=([0], [j])), 0, j)
-    return MeasuredSpectrum(np.abs(amps.ravel()) ** 2, ang)
-
-
-def _qubit_entropy(rho1: np.ndarray) -> float:
-    evals = np.clip(np.linalg.eigvalsh(rho1), 0.0, None)
-    nz = evals[evals > 0.0]
-    return float(-np.dot(nz, np.log2(nz)))
+    return np.abs(amps.ravel()) ** 2
 
 
 def _dephased_site_entropy(rho1: np.ndarray, theta: float, phi: float) -> float:
     """S(Pi_j(rho_j)) after dephasing in the (theta, phi) basis."""
     v = rotation_matrix(theta, phi)[:, 0]
-    p0 = float(np.real(v.conj() @ rho1 @ v))
-    p0 = min(max(p0, 0.0), 1.0)
-    out = 0.0
-    for p in (p0, 1.0 - p0):
-        if p > 0.0:
-            out -= p * math.log2(p)
-    return out
+    return binary_entropy(float(np.real(v.conj() @ rho1 @ v)))
 
 
 def _objective_factory(gs: PureState):
-    """Closure evaluating the pure-state objective.
+    """Closure evaluating the pure-state objective on a ``(n_sites, 2)`` array.
 
     Marginals and their entropies are angle independent; caching them leaves
-    only the rotation cascade and N scalar entropies per evaluation.
+    only the rotation cascade and N scalar entropies per evaluation.  Angles
+    come from the optimizer already shaped, so nothing is validated here.
     """
     marginals = [reduced_state(gs, (j,)).matrix for j in range(gs.n_sites)]
-    base = [_qubit_entropy(m) for m in marginals]
+    base = [_entropy_bits(np.linalg.eigvalsh(m)) for m in marginals]
+    amps = gs.as_tensor()
 
     def objective(ang: np.ndarray) -> float:
-        total = measured_spectrum(gs, ang).entropy
+        total = _entropy_bits(_outcome_probs(amps, ang))
         for j in range(gs.n_sites):
             total -= (
                 _dephased_site_entropy(marginals[j], ang[j, 0], ang[j, 1])

@@ -20,6 +20,7 @@ from scipy.optimize import minimize
 from .density import (
     DensityMatrix,
     PureState,
+    _entropy_bits,
     binary_entropy,
     reduced_state,
     rotation_matrix,
@@ -89,17 +90,11 @@ def _marginals(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("abcb->ac", t), np.einsum("abad->bd", t)
 
 
-def _state_entropy(mat: np.ndarray) -> float:
-    evals = np.linalg.eigvalsh(mat)
-    evals = np.clip(evals, 0.0, None)
-    nz = evals[evals > 0.0]
-    return float(-np.dot(nz, np.log2(nz)))
-
-
 def pair_mutual_information(mat: np.ndarray) -> float:
     """I(A:B) of a two-qubit matrix, in bits."""
     rho_a, rho_b = _marginals(mat)
-    return _entropy2(rho_a) + _entropy2(rho_b) - _state_entropy(mat)
+    s_ab = _entropy_bits(np.linalg.eigvalsh(mat))
+    return _entropy2(rho_a) + _entropy2(rho_b) - s_ab
 
 
 def _conditional_entropy(mat: np.ndarray, theta: float, phi: float) -> float:
@@ -155,7 +150,7 @@ def _discord_measured_on_b(mat: np.ndarray, use_formula: bool) -> float:
     cond = _min_conditional_entropy_numeric(mat)
     if use_formula:
         cond = min(cond, _min_conditional_entropy_formula(mat))
-    value = _entropy2(rho_b) - _state_entropy(mat) + cond
+    value = _entropy2(rho_b) - _entropy_bits(np.linalg.eigvalsh(mat)) + cond
     return max(value, 0.0)
 
 

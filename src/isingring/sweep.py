@@ -9,13 +9,12 @@ re-evaluates the underlying measure, not by interpolating the grid.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,12 +35,38 @@ COLUMNS = (
     "gd_diff",
 )
 
-MEASURE_GROUPS = ("gd", "pair", "estats")
 
-_GROUP_COLUMNS = {
-    "gd": ("gd", "gd_converged", "gd_diff"),
-    "pair": ("nn_discord", "nn_mid", "nn_amid"),
-    "estats": ("mean_E", "var_E"),
+def _gd_cells(gs, opt, seed):
+    res = global_discord(gs, opt)
+    return res.value, float(res.converged)
+
+
+def _pair_cells(gs, opt, seed):
+    pair = reduced_two_spin(gs, 0, 1)
+    return discord(pair, direction="sym"), mid(pair), amid(pair, seed=seed)
+
+
+def _estats_cells(gs, opt, seed):
+    stats = entanglement_stats(gs)
+    return stats.mean, stats.variance
+
+
+#: Measure group -> (the columns it fills, the function of (PureState,
+#: OptimizerConfig, seed) returning those cells in that order).  Sweep rows
+#: and find_peak both read it.  The functions look the measures up by their
+#: module-global names at call time, so wrapping or monkeypatching those
+#: names reaches every call.
+_MEASURES = {
+    "gd": (("gd", "gd_converged"), _gd_cells),
+    "pair": (("nn_discord", "nn_mid", "nn_amid"), _pair_cells),
+    "estats": (("mean_E", "var_E"), _estats_cells),
+}
+
+MEASURE_GROUPS = tuple(_MEASURES)
+
+#: Column find_peak can re-evaluate -> its group: every cell but the 0/1 flag.
+_REFINABLE = {
+    c: g for g, (cols, _) in _MEASURES.items() for c in cols if c != "gd_converged"
 }
 
 _CSV_MAGIC = "# isingring-sweep-v1 "
@@ -49,11 +74,6 @@ _JSON_FORMAT = "isingring-sweep-v1"
 
 #: Golden-ratio section constant for the peak refinement.
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: Columns that find_peak can re-evaluate from table metadata alone.
-_REFINABLE_COLUMNS = frozenset(
-    {"gd", "mean_E", "var_E", "nn_discord", "nn_mid", "nn_amid"}
-)
 
 
 def _q12(x: float) -> float:
@@ -109,13 +129,16 @@ class SweepTable:
                 raise ValueError(f"column {name!r} length mismatch")
             object.__setattr__(self, "columns", {**self.columns, name: col})
         if not self.metadata.get("row_errors"):
-            for group in self.metadata.get("measures", ()):
-                for name in _GROUP_COLUMNS[group]:
-                    if not np.all(np.isfinite(self.columns[name])):
-                        raise ValueError(
-                            f"column {name!r} contains non-finite values "
-                            "but no row errors were recorded"
-                        )
+            measures = self.metadata.get("measures", ())
+            checked = [c for g in measures for c in _MEASURES[g][0]]
+            if "gd" in measures:
+                checked.append("gd_diff")
+            for name in checked:
+                if not np.all(np.isfinite(self.columns[name])):
+                    raise ValueError(
+                        f"column {name!r} contains non-finite values "
+                        "but no row errors were recorded"
+                    )
 
     @property
     def ratios(self) -> np.ndarray:
@@ -136,14 +159,25 @@ class SweepTable:
 
     # ------------------------------------------------------------------ io
 
-    def to_csv(self, path: str) -> None:
+    def _csv_text(self) -> str:
         lines = [_CSV_MAGIC + json.dumps(self.metadata, sort_keys=True)]
         lines.append(",".join(COLUMNS))
         for i in range(self.n_rows):
             lines.append(
                 ",".join(f"{self.columns[c][i]:.12g}" for c in COLUMNS)
             )
-        _atomic_write(path, "\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
+
+    def _json_text(self) -> str:
+        payload = {
+            "format": _JSON_FORMAT,
+            "metadata": self.metadata,
+            "columns": {c: list(self.columns[c]) for c in COLUMNS},
+        }
+        return json.dumps(payload, indent=1)
+
+    def to_csv(self, path: str) -> None:
+        _atomic_write(path, self._csv_text())
 
     @classmethod
     def from_csv(cls, path: str) -> "SweepTable":
@@ -161,12 +195,7 @@ class SweepTable:
         return cls(columns=columns, metadata=metadata)
 
     def to_json(self, path: str) -> None:
-        payload = {
-            "format": _JSON_FORMAT,
-            "metadata": self.metadata,
-            "columns": {c: list(self.columns[c]) for c in COLUMNS},
-        }
-        _atomic_write(path, json.dumps(payload, indent=1))
+        _atomic_write(path, self._json_text())
 
     @classmethod
     def from_json(cls, path: str) -> "SweepTable":
@@ -203,38 +232,30 @@ def _normalize_measures(measures) -> tuple:
     return tuple(g for g in MEASURE_GROUPS if g in requested)
 
 
-def _row_values(args):
-    """Evaluate one grid point; module-level so worker processes can pick it up."""
-    n_sites, coupling_j, ratio, measures, opt_fields, seed = args
+def _state_at(n_sites: int, coupling_j: float, ratio: float):
     config = RingConfig(
         n_sites=n_sites, coupling_j=coupling_j, field_b=ratio * coupling_j
     )
-    gs, _energy = ground_state(config)
-    out = {c: math.nan for c in COLUMNS if c not in ("ratio", "gd_diff")}
-    errors = []
-    if "gd" in measures:
+    return ground_state(config)[0]
+
+
+def _row_values(args):
+    """Evaluate one grid point; module-level so worker processes can pick it up.
+
+    A group that raises leaves all of its cells unset (NaN in the table);
+    a failed GD search also counts as not converged.
+    """
+    n_sites, coupling_j, ratio, measures, opt, seed = args
+    gs = _state_at(n_sites, coupling_j, ratio)
+    out, errors = {}, []
+    for group in measures:
+        columns, cells = _MEASURES[group]
         try:
-            res = global_discord(gs, OptimizerConfig(**opt_fields))
-            out["gd"] = res.value
-            out["gd_converged"] = float(res.converged)
+            out.update(zip(columns, cells(gs, opt, seed)))
         except Exception as exc:
-            errors.append(f"gd@ratio={ratio:.6g}: {exc}")
-            out["gd_converged"] = 0.0
-    if "pair" in measures:
-        try:
-            pair = reduced_two_spin(gs, 0, 1)
-            out["nn_discord"] = discord(pair, direction="sym")
-            out["nn_mid"] = mid(pair)
-            out["nn_amid"] = amid(pair, seed=seed)
-        except Exception as exc:
-            errors.append(f"pair@ratio={ratio:.6g}: {exc}")
-    if "estats" in measures:
-        try:
-            stats = entanglement_stats(gs)
-            out["mean_E"] = stats.mean
-            out["var_E"] = stats.variance
-        except Exception as exc:
-            errors.append(f"estats@ratio={ratio:.6g}: {exc}")
+            errors.append(f"{group}@ratio={ratio:.6g}: {exc}")
+            if group == "gd":
+                out["gd_converged"] = 0.0
     return out, errors
 
 
@@ -264,11 +285,7 @@ def sweep(
         raise ValueError("ratios must be nonnegative")
     measures = _normalize_measures(measures)
     opt = opt if opt is not None else OptimizerConfig(seed=seed)
-    opt_fields = dataclasses.asdict(opt)
-    args = [
-        (n_sites, coupling_j, float(r), measures, opt_fields, seed)
-        for r in ratios
-    ]
+    args = [(n_sites, coupling_j, float(r), measures, opt, seed) for r in ratios]
     workers = _resolve_workers(n_workers)
     if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -294,7 +311,7 @@ def sweep(
             "min": float(ratios[0]),
             "max": float(ratios[-1]),
         },
-        "optimizer": opt_fields,
+        "optimizer": asdict(opt),
         "row_errors": row_errors,
     }
     return SweepTable(columns=columns, metadata=metadata)
@@ -343,37 +360,13 @@ def _make_evaluator(table: SweepTable, column: str):
     coupling_j = meta.get("coupling_j", 1.0)
     seed = meta.get("seed", 0)
     opt_fields = meta.get("optimizer")
+    opt = OptimizerConfig(**opt_fields) if opt_fields else OptimizerConfig()
+    columns, cells = _MEASURES[_REFINABLE[column]]
+    k = columns.index(column)
 
-    def state_at(ratio: float):
-        config = RingConfig(
-            n_sites=n_sites, coupling_j=coupling_j, field_b=ratio * coupling_j
-        )
-        return ground_state(config)[0]
+    def evaluate(ratio: float) -> float:
+        return cells(_state_at(n_sites, coupling_j, ratio), opt, seed)[k]
 
-    if column == "gd":
-        opt = OptimizerConfig(**opt_fields) if opt_fields else OptimizerConfig()
-
-        def evaluate(ratio: float) -> float:
-            return global_discord(state_at(ratio), opt).value
-
-    elif column in ("mean_E", "var_E"):
-
-        def evaluate(ratio: float) -> float:
-            stats = entanglement_stats(state_at(ratio))
-            return stats.mean if column == "mean_E" else stats.variance
-
-    elif column in ("nn_discord", "nn_mid", "nn_amid"):
-
-        def evaluate(ratio: float) -> float:
-            pair = reduced_two_spin(state_at(ratio), 0, 1)
-            if column == "nn_discord":
-                return discord(pair, direction="sym")
-            if column == "nn_mid":
-                return mid(pair)
-            return amid(pair, seed=seed)
-
-    else:
-        raise ValueError(f"column {column!r} is not a refinable measure")
     return evaluate
 
 
@@ -391,7 +384,7 @@ def find_peak(
     the first or last grid point is returned unrefined with
     ``boundary=True`` (no bracket exists).
     """
-    if evaluator is None and column not in _REFINABLE_COLUMNS:
+    if evaluator is None and column not in _REFINABLE:
         raise ValueError(
             f"column {column!r} is not a refinable measure; "
             "supply an evaluator to refine it"

@@ -132,7 +132,8 @@ def test_sweep_gd_exit_reflects_convergence(capsys, tmp_path):
     assert table.columns["gd_converged"][0] == 0.0
 
 
-def test_sweep_threads_flag(capsys, tmp_path):
+def test_sweep_threads_flag(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("ISINGRING_THREADS", raising=False)
     serial = os.fspath(tmp_path / "serial.csv")
     threaded = os.fspath(tmp_path / "threaded.csv")
     run_cli(capsys, "sweep", "--n", "3", "--ratio-grid", "0.8,1.0,1.2",
@@ -144,6 +145,31 @@ def test_sweep_threads_flag(capsys, tmp_path):
     b = SweepTable.from_csv(threaded)
     for col in ("ratio", "mean_E", "var_E"):
         assert np.array_equal(a.columns[col], b.columns[col])
+    # --threads reaches this sweep only; it leaves no setting behind
+    assert "ISINGRING_THREADS" not in os.environ
+
+
+def _without_manifest(table):
+    meta = {k: v for k, v in table.metadata.items() if k != "manifest"}
+    return SweepTable(columns=table.columns, metadata=meta)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_stdout_matches_out_file(capsys, tmp_path, fmt):
+    argv = ["sweep", "--n", "3", "--ratio-grid", "0.8,1.0,1.2",
+            "--measures", "estats"]
+    out_file = os.fspath(tmp_path / f"t.{fmt}")
+    code, _, _ = run_cli(capsys, *argv, "--out", out_file)
+    assert code == 0
+    to_stdout = argv + (["--format", "json"] if fmt == "json" else [])
+    code, out, _ = run_cli(capsys, *to_stdout)
+    assert code == 0
+    printed = tmp_path / f"printed.{fmt}"
+    printed.write_text(out, encoding="utf-8")
+    load = SweepTable.from_json if fmt == "json" else SweepTable.from_csv
+    assert _without_manifest(load(os.fspath(printed))).same_as(
+        _without_manifest(load(out_file))
+    )
 
 
 def test_fit_from_points(capsys):

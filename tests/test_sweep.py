@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 
@@ -15,6 +16,9 @@ from isingring.sweep import (
     peak_drift,
     sweep,
 )
+
+# ``isingring.sweep`` the attribute is the function; this is the module.
+sweep_module = importlib.import_module("isingring.sweep")
 
 
 def small_table(**overrides):
@@ -136,6 +140,36 @@ def test_sweep_input_validation():
         sweep(4, ratios=[-0.5, 1.0], measures=("estats",))
     with pytest.raises(ValueError):
         sweep(4, ratios=[1.0], measures=("estats", "bogus"))
+
+
+def _fail(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("name, group, failed, kept", [
+    ("entanglement_stats", "estats", ("mean_E", "var_E"), ("nn_discord",)),
+    ("global_discord", "gd", ("gd",), ("mean_E", "var_E")),
+    # amid runs last in the pair group; its failure voids the whole group
+    ("amid", "pair", ("nn_discord", "nn_mid", "nn_amid"), ("mean_E",)),
+])
+def test_row_errors_leave_failed_group_nan(monkeypatch, tmp_path, name, group,
+                                           failed, kept):
+    monkeypatch.setattr(sweep_module, name, _fail)
+    measures = ("gd", "estats") if group == "gd" else ("pair", "estats")
+    table = sweep(3, ratios=[0.5, 1.0], measures=measures,
+                  opt=OptimizerConfig(uniform_angles=True, restarts=2))
+    assert table.metadata["row_errors"] == [
+        f"{group}@ratio=0.5: boom", f"{group}@ratio=1: boom"
+    ]
+    for col in failed:
+        assert np.all(np.isnan(table.columns[col])), col
+    for col in kept:
+        assert np.all(np.isfinite(table.columns[col])), col
+    if group == "gd":
+        assert np.array_equal(table.columns["gd_converged"], [0.0, 0.0])
+    path = os.fspath(tmp_path / "t.csv")
+    table.to_csv(path)
+    assert SweepTable.from_csv(path).same_as(table)
 
 
 def test_find_peak_refines_with_injected_evaluator():
