@@ -290,14 +290,16 @@ def _cmd_measures(args) -> int:
         pair = reduced_two_spin(state, i, j)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ConvergenceWarning)
+            d_a = discord(pair, direction="a->b")
+            d_b = discord(pair, direction="b->a")
             record["pair"] = {
                 "sites": [i, j],
-                "discord": discord(pair, direction="sym"),
-                "discord_a_measured": discord(pair, direction="b->a"),
-                "discord_b_measured": discord(pair, direction="a->b"),
+                "discord": max(d_a, d_b),
+                "discord_a_measured": d_a,
+                "discord_b_measured": d_b,
                 "mid": mid(pair),
                 "amid": amid(pair, seed=args.seed),
-                "mutual_information": pair_mutual_information(pair.matrix),
+                "mutual_information": pair_mutual_information(pair),
             }
         if any(issubclass(w.category, ConvergenceWarning) for w in caught):
             converged = False

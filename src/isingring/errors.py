@@ -28,7 +28,7 @@ class QuadratureError(RuntimeError):
 
 
 class NonXStateWarning(UserWarning):
-    """Input lacked the expected X sparsity pattern; a slower generic path ran."""
+    """Input lacked the X sparsity pattern; the numerical search alone sets the value."""
 
 
 class ConvergenceWarning(UserWarning):

@@ -1,9 +1,13 @@
 """Two-spin correlation measures: discord, MID, AMID, Toeplitz correlators.
 
-Reduced two-spin states of the ring ground state always carry the X sparsity
-pattern (non-zero entries on the diagonal and anti-diagonal only), which
-admits a semi-closed discord formula; every optimized quantity is also
-evaluated by direct numerical minimization and the better bound is returned.
+Every pair measure works on the real Bloch form R[i, j] = Tr[rho sigma_i (x)
+sigma_j] (sigma_0 = I), which holds A's Bloch vector r = R[1:, 0], B's
+s = R[0, 1:] and the correlation matrix T = R[1:, 1:].  One numpy kernel per
+measure scores whole grids of measurement axes and single optimizer probes
+alike.  Discord's grid also holds the probe axes sigma^z and the
+right-singular axes of T: for X states (non-zero entries on the diagonal and
+anti-diagonal only, as in every reduced pair of the ring) the better of them
+is the semi-closed Ali-Rau-Alber minimum (PRA 81, 042105, 2010).
 """
 
 from __future__ import annotations
@@ -16,16 +20,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 from scipy.optimize import minimize
+from scipy.special import entr
 
-from .density import (
-    DensityMatrix,
-    PureState,
-    _entropy_bits,
-    binary_entropy,
-    reduced_state,
-    rotation_matrix,
-    shannon_entropy,
-)
+from .density import DensityMatrix, PureState, _entropy_bits, reduced_state
 from .errors import ConvergenceWarning, NonXStateWarning, QuadratureError
 
 X_PATTERN_TOL = 1e-10
@@ -57,101 +54,100 @@ def reduced_two_spin(gs: PureState, i: int, j: int) -> XState:
     return XState(rho.matrix, rho.site_labels)
 
 
-def _as_matrix(rho) -> np.ndarray:
-    """Accept a DensityMatrix or a raw 4x4 array; raw arrays are trusted."""
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    return np.asarray(rho, dtype=complex)
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def _swap_pair(mat: np.ndarray) -> np.ndarray:
-    return mat.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+def _bloch(mat: np.ndarray) -> np.ndarray:
+    """Real Bloch form R[i, j] = Tr[rho sigma_i (x) sigma_j], sigma_0 = I."""
+    return np.einsum("abcd,ica,jdb->ij", mat.reshape(2, 2, 2, 2),
+                     _PAULI, _PAULI).real
 
 
-def _eig2(mat2: np.ndarray) -> tuple[float, float]:
-    t = mat2[0, 0].real + mat2[1, 1].real
-    gap = math.sqrt(
-        (mat2[0, 0].real - mat2[1, 1].real) ** 2 + 4.0 * abs(mat2[0, 1]) ** 2
-    )
-    return 0.5 * (t - gap), 0.5 * (t + gap)
+def _pair_form(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix and Bloch form of a two-qubit state; raw arrays are validated."""
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(rho, (0, 1))
+    if rho.dim != 4:
+        raise ValueError("pair measures are defined for two-qubit states")
+    return rho.matrix, _bloch(rho.matrix)
 
 
-def _entropy2(mat2: np.ndarray) -> float:
-    lo, hi = _eig2(mat2)
-    s = 0.0
-    for lam in (lo, hi):
-        if lam > 0.0:
-            s -= lam * math.log2(lam)
-    return s
+def _h2(p):
+    """Elementwise binary entropy in bits, arguments clipped to [0, 1]."""
+    p = np.clip(p, 0.0, 1.0)
+    return (entr(p) + entr(1.0 - p)) / math.log(2.0)
 
 
-def _marginals(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t = mat.reshape(2, 2, 2, 2)
-    return np.einsum("abcb->ac", t), np.einsum("abad->bd", t)
+def _unit(angles) -> np.ndarray:
+    """Unit Bloch vectors of the (theta, phi) pairs on the last axis."""
+    th, ph = angles[..., 0], angles[..., 1]
+    return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                     np.cos(th)], axis=-1)
+
+
+def _eigen_axes(bl: np.ndarray) -> np.ndarray:
+    """Angles (theta_a, phi_a, theta_b, phi_b) of the marginal eigenbases.
+
+    A maximally mixed marginal (Bloch length <= 1e-9) leaves its eigenbasis
+    undetermined; the sigma^z basis is used by convention in that case.
+    """
+    out = []
+    for v in (bl[1:, 0], bl[0, 1:]):
+        if np.linalg.norm(v) <= 1e-9:
+            out += [0.0, 0.0]
+        else:
+            out += [math.atan2(math.hypot(v[0], v[1]), v[2]),
+                    math.atan2(v[1], v[0]) % (2.0 * math.pi)]
+    return np.array(out)
+
+
+def _mutual_information(bl: np.ndarray, mat: np.ndarray) -> float:
+    s_a, s_b = _h2(0.5 + 0.5 * np.linalg.norm([bl[1:, 0], bl[0, 1:]], axis=1))
+    return float(s_a + s_b - _entropy_bits(np.linalg.eigvalsh(mat)))
 
 
 def pair_mutual_information(mat: np.ndarray) -> float:
-    """I(A:B) of a two-qubit matrix, in bits."""
-    rho_a, rho_b = _marginals(mat)
-    s_ab = _entropy_bits(np.linalg.eigvalsh(mat))
-    return _entropy2(rho_a) + _entropy2(rho_b) - s_ab
+    """I(A:B) of a two-qubit state or raw 4x4 density matrix, in bits."""
+    mat, bl = _pair_form(mat)
+    return _mutual_information(bl, mat)
 
 
-def _conditional_entropy(mat: np.ndarray, theta: float, phi: float) -> float:
-    """sum_m p_m S(rho_{A|m}) for a projective measurement on qubit B."""
-    t = mat.reshape(2, 2, 2, 2)
-    rot = rotation_matrix(theta, phi)
+def _conditional_entropy(bl: np.ndarray, axes: np.ndarray):
+    """sum_b p_b S(rho_{A|b}) for B measured along each unit vector of ``axes``.
+
+    Outcome b = +-1 has p_b = (1 + b s.m) / 2 and leaves A with the Bloch
+    vector (r + b T m) / (2 p_b); outcomes with p_b <= 1e-14 count as pure.
+    """
+    r, s, t = bl[1:, 0], bl[0, 1:], bl[1:, 1:]
     total = 0.0
-    for m in range(2):
-        v = rot[:, m]
-        w = np.einsum("b,abcd,d->ac", v.conj(), t, v)
-        p = w[0, 0].real + w[1, 1].real
-        if p > 1e-14:
-            total += p * _entropy2(w / p)
+    for b in (1.0, -1.0):
+        p = 0.5 * (1.0 + b * (axes @ s))
+        v = np.linalg.norm(r + b * (axes @ t.T), axis=-1)
+        length = np.divide(v, 2.0 * p, out=np.ones_like(p), where=p > 1e-14)
+        total = total + p * _h2(0.5 + 0.5 * length)
     return total
 
 
-def _min_conditional_entropy_numeric(mat: np.ndarray, grid: int = 16,
-                                     tol: float = 1e-9) -> float:
-    thetas = np.linspace(0.0, math.pi, grid)
-    phis = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    best, best_angles = math.inf, (0.0, 0.0)
-    for th in thetas:
-        for ph in phis:
-            val = _conditional_entropy(mat, th, ph)
-            if val < best:
-                best, best_angles = val, (th, ph)
+_GRID_ANGLES = np.stack(np.meshgrid(
+    np.linspace(0.0, math.pi, 16),
+    np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False),
+    indexing="ij"), axis=-1).reshape(-1, 2)
+_GRID_AXES = _unit(_GRID_ANGLES)
+
+
+def _discord_measured_on_b(bl: np.ndarray, s_ab: float) -> float:
+    # The polish starts from the best grid angle; the probe axes only lower.
+    probes = np.vstack([[0.0, 0.0, 1.0], np.linalg.svd(bl[1:, 1:])[2]])
+    values = _conditional_entropy(bl, np.vstack([_GRID_AXES, probes]))
     res = minimize(
-        lambda x: _conditional_entropy(mat, x[0], x[1]),
-        np.array(best_angles),
+        lambda x: _conditional_entropy(bl, _unit(x)),
+        _GRID_ANGLES[np.argmin(values[:len(_GRID_ANGLES)])],
         method="Nelder-Mead",
-        options={"xatol": tol, "fatol": tol, "maxfev": 600},
+        options={"xatol": 1e-9, "fatol": 1e-9, "maxfev": 600},
     )
-    return min(best, float(res.fun))
-
-
-def _min_conditional_entropy_formula(mat: np.ndarray) -> float:
-    """Semi-closed X-state minimum: best of the z basis and the tilted x basis."""
-    a, b = mat[0, 0].real, mat[1, 1].real
-    c, d = mat[2, 2].real, mat[3, 3].real
-    f, e = mat[0, 3], mat[1, 2]
-    s_z = 0.0
-    if a + c > 1e-14:
-        s_z += (a + c) * binary_entropy(a / (a + c))
-    if b + d > 1e-14:
-        s_z += (b + d) * binary_entropy(b / (b + d))
-    gamma = math.sqrt((a + b - c - d) ** 2 + 4.0 * (abs(f) + abs(e)) ** 2)
-    s_x = binary_entropy(0.5 * (1.0 + min(gamma, 1.0)))
-    return min(s_z, s_x)
-
-
-def _discord_measured_on_b(mat: np.ndarray, use_formula: bool) -> float:
-    _, rho_b = _marginals(mat)
-    cond = _min_conditional_entropy_numeric(mat)
-    if use_formula:
-        cond = min(cond, _min_conditional_entropy_formula(mat))
-    value = _entropy2(rho_b) - _entropy_bits(np.linalg.eigvalsh(mat)) + cond
-    return max(value, 0.0)
+    s_b = _h2(0.5 + 0.5 * np.linalg.norm(bl[0, 1:]))
+    return max(float(s_b - s_ab + min(values.min(), res.fun)), 0.0)
 
 
 def discord(rho: DensityMatrix, direction: str = "sym") -> float:
@@ -159,108 +155,71 @@ def discord(rho: DensityMatrix, direction: str = "sym") -> float:
 
     ``direction`` selects the measured side: ``"b->a"`` measures the second
     qubit, ``"a->b"`` the first, and ``"sym"`` returns the maximum of the two
-    (the symmetrized discord).  X states use the semi-closed formula and a
-    numerical minimization, returning the smaller; other states fall back to
-    the numerical path alone with a :class:`NonXStateWarning`.
+    (the symmetrized discord).  The conditional entropy is minimized over a
+    16 x 16 angle grid, the probe axes and a Nelder-Mead polish.  On X
+    states the probe axes reproduce the semi-closed formula's minimum; other
+    states rely on the numerical search alone, with a
+    :class:`NonXStateWarning`.
     """
-    mat = _as_matrix(rho)
-    if mat.shape != (4, 4):
-        raise ValueError("discord is defined here for two-qubit states")
-    x_form = is_x_pattern(mat)
-    if not x_form:
+    mat, bl = _pair_form(rho)
+    sides = {"b->a": (bl,), "a->b": (bl.T,), "sym": (bl, bl.T)}
+    if direction not in sides:
+        raise ValueError(f"unknown direction {direction!r}")
+    if not is_x_pattern(mat):
         warnings.warn(
-            "input is not an X state; using numerical minimization only",
+            "input is not an X state; the minimum rests on the numerical search",
             NonXStateWarning,
             stacklevel=2,
         )
-    if direction == "b->a":
-        return _discord_measured_on_b(mat, x_form)
-    if direction == "a->b":
-        return _discord_measured_on_b(_swap_pair(mat), x_form)
-    if direction == "sym":
-        return max(
-            _discord_measured_on_b(mat, x_form),
-            _discord_measured_on_b(_swap_pair(mat), x_form),
-        )
-    raise ValueError(f"unknown direction {direction!r}")
+    s_ab = _entropy_bits(np.linalg.eigvalsh(mat))
+    return max(_discord_measured_on_b(side, s_ab) for side in sides[direction])
 
 
-def _eigenbasis_angles(mat2: np.ndarray, degeneracy_tol: float = 1e-9):
-    """Measurement angles aligned with the eigenbasis of a qubit state.
+def _dephased_information(bl: np.ndarray, angles: np.ndarray):
+    """I(A:B) after dephasing along each (theta_a, phi_a, theta_b, phi_b) row.
 
-    A maximally mixed marginal leaves the eigenbasis undetermined; the
-    sigma^z basis is used by convention in that case.
+    Outcomes a, b = +-1 of A along n and B along m have probabilities
+    p_ab = (1 + a r.n + b s.m + ab n.T m) / 4.
     """
-    lo, hi = _eig2(mat2)
-    if hi - lo <= degeneracy_tol:
-        return 0.0, 0.0
-    _, vecs = np.linalg.eigh(mat2)
-    v = vecs[:, 1]
-    theta = 2.0 * math.atan2(abs(v[1]), abs(v[0]))
-    phi = float(np.angle(v[1]) - np.angle(v[0])) % (2.0 * math.pi)
-    return theta, phi
-
-
-def _dephased_probs(mat: np.ndarray, ta, pa, tb, pb) -> np.ndarray:
-    big_r = np.kron(rotation_matrix(ta, pa), rotation_matrix(tb, pb))
-    return np.einsum("ki,ij,jk->k", big_r.conj().T, mat, big_r).real
-
-
-def _dephased_mutual_information(mat: np.ndarray, ta, pa, tb, pb) -> float:
-    p = np.clip(_dephased_probs(mat, ta, pa, tb, pb), 0.0, None).reshape(2, 2)
-    return (
-        shannon_entropy(p.sum(axis=1))
-        + shannon_entropy(p.sum(axis=0))
-        - shannon_entropy(p.ravel())
-    )
+    n, m = _unit(angles[..., :2]), _unit(angles[..., 2:])
+    rn = (n @ bl[1:, 0])[..., None, None]
+    sm = (m @ bl[0, 1:])[..., None, None]
+    ntm = np.einsum("...i,ij,...j->...", n, bl[1:, 1:], m)[..., None, None]
+    a, b = np.array([[1.0], [-1.0]]), np.array([1.0, -1.0])
+    p = np.clip(0.25 * (1.0 + a * rn + b * sm + a * b * ntm), 0.0, None)
+    return (entr(p.sum(axis=-1)).sum(axis=-1) + entr(p.sum(axis=-2)).sum(axis=-1)
+            - entr(p).sum(axis=(-2, -1))) / math.log(2.0)
 
 
 def mid(rho: DensityMatrix) -> float:
     """Measurement-induced disturbance: mutual-information loss under
     dephasing in the marginal eigenbases (no optimization)."""
-    mat = _as_matrix(rho)
-    if mat.shape != (4, 4):
-        raise ValueError("mid is defined here for two-qubit states")
-    rho_a, rho_b = _marginals(mat)
-    ta, pa = _eigenbasis_angles(rho_a)
-    tb, pb = _eigenbasis_angles(rho_b)
-    value = pair_mutual_information(mat) - _dephased_mutual_information(
-        mat, ta, pa, tb, pb
-    )
-    return max(value, 0.0)
+    mat, bl = _pair_form(rho)
+    value = _mutual_information(bl, mat) - _dephased_information(bl, _eigen_axes(bl))
+    return max(float(value), 0.0)
 
 
 def amid(rho: DensityMatrix, n_starts: int = 8, seed: int = 0,
          tol: float = 1e-9) -> float:
     """Ameliorated MID: mutual-information loss minimized over all bilocal
     projective bases (multi-start Nelder-Mead over 4 angles)."""
-    mat = _as_matrix(rho)
-    if mat.shape != (4, 4):
-        raise ValueError("amid is defined here for two-qubit states")
-    rho_a, rho_b = _marginals(mat)
+    mat, bl = _pair_form(rho)
     half = math.pi / 2.0
-    starts = [
-        (0.0, 0.0, 0.0, 0.0),
-        (half, 0.0, half, 0.0),
-        (half, half, half, half),
-        (*_eigenbasis_angles(rho_a), *_eigenbasis_angles(rho_b)),
-    ]
+    starts = [(0.0, 0.0, 0.0, 0.0), (half, 0.0, half, 0.0),
+              (half, half, half, half), tuple(_eigen_axes(bl))]
     rng = np.random.default_rng(seed)
     while len(starts) < max(n_starts, 4):
         th = rng.uniform(0.0, math.pi, size=2)
         ph = rng.uniform(0.0, 2.0 * math.pi, size=2)
         starts.append((th[0], ph[0], th[1], ph[1]))
+    starts = np.array(starts)
 
-    def neg_info(x):
-        return -_dephased_mutual_information(mat, *x)
-
-    best = -math.inf
+    best = float(_dephased_information(bl, starts).max())
     any_converged = False
     for x0 in starts:
-        best = max(best, _dephased_mutual_information(mat, *x0))
         res = minimize(
-            neg_info,
-            np.asarray(x0, dtype=float),
+            lambda x: -_dephased_information(bl, x),
+            x0,
             method="Nelder-Mead",
             options={"xatol": tol, "fatol": tol, "maxfev": 800},
         )
@@ -272,7 +231,7 @@ def amid(rho: DensityMatrix, n_starts: int = 8, seed: int = 0,
             ConvergenceWarning,
             stacklevel=2,
         )
-    return max(pair_mutual_information(mat) - best, 0.0)
+    return max(_mutual_information(bl, mat) - best, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -121,3 +121,41 @@ def partial_trace_dense(rho: np.ndarray, n: int, keep) -> np.ndarray:
         t = np.trace(t, axis1=axis, axis2=ndim_half + axis)
     dim = 2 ** len(keep)
     return t.reshape(dim, dim)
+
+
+def _measured_conditional_entropy(rho: np.ndarray, measured: int,
+                                  theta: float, phi: float) -> float:
+    """sum_k p_k S(rho_{other|k}) for a projective measurement on one qubit."""
+    total = 0.0
+    for outcome in (0, 1):
+        vec = basis_vector(theta, phi, outcome)
+        proj = np.outer(vec, vec.conj())
+        op = np.kron(proj, np.eye(2)) if measured == 0 else np.kron(np.eye(2), proj)
+        post = partial_trace_dense(op @ rho @ op, 2, [1 - measured])
+        p = np.trace(post).real
+        if p > 1e-14:
+            total += p * entropy_bits(post / p)
+    return total
+
+
+def discord_scan(rho: np.ndarray, measured: int, zooms: int = 4) -> float:
+    """Two-qubit discord with qubit ``measured`` (0 or 1) measured, by scanning.
+
+    Explicit projectors on the measured qubit, conditional states by partial
+    trace of the post-measurement state, and a theta/phi scan of the
+    measurement axis: a 31 x 62 grid, then ``zooms`` 11 x 11 grids, each
+    five times finer, around the best point so far.
+    """
+    def scan(thetas, phis):
+        return min((_measured_conditional_entropy(rho, measured, t, f), t, f)
+                   for t in thetas for f in phis)
+
+    best = scan(np.linspace(0.0, np.pi, 31),
+                np.linspace(0.0, 2.0 * np.pi, 62, endpoint=False))
+    step = np.pi / 30.0
+    for _ in range(zooms):
+        offsets = np.linspace(-step, step, 11)
+        best = min(best, scan(best[1] + offsets, best[2] + offsets))
+        step /= 5.0
+    s_measured = entropy_bits(partial_trace_dense(rho, 2, [measured]))
+    return s_measured - entropy_bits(rho) + best[0]

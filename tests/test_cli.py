@@ -1,10 +1,12 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from isingring.cli import _parse_ratio_grid, build_parser, main
+from isingring.errors import ConvergenceWarning
 from isingring.sweep import SweepTable
 
 
@@ -70,6 +72,39 @@ def test_measures_budget_starvation_exit_code(capsys):
     assert code == 1
     assert record["converged"] is False
     assert record["global_discord"]["converged"] is False
+
+
+def test_measures_pair_discord_directions(capsys, monkeypatch):
+    calls = []
+
+    def one_sided(rho, direction="sym"):
+        calls.append(direction)
+        return {"a->b": 0.25, "b->a": 0.5}[direction]
+
+    monkeypatch.setattr("isingring.cli.discord", one_sided)
+    code, out, _ = run_cli(
+        capsys, "measures", "--n", "4", "--b", "1", "--pair", "0", "1"
+    )
+    pair = json.loads(out)["pair"]
+    assert code == 0
+    assert sorted(calls) == ["a->b", "b->a"]
+    assert pair["discord_a_measured"] == 0.25
+    assert pair["discord_b_measured"] == 0.5
+    assert pair["discord"] == 0.5
+
+
+def test_measures_pair_amid_not_converged_exit_code(capsys, monkeypatch):
+    def stalled_amid(rho, n_starts=8, seed=0, tol=1e-9):
+        warnings.warn("no AMID restart converged", ConvergenceWarning)
+        return 0.0
+
+    monkeypatch.setattr("isingring.cli.amid", stalled_amid)
+    code, out, _ = run_cli(
+        capsys, "measures", "--n", "4", "--b", "1", "--pair", "0", "1"
+    )
+    record = json.loads(out)
+    assert code == 1
+    assert record["converged"] is False
 
 
 def test_measures_requires_a_selection(capsys):

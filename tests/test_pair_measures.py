@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 import oracles
 from isingring.density import DensityMatrix, mutual_information
-from isingring.errors import NonXStateWarning, QuadratureError
+from isingring.errors import ConvergenceWarning, NonXStateWarning, QuadratureError
 from isingring.pair_measures import (
     CorrelatorSet,
     XState,
@@ -103,6 +104,62 @@ def test_non_x_state_falls_back_with_warning(rng):
     with pytest.warns(NonXStateWarning):
         value = discord(dense, direction="b->a")
     assert 0.0 <= value <= 1.0 + 1e-9
+
+
+def test_discord_matches_brute_force_scan_on_non_x_states(rng):
+    for _ in range(3):
+        rho = oracles.random_density(rng, 2)
+        for direction, measured in (("b->a", 1), ("a->b", 0)):
+            with pytest.warns(NonXStateWarning):
+                got = discord(rho, direction=direction)
+            expected = oracles.discord_scan(rho, measured)
+            assert got <= expected + 1e-10, (direction, got, expected)
+            assert abs(got - expected) < 1e-6, (direction, got, expected)
+
+
+def test_mid_matches_projector_dephasing_on_non_x_states(rng):
+    """MID against the explicit projector sum in the marginal eigenbases."""
+    def info(mat):
+        return (oracles.entropy_bits(oracles.partial_trace_dense(mat, 2, [0]))
+                + oracles.entropy_bits(oracles.partial_trace_dense(mat, 2, [1]))
+                - oracles.entropy_bits(mat))
+
+    for _ in range(3):
+        rho = oracles.random_density(rng, 2)
+        angles = []
+        for site in (0, 1):
+            _, vecs = np.linalg.eigh(oracles.partial_trace_dense(rho, 2, [site]))
+            v = vecs[:, 1]
+            angles.append((2.0 * np.arctan2(abs(v[1]), abs(v[0])),
+                           np.angle(v[1]) - np.angle(v[0])))
+        expected = info(rho) - info(oracles.dephase_matrix(rho, angles))
+        assert abs(mid(rho) - expected) < 1e-10
+
+
+_NON_HERMITIAN = np.eye(4) / 4.0
+_NON_HERMITIAN[0, 1] = 0.1
+
+
+@pytest.mark.parametrize("measure", [discord, mid, amid, pair_mutual_information])
+@pytest.mark.parametrize("bad", [
+    pytest.param(np.eye(4), id="trace-4"),
+    pytest.param(np.diag([0.7, 0.5, -0.1, -0.1]), id="negative-eigenvalues"),
+    pytest.param(_NON_HERMITIAN, id="non-hermitian"),
+])
+def test_pair_measures_reject_invalid_raw_arrays(measure, bad):
+    with pytest.raises(ValueError):
+        measure(bad)
+
+
+def test_amid_warns_when_no_restart_converges(monkeypatch):
+    def stalled(fun, x0, **kwargs):
+        return OptimizeResult(x=x0, fun=fun(x0), success=False)
+
+    monkeypatch.setattr("isingring.pair_measures.minimize", stalled)
+    with pytest.warns(ConvergenceWarning):
+        value = amid(BELL_RHO)
+    # the sigma^z start already attains the optimum for a Bell state
+    assert abs(value - 1.0) < 1e-12
 
 
 def test_hierarchy_on_random_x_states(rng):
