@@ -14,12 +14,7 @@ from .density import (
     DensityMatrix,
     PureState,
     binary_entropy,
-    dephase,
-    mutual_information,
-    partial_trace,
-    pure_density,
     reduced_state,
-    relative_entropy,
     rotation_matrix,
     shannon_entropy,
     von_neumann_entropy,
@@ -36,16 +31,12 @@ from .errors import (
     EigensolverError,
     NonXStateWarning,
     QuadratureError,
-    UnsupportedSectorError,
 )
 from .global_discord import (
     GDResult,
-    MeasuredSpectrum,
     OptimizerConfig,
     gd_objective,
-    gd_objective_full,
     global_discord,
-    measured_spectrum,
 )
 from .pair_measures import (
     CorrelatorSet,
@@ -60,10 +51,7 @@ from .pair_measures import (
 )
 from .ring import (
     MAX_SITES,
-    FermionSector,
     RingConfig,
-    fermion_sector,
-    free_fermion_energy,
     ghz_state,
     ground_state,
     parity_expectation,
@@ -88,12 +76,7 @@ __all__ = [
     "DensityMatrix",
     "PureState",
     "binary_entropy",
-    "dephase",
-    "mutual_information",
-    "partial_trace",
-    "pure_density",
     "reduced_state",
-    "relative_entropy",
     "rotation_matrix",
     "shannon_entropy",
     "von_neumann_entropy",
@@ -108,15 +91,11 @@ __all__ = [
     "EigensolverError",
     "NonXStateWarning",
     "QuadratureError",
-    "UnsupportedSectorError",
     # global discord
     "GDResult",
-    "MeasuredSpectrum",
     "OptimizerConfig",
     "gd_objective",
-    "gd_objective_full",
     "global_discord",
-    "measured_spectrum",
     # pair measures
     "CorrelatorSet",
     "XState",
@@ -129,10 +108,7 @@ __all__ = [
     "x_state_from_correlators",
     # ring
     "MAX_SITES",
-    "FermionSector",
     "RingConfig",
-    "fermion_sector",
-    "free_fermion_energy",
     "ghz_state",
     "ground_state",
     "parity_expectation",

@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fit", help="constrained size-scaling fit of peak values"
     )
     p_ft.add_argument(
-        "--points", type=str, default=None,
+        "--points", type=_parse_points, default=None,
         help="comma list of N:maxvalue pairs, e.g. '3:1.83,4:2.44'",
     )
     p_ft.add_argument(
@@ -349,14 +349,18 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
-def _parse_points(spec: str):
+def _parse_points(spec: str) -> list[tuple[int, float]]:
+    """Points spec: a comma list of N:value pairs."""
     points = []
     for token in spec.split(","):
         token = token.strip()
         if not token:
             continue
         n_str, _, v_str = token.partition(":")
-        points.append((int(n_str), float(v_str)))
+        try:
+            points.append((int(n_str), float(v_str)))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad point {token!r}: {exc}") from None
     return points
 
 
@@ -365,27 +369,23 @@ def _cmd_fit(args) -> int:
     if (args.points is None) == (args.tables is None):
         print("fit: supply exactly one of --points or --tables", file=sys.stderr)
         return 2
-    points = []
-    peaks = []
-    if args.points is not None:
-        points = _parse_points(args.points)
-    else:
-        for path in args.tables:
-            loader = (
-                SweepTable.from_json if path.endswith(".json")
-                else SweepTable.from_csv
-            )
-            table = loader(path)
-            peak = find_peak(table, "gd")
-            points.append((table.metadata["n_sites"], peak.value))
-            peaks.append(
-                {
-                    "n_sites": table.metadata["n_sites"],
-                    "ratio_star": peak.ratio_star,
-                    "value": peak.value,
-                    "boundary": peak.boundary,
-                }
-            )
+    points, peaks = args.points or [], []
+    for path in args.tables or ():
+        loader = (
+            SweepTable.from_json if path.endswith(".json")
+            else SweepTable.from_csv
+        )
+        table = loader(path)
+        peak = find_peak(table, "gd")
+        points.append((table.metadata["n_sites"], peak.value))
+        peaks.append(
+            {
+                "n_sites": table.metadata["n_sites"],
+                "ratio_star": peak.ratio_star,
+                "value": peak.value,
+                "boundary": peak.boundary,
+            }
+        )
     fit = fit_scaling(points)
     record = {
         "slope": fit.slope,

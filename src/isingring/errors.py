@@ -5,10 +5,6 @@ class CapacityError(ValueError):
     """Requested ring size exceeds ``MAX_SITES``."""
 
 
-class UnsupportedSectorError(ValueError):
-    """Analytic free-fermion result requested for a sector it does not cover."""
-
-
 class EigensolverError(RuntimeError):
     """Eigensolver failed to produce a trustworthy eigenpair."""
 

@@ -3,59 +3,28 @@
 The relative-entropy objective collapses, for a pure global state, to the
 Shannon entropy of the rotated-amplitude spectrum minus the single-site
 dephasing corrections.  Each evaluation then costs O(2^N * N) instead of a
-2^N x 2^N matrix diagonalization; the full-matrix form is kept as
-:func:`gd_objective_full` so the fast path can be checked against it.
+2^N x 2^N matrix diagonalization.  The tests check it against the
+definition, evaluated with explicit projector sums.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .density import (
-    DensityMatrix,
     PureState,
     _entropy_bits,
     as_angles,
     binary_entropy,
-    dephase,
-    partial_trace,
     reduced_state,
     rotation_matrix,
-    shannon_entropy,
-    von_neumann_entropy,
 )
 
 DEFAULT_MAX_EVALS = 50_000
-
-
-@dataclass(frozen=True)
-class MeasuredSpectrum:
-    """Outcome distribution of a multi-local projective measurement.
-
-    ``lambdas[k]`` is the probability of the length-N outcome string with
-    binary encoding k, for the measurement bases fixed by ``angles``.
-    """
-
-    lambdas: np.ndarray
-    angles: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "angles", np.asarray(self.angles, dtype=float))
-        if abs(lam.sum() - 1.0) > 1e-12:
-            raise ValueError("measured spectrum does not sum to 1")
-        if lam.min() < -1e-12:
-            raise ValueError("measured spectrum has a negative entry")
-
-    @property
-    def entropy(self) -> float:
-        """Shannon entropy of the outcome distribution, in bits."""
-        return shannon_entropy(np.clip(self.lambdas, 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -93,24 +62,24 @@ class OptimizerConfig:
     xatol: float = 1e-9
     fatol: float = 1e-9
 
+    def __post_init__(self):
+        if self.restarts is not None and self.restarts < 1:
+            raise ValueError(f"restarts must be None or >= 1, got {self.restarts}")
+        if self.max_evals < 1:
+            raise ValueError(f"max_evals must be >= 1, got {self.max_evals}")
+
     def n_restarts(self, n_sites: int) -> int:
         if self.restarts is not None:
             return self.restarts
         return max(16, 4 * n_sites)
 
 
-def measured_spectrum(gs: PureState, angles) -> MeasuredSpectrum:
-    """Probabilities of all 2^N outcomes of the bilocal measurement.
+def _outcome_probs(amps: np.ndarray, ang: np.ndarray) -> np.ndarray:
+    """Probabilities of all 2^N outcomes of the product measurement.
 
     Applies the inverse single-site rotations axis by axis, so the cost is
-    O(2^N * N) rather than a full 2^N x 2^N similarity transform.
+    O(2^N * N) rather than a full 2^N x 2^N similarity transform; no checks.
     """
-    ang = as_angles(angles, gs.n_sites)
-    return MeasuredSpectrum(_outcome_probs(gs.as_tensor(), ang), ang)
-
-
-def _outcome_probs(amps: np.ndarray, ang: np.ndarray) -> np.ndarray:
-    """Rotation cascade behind :func:`measured_spectrum`, without checks."""
     for j in range(ang.shape[0]):
         rot = rotation_matrix(ang[j, 0], ang[j, 1])
         amps = np.moveaxis(np.tensordot(rot.conj(), amps, axes=([0], [j])), 0, j)
@@ -154,22 +123,6 @@ def gd_objective(gs: PureState, angles) -> float:
     """
     ang = as_angles(angles, gs.n_sites)
     return _objective_factory(gs)(ang)
-
-
-def gd_objective_full(rho: DensityMatrix, angles) -> float:
-    """Same bracket computed with explicit dephased density matrices.
-
-    Valid for mixed global states as well; retained as the slow reference
-    implementation for the fast pure-state path.
-    """
-    ang = as_angles(angles, rho.n_sites)
-    total = von_neumann_entropy(dephase(rho, ang)) - von_neumann_entropy(rho)
-    for j in range(rho.n_sites):
-        rho_j = partial_trace(rho, (j,))
-        total -= von_neumann_entropy(dephase(rho_j, ang[j:j + 1])) - (
-            von_neumann_entropy(rho_j)
-        )
-    return total
 
 
 class _BudgetTracker:

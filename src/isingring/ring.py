@@ -1,4 +1,4 @@
-"""Transverse-field Ising ring: model, exact ground state, free fermions.
+"""Transverse-field Ising ring: model, exact ground state, reference states.
 
 The model is ``H = -J sum_n sx_n sx_{n+1} + B sum_n sz_n`` with cyclic
 boundaries (site N+1 = site 1) and ``J >= 0``.  The exact ground state is
@@ -7,9 +7,7 @@ in the sigma^z basis is ``-J <= 0``, so by Perron-Frobenius the lowest state
 of each parity sector of ``prod_n sz_n`` is nondegenerate with positive
 amplitudes, hence invariant under the rotations and reflections of the ring.
 Only the block of H spanned by the dihedral orbit states of configurations is
-diagonalized (224 orbits instead of 4096 states at N = 12).  The analytic
-free-fermion energy of the even parity sector serves as an independent
-cross-check.
+diagonalized (224 orbits instead of 4096 states at N = 12).
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import PureState
-from .errors import CapacityError, EigensolverError, UnsupportedSectorError
+from .errors import CapacityError, EigensolverError
 
 #: Largest ring accepted.  Ground states are stored as full 2**N amplitude
 #: vectors and every measure works on them, so the measures, not the
@@ -48,6 +46,8 @@ class RingConfig:
             raise CapacityError(
                 f"n_sites={self.n_sites} exceeds capacity {MAX_SITES}"
             )
+        if not (math.isfinite(self.coupling_j) and math.isfinite(self.field_b)):
+            raise ValueError("coupling_j and field_b must be finite")
         if self.coupling_j < 0:
             raise ValueError(
                 "coupling_j must be non-negative (ferromagnetic or zero)"
@@ -61,15 +61,6 @@ class RingConfig:
         if self.coupling_j == 0:
             raise ValueError("B/J undefined at coupling_j = 0")
         return self.field_b / self.coupling_j
-
-
-@dataclass(frozen=True)
-class FermionSector:
-    """Momenta and dispersions of one fermion-parity sector."""
-
-    parity: str
-    momenta: np.ndarray
-    dispersions: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -169,42 +160,6 @@ def ground_state(config: RingConfig) -> tuple[PureState, float]:
         raise EigensolverError("ground-state eigenpair failed residual check", residual)
     vec = _fix_phase(vec.astype(complex))
     return PureState(vec, config.n_sites), energy
-
-
-def fermion_sector(config: RingConfig, parity: str = "even") -> FermionSector:
-    """Momenta phi_k = pi(2k+1)/N and dispersions of the even sector.
-
-    Only the even-fermion-parity (antiperiodic) sector is available in closed
-    form, and only for even N, where the momenta pair up as (k, -k).
-    """
-    if parity != "even":
-        raise UnsupportedSectorError(
-            f"sector {parity!r} has no analytic dispersion here; "
-            "use ground_state"
-        )
-    n = config.n_sites
-    if n % 2 != 0:
-        raise UnsupportedSectorError(
-            f"analytic even-sector momenta require even N, got {n}"
-        )
-    k = np.arange(-n // 2, n // 2)
-    momenta = math.pi * (2 * k + 1) / n
-    j, b = config.coupling_j, config.field_b
-    disp = np.sqrt(j * j + b * b - 2.0 * j * b * np.cos(momenta))
-    return FermionSector("even", momenta, disp)
-
-
-def free_fermion_energy(config: RingConfig, parity: str = "even") -> float:
-    """Analytic even-sector ground energy ``-sum_k eps_k``.
-
-    Serves as an independent check on ``ground_state``: it matches the exact
-    ground energy exactly whenever the true ground state has even parity, and
-    upper-bounds it otherwise.
-    """
-    if config.coupling_j <= 0:
-        raise ValueError("analytic energy assumes J > 0")
-    sector = fermion_sector(config, parity)
-    return float(-np.sum(sector.dispersions))
 
 
 def ghz_state(n_sites: int) -> PureState:

@@ -279,6 +279,8 @@ def sweep(
     if ratios is None:
         ratios = default_ratio_grid()
     ratios = np.array([_q12(r) for r in np.asarray(ratios, dtype=float).ravel()])
+    if not np.all(np.isfinite(ratios)):
+        raise ValueError("ratios must be finite")
     if np.any(np.diff(ratios) <= 0):
         raise ValueError("ratios must be strictly increasing")
     if np.any(ratios < 0):

@@ -123,6 +123,32 @@ def partial_trace_dense(rho: np.ndarray, n: int, keep) -> np.ndarray:
     return t.reshape(dim, dim)
 
 
+def reference_objective(psi: np.ndarray, n: int, flat_angles) -> float:
+    """Global-discord bracket of a pure state from explicit projector sums.
+
+    S(Pi(rho)) - S(rho) - sum_j [S(Pi_j(rho_j)) - S(rho_j)] with every
+    dephasing done by summing rank-one kron projectors.
+    """
+    pairs = np.asarray(flat_angles, dtype=float).reshape(n, 2)
+    rho = np.outer(psi, psi.conj())
+    total = entropy_bits(dephase_matrix(rho, pairs)) - entropy_bits(rho)
+    for j in range(n):
+        rho_j = partial_trace_dense(rho, n, [j])
+        dep_j = dephase_matrix(rho_j, [pairs[j]])
+        total -= entropy_bits(dep_j) - entropy_bits(rho_j)
+    return total
+
+
+def free_fermion_energy(n: int, j: float, b: float) -> float:
+    """Even-fermion-parity ring energy -sum_k eps_k, antiperiodic momenta.
+
+    For even N it is the exact ground energy whenever the ground state has
+    parity +1 under prod_n sz_n.
+    """
+    phi = np.pi * (2 * np.arange(n) + 1) / n
+    return float(-np.sum(np.sqrt(j * j + b * b - 2.0 * j * b * np.cos(phi))))
+
+
 def _measured_conditional_entropy(rho: np.ndarray, measured: int,
                                   theta: float, phi: float) -> float:
     """sum_k p_k S(rho_{other|k}) for a projective measurement on one qubit."""

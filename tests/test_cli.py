@@ -74,6 +74,15 @@ def test_measures_budget_starvation_exit_code(capsys):
     assert record["global_discord"]["converged"] is False
 
 
+@pytest.mark.parametrize("flag, value", [("--max-evals", "0"), ("--restarts", "-3")])
+def test_measures_rejects_empty_optimizer_budget(capsys, flag, value):
+    code, out, err = run_cli(
+        capsys, "measures", "--n", "3", "--b", "1", "--global", flag, value
+    )
+    assert code == 3 and out == ""
+    assert flag[2:].replace("-", "_") in err
+
+
 def test_measures_pair_discord_directions(capsys, monkeypatch):
     calls = []
 
@@ -216,6 +225,14 @@ def test_fit_from_points(capsys):
     assert code == 0
     assert abs(record["slope"] - 0.6965) < 5e-4
     assert len(record["points"]) == 6
+
+
+@pytest.mark.parametrize("spec", ["3", "x:1"])
+def test_fit_rejects_malformed_points_as_usage_error(capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--points", spec])
+    assert exc.value.code == 2
+    assert "--points" in capsys.readouterr().err
 
 
 def test_fit_from_tables(capsys, tmp_path):

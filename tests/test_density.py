@@ -7,20 +7,14 @@ import oracles
 from isingring.density import (
     DensityMatrix,
     PureState,
-    angles_all_x,
-    angles_all_z,
     as_angles,
     binary_entropy,
-    dephase,
-    mutual_information,
-    partial_trace,
-    pure_density,
     reduced_state,
-    relative_entropy,
     rotation_matrix,
     shannon_entropy,
     von_neumann_entropy,
 )
+from isingring.pair_measures import _bloch, _dephased_information, pair_mutual_information
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
 
@@ -59,9 +53,6 @@ def test_as_angles_coercion_and_errors():
     assert np.allclose(arr, [[0.1, 0.2], [0.3, 0.4]])
     with pytest.raises(ValueError):
         as_angles([0.1, 0.2], 2)
-    assert np.allclose(angles_all_z(3), np.zeros((3, 2)))
-    ax = angles_all_x(3)
-    assert np.allclose(ax[:, 0], math.pi / 2.0) and np.allclose(ax[:, 1], 0.0)
 
 
 def test_entropy_scalars():
@@ -84,88 +75,66 @@ def test_density_matrix_validation():
         DensityMatrix(bad, (0,))  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(4) / 4.0, (0,))  # shape vs labels
+    for bad in (np.full((2, 2), math.nan), np.diag([math.nan, 1.0]),
+                np.diag([1.0, math.nan])):
+        with pytest.raises(ValueError):
+            DensityMatrix(bad, (0,))
 
 
 def test_von_neumann_entropy_pure_and_mixed(rng):
     psi = oracles.random_pure(rng, 2)
-    assert von_neumann_entropy(pure_density(psi, (0, 1))) < 1e-10
+    assert von_neumann_entropy(DensityMatrix(np.outer(psi, psi.conj()), (0, 1))) < 1e-10
     maximally_mixed = DensityMatrix(np.eye(4) / 4.0, (0, 1))
     assert abs(von_neumann_entropy(maximally_mixed) - 2.0) < 1e-14
 
 
-def test_relative_entropy_identities(rng):
-    rho = DensityMatrix(oracles.random_density(rng, 2), (0, 1))
-    assert relative_entropy(rho, rho) < 1e-9
-    mixed = DensityMatrix(np.eye(4) / 4.0, (0, 1))
-    expected = 2.0 - von_neumann_entropy(rho)
-    assert abs(relative_entropy(rho, mixed) - expected) < 1e-9
-    # support violation -> inf sentinel
-    pure0 = pure_density(np.array([1.0, 0.0]), (0,))
-    pure1 = pure_density(np.array([0.0, 1.0]), (0,))
-    assert relative_entropy(pure0, pure1) == math.inf
-    with pytest.raises(ValueError):
-        relative_entropy(rho, pure0)
-
-
-def test_relative_entropy_to_dephased_equals_entropy_gap(rng):
-    """S(rho || Pi(rho)) = S(Pi(rho)) - S(rho) when Pi dephases rho."""
-    rho = DensityMatrix(oracles.random_density(rng, 2), (0, 1))
-    angles = [[0.7, 1.1], [2.0, 0.3]]
-    pi_rho = dephase(rho, angles)
-    lhs = relative_entropy(rho, pi_rho)
-    rhs = von_neumann_entropy(pi_rho) - von_neumann_entropy(rho)
-    assert abs(lhs - rhs) < 1e-9
-
-
 def test_partial_trace_against_reference(rng):
-    rho_mat = oracles.random_density(rng, 3)
-    rho = DensityMatrix(rho_mat, (0, 1, 2))
+    psi = oracles.random_pure(rng, 3)
+    state = PureState(psi, 3)
+    rho_mat = np.outer(psi, psi.conj())
     for keep in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
         expected = oracles.partial_trace_dense(rho_mat, 3, keep)
-        got = partial_trace(rho, keep)
-        assert got.site_labels == tuple(sorted(keep))
+        got = reduced_state(state, keep)
+        assert got.site_labels == keep
         assert np.allclose(got.matrix, expected, atol=1e-12)
 
 
 def test_partial_trace_factorizes_product_states(rng):
-    a = oracles.random_density(rng, 1)
-    b = oracles.random_density(rng, 1)
-    rho = DensityMatrix(np.kron(a, b), (0, 1))
-    assert np.allclose(partial_trace(rho, (0,)).matrix, a, atol=1e-12)
-    assert np.allclose(partial_trace(rho, (1,)).matrix, b, atol=1e-12)
+    a = oracles.random_pure(rng, 1)
+    b = oracles.random_pure(rng, 1)
+    state = PureState(np.kron(a, b), 2)
+    assert np.allclose(reduced_state(state, (0,)).matrix, np.outer(a, a.conj()), atol=1e-12)
+    assert np.allclose(reduced_state(state, (1,)).matrix, np.outer(b, b.conj()), atol=1e-12)
     with pytest.raises(ValueError):
-        partial_trace(rho, ())
+        reduced_state(state, ())
     with pytest.raises(ValueError):
-        partial_trace(rho, (0, 5))
+        reduced_state(state, (0, 5))
 
 
 def test_mutual_information_anchors(rng):
-    bell = pure_density(BELL, (0, 1))
-    assert abs(mutual_information(bell, (0,)) - 2.0) < 1e-10
+    bell = np.outer(BELL, BELL)
+    assert abs(pair_mutual_information(bell) - 2.0) < 1e-10
     a = oracles.random_density(rng, 1)
     b = oracles.random_density(rng, 1)
-    product = DensityMatrix(np.kron(a, b), (0, 1))
-    assert abs(mutual_information(product, (0,))) < 1e-10
+    assert abs(pair_mutual_information(np.kron(a, b))) < 1e-10
     with pytest.raises(ValueError):
-        mutual_information(bell, (0, 1))
+        pair_mutual_information(np.eye(8) / 8.0)
 
 
 def test_dephase_matches_projector_sum(rng):
-    rho_mat = oracles.random_density(rng, 2)
-    rho = DensityMatrix(rho_mat, (0, 1))
-    pairs = [(0.9, 0.4), (1.7, 5.1)]
-    got = dephase(rho, pairs)
-    expected = oracles.dephase_matrix(rho_mat, pairs)
-    assert np.allclose(got.matrix, expected, atol=1e-12)
-
-
-def test_dephase_idempotent_and_z_basis_diagonal(rng):
-    rho = DensityMatrix(oracles.random_density(rng, 2), (0, 1))
-    once = dephase(rho, angles_all_z(2))
-    twice = dephase(once, angles_all_z(2))
-    assert np.allclose(once.matrix, twice.matrix, atol=1e-13)
-    off_diag = once.matrix - np.diag(np.diag(once.matrix))
-    assert np.max(np.abs(off_diag)) < 1e-13
+    """The pair kernel's dephased mutual information at arbitrary angles
+    equals the mutual information of the projector-sum dephased state."""
+    for _ in range(5):
+        rho_mat = oracles.random_density(rng, 2)
+        pairs = [(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+                 for _ in range(2)]
+        dephased = oracles.dephase_matrix(rho_mat, pairs)
+        expected = sum(
+            oracles.entropy_bits(oracles.partial_trace_dense(dephased, 2, [k]))
+            for k in (0, 1)
+        ) - oracles.entropy_bits(dephased)
+        got = _dephased_information(_bloch(rho_mat), np.ravel(pairs))
+        assert abs(got - expected) < 1e-10
 
 
 def test_pure_state_validation_and_reduction():
@@ -173,6 +142,9 @@ def test_pure_state_validation_and_reduction():
         PureState(np.array([1.0, 1.0]), 1)  # unnormalized
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 0.0]), 2)  # wrong length
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PureState(np.array([bad, 0.0]), 1)
     bell = PureState(BELL, 2)
     assert bell.as_tensor().shape == (2, 2)
     for site in (0, 1):

@@ -5,34 +5,15 @@ import pytest
 from scipy.optimize import minimize
 
 import oracles
-from isingring.density import PureState, reduced_state, von_neumann_entropy
+from isingring.density import reduced_state, von_neumann_entropy
 from isingring.global_discord import (
     GDResult,
-    MeasuredSpectrum,
     OptimizerConfig,
+    _outcome_probs,
     gd_objective,
-    gd_objective_full,
     global_discord,
-    measured_spectrum,
 )
 from isingring.ring import RingConfig, ghz_state, ground_state, product_state_down
-
-
-def reference_objective(psi: np.ndarray, n: int, flat_angles) -> float:
-    """Definition-level objective from explicit projector sums.
-
-    S(Pi(rho)) - S(rho) - sum_j [S(Pi_j(rho_j)) - S(rho_j)] with every
-    dephasing done by summing rank-one kron projectors.
-    """
-    pairs = np.asarray(flat_angles, dtype=float).reshape(n, 2)
-    rho = np.outer(psi, psi.conj())
-    total = oracles.entropy_bits(oracles.dephase_matrix(rho, pairs))
-    total -= oracles.entropy_bits(rho)
-    for j in range(n):
-        rho_j = oracles.partial_trace_dense(rho, n, [j])
-        dep_j = oracles.dephase_matrix(rho_j, [pairs[j]])
-        total -= oracles.entropy_bits(dep_j) - oracles.entropy_bits(rho_j)
-    return total
 
 
 def reference_global_discord_n2(psi: np.ndarray) -> float:
@@ -46,12 +27,12 @@ def reference_global_discord_n2(psi: np.ndarray) -> float:
             for t2 in thetas:
                 for p2 in phis:
                     x = (t1, p1, t2, p2)
-                    scored.append((reference_objective(psi, 2, x), x))
+                    scored.append((oracles.reference_objective(psi, 2, x), x))
     scored.sort(key=lambda sv: sv[0])
     best = scored[0][0]
     for _, x0 in scored[:4]:
         res = minimize(
-            lambda x: reference_objective(psi, 2, x),
+            lambda x: oracles.reference_objective(psi, 2, x),
             np.asarray(x0),
             method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-10, "maxfev": 2000},
@@ -61,34 +42,20 @@ def reference_global_discord_n2(psi: np.ndarray) -> float:
 
 
 def test_measured_spectrum_anchors():
-    ghz = ghz_state(4)
-    spec = measured_spectrum(ghz, np.zeros((4, 2)))
-    lam = np.sort(spec.lambdas)[::-1]
+    lam = np.sort(_outcome_probs(ghz_state(4).as_tensor(), np.zeros((4, 2))))[::-1]
     assert abs(lam[0] - 0.5) < 1e-14 and abs(lam[1] - 0.5) < 1e-14
     assert lam[2] < 1e-14
-    assert abs(spec.entropy - 1.0) < 1e-12
-
-    down = product_state_down(3)
-    spec = measured_spectrum(down, np.zeros((3, 2)))
-    assert abs(spec.lambdas[-1] - 1.0) < 1e-14
-    assert spec.entropy < 1e-12
+    lam = _outcome_probs(product_state_down(3).as_tensor(), np.zeros((3, 2)))
+    assert abs(lam[-1] - 1.0) < 1e-14
 
 
 def test_measured_spectrum_matches_explicit_projectors(rng):
     psi = oracles.random_pure(rng, 3)
-    state = PureState(psi, 3)
     pairs = rng.uniform(0.0, math.pi, size=(3, 2))
-    spec = measured_spectrum(state, pairs)
+    lam = _outcome_probs(psi.reshape(2, 2, 2), pairs)
     projectors = oracles.product_projectors(pairs)
     expected = np.array([(psi.conj() @ p @ psi).real for p in projectors])
-    assert np.allclose(spec.lambdas, expected, atol=1e-12)
-
-
-def test_measured_spectrum_validation():
-    with pytest.raises(ValueError):
-        MeasuredSpectrum(np.array([0.7, 0.7]), np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        MeasuredSpectrum(np.array([1.5, -0.5]), np.zeros((1, 2)))
+    assert np.allclose(lam, expected, atol=1e-12)
 
 
 def test_gd_result_validation():
@@ -100,7 +67,7 @@ def test_gd_result_validation():
 
 
 def test_objective_matches_reference_definition(rng):
-    for n in (2, 3):
+    for n in (2, 3, 4):
         gs, _ = ground_state(
             RingConfig(n_sites=n, coupling_j=1.0, field_b=rng.uniform(0.3, 1.5))
         )
@@ -112,25 +79,8 @@ def test_objective_matches_reference_definition(rng):
                 [flat[:n], flat[n:]], axis=1
             )
             fast = gd_objective(gs, pairs)
-            ref = reference_objective(gs.amplitudes, n, pairs.ravel())
+            ref = oracles.reference_objective(gs.amplitudes, n, pairs.ravel())
             assert abs(fast - ref) < 1e-9
-
-
-def test_fast_objective_equals_full_matrix_bracket(rng):
-    for n in (2, 3, 4):
-        gs, _ = ground_state(
-            RingConfig(n_sites=n, coupling_j=1.0, field_b=0.8)
-        )
-        rho = gs.density_matrix()
-        for _ in range(5):
-            pairs = np.stack(
-                [
-                    rng.uniform(0, math.pi, n),
-                    rng.uniform(0, 2 * math.pi, n),
-                ],
-                axis=1,
-            )
-            assert abs(gd_objective(gs, pairs) - gd_objective_full(rho, pairs)) < 1e-9
 
 
 def test_ghz_and_product_anchors():
@@ -198,6 +148,14 @@ def test_budget_exhaustion_reports_not_converged():
     assert not res.converged
     assert res.n_evals <= 60
     assert math.isfinite(res.value) and res.value >= 0.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"restarts": 0}, {"restarts": -3}, {"max_evals": 0},
+])
+def test_optimizer_config_rejects_empty_budgets(kwargs):
+    with pytest.raises(ValueError):
+        OptimizerConfig(**kwargs)
 
 
 def test_restart_count_default():

@@ -1,16 +1,27 @@
-"""The README's Python example runs as written; its CLI examples parse."""
+"""The README's Python example runs as written; its CLI examples parse.
 
+Also guards the package surface: ``__all__`` resolves, the README imports
+only exported names, and the test oracles stay independent of the package.
+"""
+
+import ast
 import re
 import shlex
 from pathlib import Path
 
+import isingring
 from isingring.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+
+
+def _python_blocks():
+    return re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
 
 
 def test_readme_python_example_runs(monkeypatch, tmp_path):
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    blocks = _python_blocks()
     assert blocks, "README has no Python example"
     monkeypatch.chdir(tmp_path)
     for block in blocks:
@@ -34,3 +45,30 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_all_names_resolve():
+    missing = [name for name in isingring.__all__ if not hasattr(isingring, name)]
+    assert not missing
+
+
+def test_readme_imports_only_exported_names():
+    imported = {
+        alias.name
+        for block in _python_blocks()
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "isingring"
+        for alias in node.names
+    }
+    assert imported, "README imports nothing from isingring"
+    assert imported <= set(isingring.__all__), imported - set(isingring.__all__)
+
+
+def test_oracles_import_nothing_from_the_package():
+    modules = set()
+    for node in ast.walk(ast.parse(ORACLES.read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+    assert not {m for m in modules if m.split(".")[0] == "isingring"}, modules

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from isingring.errors import CapacityError, UnsupportedSectorError
+from isingring.errors import CapacityError
 from isingring.ring import (
     MAX_SITES,
     RingConfig,
-    fermion_sector,
-    free_fermion_energy,
     ghz_state,
     ground_state,
     parity_diagonal,
@@ -27,6 +25,11 @@ def test_config_validation():
         RingConfig(n_sites=4, field_b=-0.5)
     with pytest.raises(ValueError):
         RingConfig(n_sites=4, coupling_j=-1.0, field_b=0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RingConfig(n_sites=4, coupling_j=1.0, field_b=bad)
+        with pytest.raises(ValueError):
+            RingConfig(n_sites=4, coupling_j=bad, field_b=1.0)
     RingConfig(n_sites=4, coupling_j=0.0, field_b=0.5)
     cfg = RingConfig(n_sites=4, coupling_j=2.0, field_b=1.0)
     assert cfg.ratio == 0.5
@@ -106,22 +109,8 @@ def test_free_fermion_energy_matches_dense_even_sizes():
             cfg = RingConfig(n_sites=n, coupling_j=1.0, field_b=ratio)
             gs, dense_energy = ground_state(cfg)
             if parity_expectation(gs) > 1.0 - 1e-8:
-                analytic = free_fermion_energy(cfg)
+                analytic = oracles.free_fermion_energy(n, 1.0, ratio)
                 assert abs(analytic - dense_energy) < 1e-10, (n, ratio)
-
-
-def test_fermion_sector_structure():
-    cfg = RingConfig(n_sites=6, coupling_j=1.0, field_b=1.3)
-    sector = fermion_sector(cfg)
-    assert sector.parity == "even"
-    assert len(sector.momenta) == len(sector.dispersions)
-    assert np.all(sector.dispersions >= 0.0)
-    with pytest.raises(UnsupportedSectorError):
-        fermion_sector(cfg, parity="odd")
-    with pytest.raises(UnsupportedSectorError):
-        fermion_sector(RingConfig(n_sites=5, coupling_j=1.0, field_b=1.0))
-    with pytest.raises(ValueError):
-        free_fermion_energy(RingConfig(n_sites=4, coupling_j=0.0, field_b=1.0))
 
 
 def test_reference_states():

@@ -133,13 +133,18 @@ def test_gd_diff_is_first_difference():
         assert table.columns["gd_diff"][i] == manual
 
 
-def test_sweep_input_validation():
+def test_sweep_input_validation(monkeypatch):
     with pytest.raises(ValueError):
         sweep(4, ratios=[1.0, 0.5], measures=("estats",))
     with pytest.raises(ValueError):
         sweep(4, ratios=[-0.5, 1.0], measures=("estats",))
     with pytest.raises(ValueError):
         sweep(4, ratios=[1.0], measures=("estats", "bogus"))
+    # non-finite ratios are rejected before any row is computed
+    monkeypatch.setattr(sweep_module, "_row_values", _fail)
+    for ratios in ([math.nan, 1.0], [0.5, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            sweep(3, ratios=ratios, measures=("estats",), n_workers=1)
 
 
 def _fail(*args, **kwargs):
