@@ -130,7 +130,13 @@ def reference_objective(psi: np.ndarray, n: int, flat_angles) -> float:
     dephasing done by summing rank-one kron projectors.
     """
     pairs = np.asarray(flat_angles, dtype=float).reshape(n, 2)
-    rho = np.outer(psi, psi.conj())
+    return full_matrix_objective(np.outer(psi, psi.conj()), n, pairs)
+
+
+def full_matrix_objective(rho: np.ndarray, n: int, angle_pairs) -> float:
+    """Global-discord bracket of a (possibly mixed) n-qubit density matrix,
+    with explicit dephased matrices for the whole ring and for each site."""
+    pairs = np.asarray(angle_pairs, dtype=float).reshape(n, 2)
     total = entropy_bits(dephase_matrix(rho, pairs)) - entropy_bits(rho)
     for j in range(n):
         rho_j = partial_trace_dense(rho, n, [j])

@@ -83,6 +83,24 @@ def test_objective_matches_reference_definition(rng):
             assert abs(fast - ref) < 1e-9
 
 
+def test_fast_objective_equals_full_matrix_bracket(rng):
+    for n in (2, 3, 4):
+        gs, _ = ground_state(
+            RingConfig(n_sites=n, coupling_j=1.0, field_b=0.8)
+        )
+        rho = np.outer(gs.amplitudes, gs.amplitudes.conj())
+        for _ in range(5):
+            pairs = np.stack(
+                [
+                    rng.uniform(0, math.pi, n),
+                    rng.uniform(0, 2 * math.pi, n),
+                ],
+                axis=1,
+            )
+            full = oracles.full_matrix_objective(rho, n, pairs)
+            assert abs(gd_objective(gs, pairs) - full) < 1e-9
+
+
 def test_ghz_and_product_anchors():
     for n in (3, 4, 5):
         res = global_discord(ghz_state(n), OptimizerConfig(seed=0))
