@@ -37,6 +37,7 @@ from .ring import (
 from .sweep import (
     SweepTable,
     _atomic_write,
+    _normalize_measures,
     default_ratio_grid,
     find_peak,
     fit_scaling,
@@ -86,6 +87,21 @@ def _parse_ratio_grid(spec: str) -> np.ndarray:
     return np.asarray(values)
 
 
+def _parse_measures(spec: str) -> tuple:
+    """Measures spec: a nonempty comma list of measure groups."""
+    try:
+        return _normalize_measures(t.strip() for t in spec.split(",") if t.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_threads(spec: str) -> int:
+    """Worker count: an integer >= 1."""
+    if not spec.isdigit() or int(spec) < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {spec!r}")
+    return int(spec)
+
+
 def _add_common(parser: argparse.ArgumentParser, *, needs_field: bool) -> None:
     parser.add_argument("--n", type=int, required=True, help="ring size N")
     parser.add_argument("--j", type=float, default=1.0, help="coupling J")
@@ -120,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
         "quantum-correlation measures.",
     )
     parser.add_argument(
-        "--threads", type=int, default=None,
-        help="worker processes for sweeps (default: ISINGRING_THREADS or 1)",
+        "--threads", type=_parse_threads, default=None,
+        help="worker processes for sweeps, >= 1 (default: 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -157,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 100 log points on [0.01, 6] plus 1.0)",
     )
     p_sw.add_argument(
-        "--measures", type=str, default="gd,pair,estats",
+        "--measures", type=_parse_measures, default="gd,pair,estats",
         help="comma list from {gd,pair,estats}",
     )
     _add_optimizer(p_sw)
@@ -327,12 +343,11 @@ def _cmd_measures(args) -> int:
 
 def _cmd_sweep(args) -> int:
     t0 = time.time()
-    measures = tuple(m.strip() for m in args.measures.split(",") if m.strip())
     table = sweep(
         args.n,
         ratios=args.ratio_grid,
         coupling_j=args.j,
-        measures=measures,
+        measures=args.measures,
         opt=_optimizer_from(args),
         seed=args.seed,
         n_workers=args.threads,
@@ -344,13 +359,13 @@ def _cmd_sweep(args) -> int:
     else:
         sys.stdout.write(table._json_text() if fmt == "json" else table._csv_text())
     ok = not table.metadata["row_errors"]
-    if "gd" in measures:
+    if "gd" in args.measures:
         ok = ok and bool(np.all(table.columns["gd_converged"] == 1.0))
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
 def _parse_points(spec: str) -> list[tuple[int, float]]:
-    """Points spec: a comma list of N:value pairs."""
+    """Points spec: a nonempty comma list of N:value pairs, values finite."""
     points = []
     for token in spec.split(","):
         token = token.strip()
@@ -361,6 +376,8 @@ def _parse_points(spec: str) -> list[tuple[int, float]]:
             points.append((int(n_str), float(v_str)))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad point {token!r}: {exc}") from None
+    if not points or not np.all(np.isfinite([v for _, v in points])):
+        raise argparse.ArgumentTypeError(f"need finite N:value points, got {spec!r}")
     return points
 
 

@@ -3,6 +3,9 @@
 All entropic quantities are in bits (base-2 logarithms).  Measurement bases
 are parameterized by per-site angle pairs ``(theta, phi)`` through
 :func:`rotation_matrix`; every module in the package shares that convention.
+The single-qubit measurement kernels live here too: ``_unit`` maps angle
+pairs to unit Bloch axes n, and a qubit with Bloch vector r measured along n
+gives outcomes with probabilities (1 +- n.r) / 2, whose entropy is ``_h2``.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import entr
 
 # Eigenvalues in [-EIG_CLIP, 0] are treated as numerical zeros; anything more
 # negative marks a genuinely invalid operator.
@@ -27,6 +31,13 @@ def rotation_matrix(theta: float, phi: float) -> np.ndarray:
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     ph = complex(math.cos(phi), math.sin(phi))
     return np.array([[c, -s * ph.conjugate()], [s * ph, c]], dtype=complex)
+
+
+def _unit(angles) -> np.ndarray:
+    """Unit Bloch vectors of the (theta, phi) pairs on the last axis."""
+    th, ph = angles[..., 0], angles[..., 1]
+    return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                     np.cos(th)], axis=-1)
 
 
 def as_angles(angles, n_sites: int) -> np.ndarray:
@@ -90,11 +101,15 @@ def _entropy_bits(weights: np.ndarray) -> float:
     return float(-np.dot(nz, np.log2(nz)))
 
 
+def _h2(p):
+    """Elementwise binary entropy in bits, arguments clipped to [0, 1]."""
+    p = np.clip(p, 0.0, 1.0)
+    return (entr(p) + entr(1.0 - p)) / math.log(2.0)
+
+
 def binary_entropy(p: float) -> float:
     """Entropy in bits of a (p, 1-p) distribution."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p))
+    return float(_h2(p))
 
 
 def shannon_entropy(probs: np.ndarray) -> float:

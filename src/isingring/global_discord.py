@@ -1,28 +1,24 @@
 """Global quantum discord of the ring ground state.
 
-The relative-entropy objective collapses, for a pure global state, to the
-Shannon entropy of the rotated-amplitude spectrum minus the single-site
-dephasing corrections.  Each evaluation then costs O(2^N * N) instead of a
-2^N x 2^N matrix diagonalization.  The tests check it against the
-definition, evaluated with explicit projector sums.
+The relative-entropy objective (Rulli-Sarandy, PRA 84, 042109, 2011)
+collapses, for a pure global state, to the Shannon entropy of the measured
+spectrum, from a cascade of one 2 x 2 rotation per site in O(2^N * N), minus
+one local term per site from its Bloch vector.  The tests check it against
+the definition, evaluated with explicit projector sums.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .density import (
-    PureState,
-    _entropy_bits,
-    as_angles,
-    binary_entropy,
-    reduced_state,
-    rotation_matrix,
-)
+from .density import (PureState, _entropy_bits, _h2, _unit, as_angles,
+                      reduced_state, rotation_matrix)
 
 DEFAULT_MAX_EVALS = 50_000
 
@@ -77,40 +73,30 @@ class OptimizerConfig:
 def _outcome_probs(amps: np.ndarray, ang: np.ndarray) -> np.ndarray:
     """Probabilities of all 2^N outcomes of the product measurement.
 
-    Applies the inverse single-site rotations axis by axis, so the cost is
-    O(2^N * N) rather than a full 2^N x 2^N similarity transform; no checks.
+    Applies each site's R_j^dagger to the middle axis of the amplitudes viewed
+    as (2^j, 2, rest): O(2^N * N), not a 2^N x 2^N transform; no checks.
     """
-    for j in range(ang.shape[0]):
-        rot = rotation_matrix(ang[j, 0], ang[j, 1])
-        amps = np.moveaxis(np.tensordot(rot.conj(), amps, axes=([0], [j])), 0, j)
+    for j, (theta, phi) in enumerate(ang):
+        amps = rotation_matrix(theta, phi).conj().T @ amps.reshape(2 ** j, 2, -1)
     return np.abs(amps.ravel()) ** 2
-
-
-def _dephased_site_entropy(rho1: np.ndarray, theta: float, phi: float) -> float:
-    """S(Pi_j(rho_j)) after dephasing in the (theta, phi) basis."""
-    v = rotation_matrix(theta, phi)[:, 0]
-    return binary_entropy(float(np.real(v.conj() @ rho1 @ v)))
 
 
 def _objective_factory(gs: PureState):
     """Closure evaluating the pure-state objective on a ``(n_sites, 2)`` array.
 
-    Marginals and their entropies are angle independent; caching them leaves
-    only the rotation cascade and N scalar entropies per evaluation.  Angles
-    come from the optimizer already shaped, so nothing is validated here.
+    Site j, with Bloch vector r_j, measured along n_j has the local term
+    h((1 + n_j.r_j) / 2) - h((1 + |r_j|) / 2); the r_j are computed once.
+    Angles come from the optimizer already shaped, so nothing is validated.
     """
-    marginals = [reduced_state(gs, (j,)).matrix for j in range(gs.n_sites)]
-    base = [_entropy_bits(np.linalg.eigvalsh(m)) for m in marginals]
-    amps = gs.as_tensor()
+    rho1 = np.array([reduced_state(gs, (j,)).matrix for j in range(gs.n_sites)])
+    bloch = np.stack([2.0 * rho1[:, 1, 0].real, 2.0 * rho1[:, 1, 0].imag,
+                      (rho1[:, 0, 0] - rho1[:, 1, 1]).real], axis=1)
+    base = _h2(0.5 + 0.5 * np.linalg.norm(bloch, axis=1))
+    amps = gs.amplitudes
 
     def objective(ang: np.ndarray) -> float:
-        total = _entropy_bits(_outcome_probs(amps, ang))
-        for j in range(gs.n_sites):
-            total -= (
-                _dephased_site_entropy(marginals[j], ang[j, 0], ang[j, 1])
-                - base[j]
-            )
-        return total
+        local = _h2(0.5 + 0.5 * np.sum(_unit(ang) * bloch, axis=1)) - base
+        return _entropy_bits(_outcome_probs(amps, ang)) - float(np.sum(local))
 
     return objective
 
@@ -121,8 +107,7 @@ def gd_objective(gs: PureState, angles) -> float:
     Equals H(lambda) - sum_j [S(Pi_j(rho_j)) - S(rho_j)] where lambda is the
     measured spectrum; the global entropy term vanishes for pure states.
     """
-    ang = as_angles(angles, gs.n_sites)
-    return _objective_factory(gs)(ang)
+    return _objective_factory(gs)(as_angles(angles, gs.n_sites))
 
 
 class _BudgetTracker:
@@ -155,22 +140,6 @@ class _BudgetTracker:
 
 class _BudgetExhausted(Exception):
     pass
-
-
-def _uniform_grid_starts(tracker, n_sites: int, n_theta: int = 13,
-                         n_phi: int = 8):
-    """Coarse scan over shared (theta, phi); returns the best tiled angles."""
-    best_val, best = math.inf, None
-    for theta in np.linspace(0.0, math.pi, n_theta):
-        for phi in np.linspace(0.0, math.pi, n_phi):
-            ang = np.tile([theta, phi], (n_sites, 1))
-            try:
-                val = tracker(ang)
-            except _BudgetExhausted:
-                return best
-            if val < best_val:
-                best_val, best = val, ang
-    return best
 
 
 def _run_nelder_mead(tracker, pack, x0: np.ndarray, maxfev: int, xatol, fatol):
@@ -208,42 +177,28 @@ def global_discord(gs: PureState, opt: OptimizerConfig | None = None) -> GDResul
     if opt is None:
         opt = OptimizerConfig()
     n = gs.n_sites
+    k = 1 if opt.uniform_angles else n
     rng = np.random.default_rng(opt.seed)
     tracker = _BudgetTracker(_objective_factory(gs), opt.max_evals)
 
-    uniform_best = _uniform_grid_starts(tracker, n)
-    half = math.pi / 2.0
-    n_restart = opt.n_restarts(n)
+    def pack(x):
+        return np.tile(x.reshape(k, 2), (n // k, 1))
 
-    if opt.uniform_angles:
-        def pack(x):
-            return np.tile(x, (n, 1))
+    # coarse scan over one shared (theta, phi); the tracker keeps its best
+    # point, and the budget (>= 1) always allows the first probe
+    with contextlib.suppress(_BudgetExhausted):
+        for theta, phi in itertools.product(np.linspace(0.0, math.pi, 13),
+                                            np.linspace(0.0, math.pi, 8)):
+            tracker(np.tile([theta, phi], (n, 1)))
+    starts = [np.zeros(2 * k), np.tile([math.pi / 2.0, 0.0], k),
+              tracker.best_angles[:k].ravel()]
+    while len(starts) < opt.n_restarts(n):
+        starts.append(np.column_stack([
+            rng.uniform(0.0, math.pi, k),
+            rng.uniform(0.0, 2.0 * math.pi, k),
+        ]).ravel())
 
-        starts = [np.array([0.0, 0.0]), np.array([half, 0.0])]
-        if uniform_best is not None:
-            starts.append(uniform_best[0].copy())
-        while len(starts) < n_restart:
-            starts.append(np.array([
-                rng.uniform(0.0, math.pi),
-                rng.uniform(0.0, 2.0 * math.pi),
-            ]))
-    else:
-        def pack(x):
-            return x.reshape(n, 2)
-
-        starts = [
-            np.tile([0.0, 0.0], (n, 1)).ravel(),
-            np.tile([half, 0.0], (n, 1)).ravel(),
-        ]
-        if uniform_best is not None:
-            starts.append(uniform_best.ravel().copy())
-        while len(starts) < n_restart:
-            starts.append(np.column_stack([
-                rng.uniform(0.0, math.pi, n),
-                rng.uniform(0.0, 2.0 * math.pi, n),
-            ]).ravel())
-
-    budget_each = max((tracker.remaining() * 3 // 4) // max(len(starts), 1), 100)
+    budget_each = max((tracker.remaining() * 3 // 4) // len(starts), 100)
     for x0 in starts:
         _run_nelder_mead(tracker, pack, x0, budget_each, opt.xatol, opt.fatol)
         if tracker.exhausted:
@@ -252,13 +207,9 @@ def global_discord(gs: PureState, opt: OptimizerConfig | None = None) -> GDResul
     # final polish from the incumbent with the leftover budget; the search
     # counts as converged when this last simplex contracts below tolerance
     polished_ok = False
-    if not tracker.exhausted and tracker.best_angles is not None:
-        incumbent = (
-            tracker.best_angles[0] if opt.uniform_angles
-            else tracker.best_angles.ravel()
-        )
+    if not tracker.exhausted:
         polished_ok = _run_nelder_mead(
-            tracker, pack, incumbent.copy(),
+            tracker, pack, tracker.best_angles[:k].ravel(),
             tracker.remaining(), opt.xatol, opt.fatol,
         )
 

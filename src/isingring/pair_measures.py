@@ -4,10 +4,12 @@ Every pair measure works on the real Bloch form R[i, j] = Tr[rho sigma_i (x)
 sigma_j] (sigma_0 = I), which holds A's Bloch vector r = R[1:, 0], B's
 s = R[0, 1:] and the correlation matrix T = R[1:, 1:].  One numpy kernel per
 measure scores whole grids of measurement axes and single optimizer probes
-alike.  Discord's grid also holds the probe axes sigma^z and the
-right-singular axes of T: for X states (non-zero entries on the diagonal and
-anti-diagonal only, as in every reduced pair of the ring) the better of them
-is the semi-closed Ali-Rau-Alber minimum (PRA 81, 042105, 2010).
+alike; its axes and binary entropies come from the single-qubit kernels
+``_unit`` and ``_h2`` of :mod:`density`, which global discord shares.
+Discord's grid also holds the probe axes sigma^z and the right-singular axes
+of T: for X states (non-zero entries on the diagonal and anti-diagonal only,
+as in every reduced pair of the ring) the better of them is the semi-closed
+Ali-Rau-Alber minimum (PRA 81, 042105, 2010).
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from scipy.linalg import toeplitz
 from scipy.optimize import minimize
 from scipy.special import entr
 
-from .density import DensityMatrix, PureState, _entropy_bits, reduced_state
+from .density import (DensityMatrix, PureState, _entropy_bits, _h2, _unit,
+                      reduced_state)
 from .errors import ConvergenceWarning, NonXStateWarning, QuadratureError
 
 X_PATTERN_TOL = 1e-10
@@ -71,19 +74,6 @@ def _pair_form(rho) -> tuple[np.ndarray, np.ndarray]:
     if rho.dim != 4:
         raise ValueError("pair measures are defined for two-qubit states")
     return rho.matrix, _bloch(rho.matrix)
-
-
-def _h2(p):
-    """Elementwise binary entropy in bits, arguments clipped to [0, 1]."""
-    p = np.clip(p, 0.0, 1.0)
-    return (entr(p) + entr(1.0 - p)) / math.log(2.0)
-
-
-def _unit(angles) -> np.ndarray:
-    """Unit Bloch vectors of the (theta, phi) pairs on the last axis."""
-    th, ph = angles[..., 0], angles[..., 1]
-    return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
-                     np.cos(th)], axis=-1)
 
 
 def _eigen_axes(bl: np.ndarray) -> np.ndarray:

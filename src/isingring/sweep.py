@@ -226,6 +226,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _normalize_measures(measures) -> tuple:
     requested = set(measures)
+    if not requested:
+        raise ValueError("no measure group selected")
     unknown = requested - set(MEASURE_GROUPS)
     if unknown:
         raise ValueError(f"unknown measure groups {sorted(unknown)}")
@@ -271,10 +273,10 @@ def sweep(
 ) -> SweepTable:
     """Evaluate the requested measure families over a B/J grid.
 
-    Rows are computed independently (optionally in parallel) and assembled
-    in grid order, so the result is identical for any worker count.  A
-    failure at one grid point is recorded in ``metadata['row_errors']`` and
-    leaves NaN in the affected cells; the sweep continues.
+    Rows are computed independently (in ``n_workers`` processes; None means
+    1) and assembled in grid order, so the result is identical for any worker
+    count.  A failure at one grid point leaves NaN in the affected cells, is
+    recorded in ``metadata['row_errors']``, and the sweep continues.
     """
     if ratios is None:
         ratios = default_ratio_grid()
@@ -285,10 +287,12 @@ def sweep(
         raise ValueError("ratios must be strictly increasing")
     if np.any(ratios < 0):
         raise ValueError("ratios must be nonnegative")
+    workers = 1 if n_workers is None else n_workers
+    if workers < 1:
+        raise ValueError(f"n_workers must be None or >= 1, got {n_workers}")
     measures = _normalize_measures(measures)
     opt = opt if opt is not None else OptimizerConfig(seed=seed)
     args = [(n_sites, coupling_j, float(r), measures, opt, seed) for r in ratios]
-    workers = _resolve_workers(n_workers)
     if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_row_values, args))
@@ -317,13 +321,6 @@ def sweep(
         "row_errors": row_errors,
     }
     return SweepTable(columns=columns, metadata=metadata)
-
-
-def _resolve_workers(n_workers: int | None) -> int:
-    if n_workers is not None:
-        return max(1, int(n_workers))
-    env = os.environ.get("ISINGRING_THREADS", "").strip()
-    return max(1, int(env)) if env else 1
 
 
 def _first_difference(ratios: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -463,6 +460,8 @@ def fit_scaling(points) -> ScalingFit:
     pts = tuple((int(n), float(y)) for n, y in points)
     if not pts:
         raise ValueError("fit requires at least one point")
+    if not all(math.isfinite(y) for _, y in pts):
+        raise ValueError("fit values must be finite")
     x = np.array([n - 2 for n, _ in pts], dtype=float)
     y = np.array([v - 1.0 for _, v in pts], dtype=float)
     denom = float(np.dot(x, x))

@@ -145,7 +145,15 @@ def test_sweep_writes_table_with_manifest(capsys, tmp_path):
     assert table.n_rows == 3
     manifest = table.metadata["manifest"]
     assert manifest["command"] == "sweep"
-    assert manifest["arguments"]["measures"] == "pair,estats"
+    assert manifest["arguments"]["measures"] == ["pair", "estats"]
+
+
+@pytest.mark.parametrize("spec", ["foo", ""])
+def test_sweep_rejects_bad_measures_as_usage_error(capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--n", "3", "--measures", spec])
+    assert exc.value.code == 2
+    assert "--measures" in capsys.readouterr().err
 
 
 def test_sweep_json_to_stdout(capsys):
@@ -176,8 +184,7 @@ def test_sweep_gd_exit_reflects_convergence(capsys, tmp_path):
     assert table.columns["gd_converged"][0] == 0.0
 
 
-def test_sweep_threads_flag(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("ISINGRING_THREADS", raising=False)
+def test_sweep_threads_flag(capsys, tmp_path):
     serial = os.fspath(tmp_path / "serial.csv")
     threaded = os.fspath(tmp_path / "threaded.csv")
     run_cli(capsys, "sweep", "--n", "3", "--ratio-grid", "0.8,1.0,1.2",
@@ -189,8 +196,11 @@ def test_sweep_threads_flag(capsys, tmp_path, monkeypatch):
     b = SweepTable.from_csv(threaded)
     for col in ("ratio", "mean_E", "var_E"):
         assert np.array_equal(a.columns[col], b.columns[col])
-    # --threads reaches this sweep only; it leaves no setting behind
-    assert "ISINGRING_THREADS" not in os.environ
+    for bad in ("0", "-5", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", bad, "sweep", "--n", "3", "--measures", "estats"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
 
 def _without_manifest(table):
@@ -227,7 +237,7 @@ def test_fit_from_points(capsys):
     assert len(record["points"]) == 6
 
 
-@pytest.mark.parametrize("spec", ["3", "x:1"])
+@pytest.mark.parametrize("spec", ["3", "x:1", "3:nan,4:2", "3:inf,4:2", ""])
 def test_fit_rejects_malformed_points_as_usage_error(capsys, spec):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--points", spec])

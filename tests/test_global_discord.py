@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 import oracles
-from isingring.density import reduced_state, von_neumann_entropy
+from isingring.density import PureState, reduced_state, von_neumann_entropy
 from isingring.global_discord import (
     GDResult,
     OptimizerConfig,
@@ -50,12 +50,14 @@ def test_measured_spectrum_anchors():
 
 
 def test_measured_spectrum_matches_explicit_projectors(rng):
-    psi = oracles.random_pure(rng, 3)
-    pairs = rng.uniform(0.0, math.pi, size=(3, 2))
-    lam = _outcome_probs(psi.reshape(2, 2, 2), pairs)
-    projectors = oracles.product_projectors(pairs)
-    expected = np.array([(psi.conj() @ p @ psi).real for p in projectors])
-    assert np.allclose(lam, expected, atol=1e-12)
+    # N = 5 puts a rotated site at every position of the (2^j, 2, rest) cascade
+    for n in (3, 5):
+        psi = oracles.random_pure(rng, n)
+        pairs = rng.uniform(0.0, math.pi, size=(n, 2))
+        lam = _outcome_probs(psi.reshape((2,) * n), pairs)
+        projectors = oracles.product_projectors(pairs)
+        expected = np.array([(psi.conj() @ p @ psi).real for p in projectors])
+        assert np.allclose(lam, expected, atol=1e-12)
 
 
 def test_gd_result_validation():
@@ -67,20 +69,21 @@ def test_gd_result_validation():
 
 
 def test_objective_matches_reference_definition(rng):
+    """Ring ground states are real with <sigma^x> = <sigma^y> = 0 on every
+    site; random complex states exercise every Bloch component."""
     for n in (2, 3, 4):
         gs, _ = ground_state(
             RingConfig(n_sites=n, coupling_j=1.0, field_b=rng.uniform(0.3, 1.5))
         )
-        for _ in range(5):
-            flat = np.concatenate(
-                [rng.uniform(0, math.pi, n), rng.uniform(0, 2 * math.pi, n)]
-            )
-            pairs = np.stack(
-                [flat[:n], flat[n:]], axis=1
-            )
-            fast = gd_objective(gs, pairs)
-            ref = oracles.reference_objective(gs.amplitudes, n, pairs.ravel())
-            assert abs(fast - ref) < 1e-9
+        for state in (gs, PureState(oracles.random_pure(rng, n), n)):
+            for _ in range(5):
+                pairs = np.stack(
+                    [rng.uniform(0, math.pi, n), rng.uniform(0, 2 * math.pi, n)],
+                    axis=1,
+                )
+                fast = gd_objective(state, pairs)
+                ref = oracles.reference_objective(state.amplitudes, n, pairs.ravel())
+                assert abs(fast - ref) < 1e-9
 
 
 def test_fast_objective_equals_full_matrix_bracket(rng):

@@ -1,7 +1,8 @@
 """The README's Python example runs as written; its CLI examples parse.
 
 Also guards the package surface: ``__all__`` resolves, the README imports
-only exported names, and the test oracles stay independent of the package.
+only exported names, the test oracles stay independent of the package, and
+no module-level private name outlives its last use in the package.
 """
 
 import ast
@@ -14,6 +15,7 @@ from isingring.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
+PACKAGE = Path(isingring.__file__).resolve().parent
 
 
 def _python_blocks():
@@ -72,3 +74,26 @@ def test_oracles_import_nothing_from_the_package():
         elif isinstance(node, ast.ImportFrom):
             modules.add(node.module or "")
     assert not {m for m in modules if m.split(".")[0] == "isingring"}, modules
+
+
+def test_every_private_name_is_used_in_the_package():
+    """A module-level private name that nothing in the package references is
+    dead code left behind by a refactor; a use in the tests does not count."""
+    defined, used = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
+    assert private <= used, sorted(private - used)

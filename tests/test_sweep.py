@@ -140,11 +140,16 @@ def test_sweep_input_validation(monkeypatch):
         sweep(4, ratios=[-0.5, 1.0], measures=("estats",))
     with pytest.raises(ValueError):
         sweep(4, ratios=[1.0], measures=("estats", "bogus"))
+    with pytest.raises(ValueError, match="no measure group"):
+        sweep(4, ratios=[1.0], measures=())
     # non-finite ratios are rejected before any row is computed
     monkeypatch.setattr(sweep_module, "_row_values", _fail)
     for ratios in ([math.nan, 1.0], [0.5, math.inf]):
         with pytest.raises(ValueError, match="finite"):
             sweep(3, ratios=ratios, measures=("estats",), n_workers=1)
+    for workers in (0, -5):
+        with pytest.raises(ValueError, match="n_workers"):
+            sweep(3, ratios=[1.0], measures=("estats",), n_workers=workers)
 
 
 def _fail(*args, **kwargs):
@@ -224,6 +229,9 @@ def test_fit_scaling_exact_line_and_degenerate():
         fit_scaling([(2, 1.0), (2, 1.1)])
     with pytest.raises(ValueError):
         fit_scaling([])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_scaling([(3, bad), (4, 2.0)])
 
 
 def test_fit_scaling_reference_point_set():
