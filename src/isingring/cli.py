@@ -37,6 +37,7 @@ from .ring import (
 from .sweep import (
     SweepTable,
     _atomic_write,
+    _checked_ratios,
     _normalize_measures,
     default_ratio_grid,
     find_peak,
@@ -64,27 +65,22 @@ class RunManifest:
 
 
 def _parse_ratio_grid(spec: str) -> np.ndarray:
-    """Grid spec: 'start:stop:count[:log|lin]' or a comma list of ratios."""
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) not in (3, 4):
-            raise argparse.ArgumentTypeError(
-                f"bad grid {spec!r}: expected start:stop:count[:log|lin]"
-            )
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        scale = parts[3] if len(parts) == 4 else "log"
-        if scale == "log":
-            return default_ratio_grid(start, stop, count)
-        if scale == "lin":
-            return np.linspace(start, stop, count)
-        raise argparse.ArgumentTypeError(f"bad grid scale {scale!r}")
+    """Grid spec 'start:stop:count[:log|lin]' or a comma list of ratios."""
     try:
-        values = [float(tok) for tok in spec.split(",") if tok.strip()]
+        parts = spec.split(":")
+        if len(parts) == 1:
+            grid = [float(tok) for tok in spec.split(",") if tok.strip()]
+        elif len(parts) in (3, 4) and parts[3:] in ([], ["log"]):
+            grid = default_ratio_grid(float(parts[0]), float(parts[1]), int(parts[2]))
+        elif len(parts) == 4 and parts[3] == "lin" and int(parts[2]) >= 2:
+            grid = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+        else:
+            raise ValueError("expected start:stop:count[:log|lin] with count >= 2")
+        if len(grid) == 0:
+            raise ValueError("empty ratio grid")
+        return _checked_ratios(grid)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {spec!r}: {exc}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("empty ratio grid")
-    return np.asarray(values)
 
 
 def _parse_measures(spec: str) -> tuple:

@@ -4,8 +4,9 @@ All entropic quantities are in bits (base-2 logarithms).  Measurement bases
 are parameterized by per-site angle pairs ``(theta, phi)`` through
 :func:`rotation_matrix`; every module in the package shares that convention.
 The single-qubit measurement kernels live here too: ``_unit`` maps angle
-pairs to unit Bloch axes n, and a qubit with Bloch vector r measured along n
-gives outcomes with probabilities (1 +- n.r) / 2, whose entropy is ``_h2``.
+pairs to unit Bloch axes n and ``_angles`` maps axes back, and a qubit with
+Bloch vector r measured along n gives outcomes with probabilities
+(1 +- n.r) / 2, whose entropy is ``_h2``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,16 @@ def _unit(angles) -> np.ndarray:
     th, ph = angles[..., 0], angles[..., 1]
     return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
                      np.cos(th)], axis=-1)
+
+
+def _angles(v: np.ndarray) -> np.ndarray:
+    """(theta, phi) of the vectors on the last axis, phi in [0, 2 pi): the
+    inverse of ``_unit``.  A length <= 1e-9 has no direction and maps to
+    sigma^z, (0, 0)."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    th, ph = np.arctan2(np.hypot(x, y), z), np.arctan2(y, x) % (2.0 * math.pi)
+    null = (np.linalg.norm(v, axis=-1) <= 1e-9)[..., None]
+    return np.where(null, 0.0, np.stack([th, ph], axis=-1))
 
 
 def as_angles(angles, n_sites: int) -> np.ndarray:

@@ -3,13 +3,13 @@
 Every pair measure works on the real Bloch form R[i, j] = Tr[rho sigma_i (x)
 sigma_j] (sigma_0 = I), which holds A's Bloch vector r = R[1:, 0], B's
 s = R[0, 1:] and the correlation matrix T = R[1:, 1:].  One numpy kernel per
-measure scores whole grids of measurement axes and single optimizer probes
-alike; its axes and binary entropies come from the single-qubit kernels
-``_unit`` and ``_h2`` of :mod:`density`, which global discord shares.
-Discord's grid also holds the probe axes sigma^z and the right-singular axes
-of T: for X states (non-zero entries on the diagonal and anti-diagonal only,
-as in every reduced pair of the ring) the better of them is the semi-closed
-Ali-Rau-Alber minimum (PRA 81, 042105, 2010).
+measure scores many measurement axes and single optimizer probes alike, on
+the single-qubit kernels of :mod:`density`.  Discord and AMID share one
+search, ``_polish``: score the probe axes (sigma^z, sigma^x, sigma^y, the
+side's Bloch direction and the singular axes of T) in one kernel call, then
+polish once.  On X states (non-zero entries on the diagonal and anti-diagonal
+only, as in every reduced pair of the ring) the probes hold the semi-closed
+Ali-Rau-Alber discord minimum (PRA 81, 042105, 2010).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from scipy.linalg import toeplitz
 from scipy.optimize import minimize
 from scipy.special import entr
 
-from .density import (DensityMatrix, PureState, _entropy_bits, _h2, _unit,
-                      reduced_state)
+from .density import (DensityMatrix, PureState, _angles, _entropy_bits, _h2,
+                      _unit, reduced_state)
 from .errors import ConvergenceWarning, NonXStateWarning, QuadratureError
 
 X_PATTERN_TOL = 1e-10
@@ -76,22 +76,6 @@ def _pair_form(rho) -> tuple[np.ndarray, np.ndarray]:
     return rho.matrix, _bloch(rho.matrix)
 
 
-def _eigen_axes(bl: np.ndarray) -> np.ndarray:
-    """Angles (theta_a, phi_a, theta_b, phi_b) of the marginal eigenbases.
-
-    A maximally mixed marginal (Bloch length <= 1e-9) leaves its eigenbasis
-    undetermined; the sigma^z basis is used by convention in that case.
-    """
-    out = []
-    for v in (bl[1:, 0], bl[0, 1:]):
-        if np.linalg.norm(v) <= 1e-9:
-            out += [0.0, 0.0]
-        else:
-            out += [math.atan2(math.hypot(v[0], v[1]), v[2]),
-                    math.atan2(v[1], v[0]) % (2.0 * math.pi)]
-    return np.array(out)
-
-
 def _mutual_information(bl: np.ndarray, mat: np.ndarray) -> float:
     s_a, s_b = _h2(0.5 + 0.5 * np.linalg.norm([bl[1:, 0], bl[0, 1:]], axis=1))
     return float(s_a + s_b - _entropy_bits(np.linalg.eigvalsh(mat)))
@@ -119,25 +103,28 @@ def _conditional_entropy(bl: np.ndarray, axes: np.ndarray):
     return total
 
 
-_GRID_ANGLES = np.stack(np.meshgrid(
-    np.linspace(0.0, math.pi, 16),
-    np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False),
-    indexing="ij"), axis=-1).reshape(-1, 2)
-_GRID_AXES = _unit(_GRID_ANGLES)
+def _probe_angles(bl: np.ndarray) -> np.ndarray:
+    """(theta, phi) of the 7 probe axes on side B: sigma^z, sigma^x, sigma^y,
+    B's Bloch direction (sigma^z when B is maximally mixed) and the three
+    right-singular axes of T.  ``_probe_angles(bl.T)`` gives side A's."""
+    axes = np.vstack([np.eye(3)[[2, 0, 1]], bl[0, 1:], np.linalg.svd(bl[1:, 1:])[2]])
+    return _angles(axes)
+
+
+def _polish(cost, candidates: np.ndarray, maxfev: int, tol: float = 1e-9):
+    """Score every candidate angle row in one vectorized ``cost`` call, then
+    polish once by Nelder-Mead from the best row; returns (min, converged)."""
+    values = cost(candidates)
+    res = minimize(cost, candidates[np.argmin(values)], method="Nelder-Mead",
+                   options={"xatol": tol, "fatol": tol, "maxfev": maxfev})
+    return min(float(values.min()), float(res.fun)), bool(res.success)
 
 
 def _discord_measured_on_b(bl: np.ndarray, s_ab: float) -> float:
-    # The polish starts from the best grid angle; the probe axes only lower.
-    probes = np.vstack([[0.0, 0.0, 1.0], np.linalg.svd(bl[1:, 1:])[2]])
-    values = _conditional_entropy(bl, np.vstack([_GRID_AXES, probes]))
-    res = minimize(
-        lambda x: _conditional_entropy(bl, _unit(x)),
-        _GRID_ANGLES[np.argmin(values[:len(_GRID_ANGLES)])],
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-9, "maxfev": 600},
-    )
+    h_min, _ = _polish(lambda x: _conditional_entropy(bl, _unit(x)),
+                       _probe_angles(bl), maxfev=600)
     s_b = _h2(0.5 + 0.5 * np.linalg.norm(bl[0, 1:]))
-    return max(float(s_b - s_ab + min(values.min(), res.fun)), 0.0)
+    return max(float(s_b - s_ab + h_min), 0.0)
 
 
 def discord(rho: DensityMatrix, direction: str = "sym") -> float:
@@ -145,22 +132,19 @@ def discord(rho: DensityMatrix, direction: str = "sym") -> float:
 
     ``direction`` selects the measured side: ``"b->a"`` measures the second
     qubit, ``"a->b"`` the first, and ``"sym"`` returns the maximum of the two
-    (the symmetrized discord).  The conditional entropy is minimized over a
-    16 x 16 angle grid, the probe axes and a Nelder-Mead polish.  On X
-    states the probe axes reproduce the semi-closed formula's minimum; other
-    states rely on the numerical search alone, with a
-    :class:`NonXStateWarning`.
+    (the symmetrized discord).  The conditional entropy is scored on the
+    measured side's 7 probe axes and polished once by Nelder-Mead from the
+    best of them.  On X states the probe axes reproduce the semi-closed
+    formula's minimum; on other states the same search is a numerical
+    minimum only, and a :class:`NonXStateWarning` says so.
     """
     mat, bl = _pair_form(rho)
     sides = {"b->a": (bl,), "a->b": (bl.T,), "sym": (bl, bl.T)}
     if direction not in sides:
         raise ValueError(f"unknown direction {direction!r}")
     if not is_x_pattern(mat):
-        warnings.warn(
-            "input is not an X state; the minimum rests on the numerical search",
-            NonXStateWarning,
-            stacklevel=2,
-        )
+        warnings.warn("input is not an X state; the minimum rests on the "
+                      "numerical search", NonXStateWarning, stacklevel=2)
     s_ab = _entropy_bits(np.linalg.eigvalsh(mat))
     return max(_discord_measured_on_b(side, s_ab) for side in sides[direction])
 
@@ -183,45 +167,37 @@ def _dephased_information(bl: np.ndarray, angles: np.ndarray):
 
 def mid(rho: DensityMatrix) -> float:
     """Measurement-induced disturbance: mutual-information loss under
-    dephasing in the marginal eigenbases (no optimization)."""
+    dephasing in the marginal eigenbases (no optimization).  A maximally
+    mixed marginal (Bloch length <= 1e-9) is dephased along sigma^z."""
     mat, bl = _pair_form(rho)
-    value = _mutual_information(bl, mat) - _dephased_information(bl, _eigen_axes(bl))
+    eigenbases = _angles(np.stack([bl[1:, 0], bl[0, 1:]])).ravel()
+    value = _mutual_information(bl, mat) - _dephased_information(bl, eigenbases)
     return max(float(value), 0.0)
 
 
 def amid(rho: DensityMatrix, n_starts: int = 8, seed: int = 0,
          tol: float = 1e-9) -> float:
     """Ameliorated MID: mutual-information loss minimized over all bilocal
-    projective bases (multi-start Nelder-Mead over 4 angles)."""
-    mat, bl = _pair_form(rho)
-    half = math.pi / 2.0
-    starts = [(0.0, 0.0, 0.0, 0.0), (half, 0.0, half, 0.0),
-              (half, half, half, half), tuple(_eigen_axes(bl))]
-    rng = np.random.default_rng(seed)
-    while len(starts) < max(n_starts, 4):
-        th = rng.uniform(0.0, math.pi, size=2)
-        ph = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        starts.append((th[0], ph[0], th[1], ph[1]))
-    starts = np.array(starts)
+    projective bases (4 angles).
 
-    best = float(_dephased_information(bl, starts).max())
-    any_converged = False
-    for x0 in starts:
-        res = minimize(
-            lambda x: -_dephased_information(bl, x),
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": tol, "fatol": tol, "maxfev": 800},
-        )
-        any_converged = any_converged or bool(res.success)
-        best = max(best, -float(res.fun))
-    if not any_converged:
-        warnings.warn(
-            "no AMID restart converged; returning best value found",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    return max(_mutual_information(bl, mat) - best, 0.0)
+    The candidates are the 7 x 7 pairs of A and B probe axes plus
+    ``max(n_starts, 4) - 4`` random angle pairs drawn from ``seed``; one
+    Nelder-Mead polish to ``tol`` starts from the best of them and warns
+    :class:`ConvergenceWarning` when it does not converge.
+    """
+    mat, bl = _pair_form(rho)
+    a, b = _probe_angles(bl.T), _probe_angles(bl)
+    candidates = [np.hstack([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))])]
+    rng = np.random.default_rng(seed)
+    for _ in range(max(n_starts, 4) - 4):
+        th, ph = rng.uniform(0.0, math.pi, 2), rng.uniform(0.0, 2.0 * math.pi, 2)
+        candidates.append([[th[0], ph[0], th[1], ph[1]]])
+    loss, converged = _polish(lambda x: -_dephased_information(bl, x),
+                              np.vstack(candidates), maxfev=1600, tol=tol)
+    if not converged:
+        warnings.warn("the AMID polish did not converge; returning the best "
+                      "value found", ConvergenceWarning, stacklevel=2)
+    return max(_mutual_information(bl, mat) + loss, 0.0)
 
 
 # ---------------------------------------------------------------------------

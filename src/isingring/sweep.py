@@ -224,6 +224,18 @@ def _atomic_write(path: str, text: str) -> None:
 # ---------------------------------------------------------------- sweeping
 
 
+def _checked_ratios(ratios) -> np.ndarray:
+    """``ratios`` as floats; ValueError unless finite, increasing and >= 0."""
+    ratios = np.asarray(ratios, dtype=float)
+    if not np.all(np.isfinite(ratios)):
+        raise ValueError("ratios must be finite")
+    if np.any(np.diff(ratios) <= 0):
+        raise ValueError("ratios must be strictly increasing")
+    if np.any(ratios < 0):
+        raise ValueError("ratios must be nonnegative")
+    return ratios
+
+
 def _normalize_measures(measures) -> tuple:
     requested = set(measures)
     if not requested:
@@ -280,13 +292,7 @@ def sweep(
     """
     if ratios is None:
         ratios = default_ratio_grid()
-    ratios = np.array([_q12(r) for r in np.asarray(ratios, dtype=float).ravel()])
-    if not np.all(np.isfinite(ratios)):
-        raise ValueError("ratios must be finite")
-    if np.any(np.diff(ratios) <= 0):
-        raise ValueError("ratios must be strictly increasing")
-    if np.any(ratios < 0):
-        raise ValueError("ratios must be nonnegative")
+    ratios = _checked_ratios([_q12(r) for r in np.asarray(ratios, dtype=float).ravel()])
     workers = 1 if n_workers is None else n_workers
     if workers < 1:
         raise ValueError(f"n_workers must be None or >= 1, got {n_workers}")
@@ -294,7 +300,7 @@ def sweep(
     opt = opt if opt is not None else OptimizerConfig(seed=seed)
     args = [(n_sites, coupling_j, float(r), measures, opt, seed) for r in ratios]
     if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
             results = list(pool.map(_row_values, args))
     else:
         results = [_row_values(a) for a in args]

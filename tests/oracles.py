@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import minimize
 from scipy.sparse.linalg import eigsh
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -123,6 +124,12 @@ def partial_trace_dense(rho: np.ndarray, n: int, keep) -> np.ndarray:
     return t.reshape(dim, dim)
 
 
+def pair_information(mat: np.ndarray) -> float:
+    """I(A:B) = S(A) + S(B) - S(AB) of a two-qubit density matrix, in bits."""
+    return (entropy_bits(partial_trace_dense(mat, 2, [0]))
+            + entropy_bits(partial_trace_dense(mat, 2, [1])) - entropy_bits(mat))
+
+
 def reference_objective(psi: np.ndarray, n: int, flat_angles) -> float:
     """Global-discord bracket of a pure state from explicit projector sums.
 
@@ -191,3 +198,51 @@ def discord_scan(rho: np.ndarray, measured: int, zooms: int = 4) -> float:
         step /= 5.0
     s_measured = entropy_bits(partial_trace_dense(rho, 2, [measured]))
     return s_measured - entropy_bits(rho) + best[0]
+
+
+def _basis_vectors(angles: np.ndarray) -> np.ndarray:
+    """basis_vector for every (theta, phi) row: shape (rows, outcome, 2)."""
+    c, s = np.cos(angles[:, 0] / 2.0), np.sin(angles[:, 0] / 2.0)
+    ph = np.exp(1j * angles[:, 1])
+    return np.stack([np.stack([c, s * ph], axis=-1),
+                     np.stack([-s * np.conj(ph), c], axis=-1)], axis=1)
+
+
+def _dephased_information_grid(rho: np.ndarray, angles_a, angles_b) -> np.ndarray:
+    """I(A:B) of sum_k P_k rho P_k for every pair of an A and a B basis.
+
+    The dephased state is diagonal in the product basis with weights
+    p_xy = <v_x w_y| rho |v_x w_y>, so its mutual information is that of the
+    joint distribution p; entry [i, j] pairs angles_a[i] with angles_b[j].
+    """
+    va, vb = _basis_vectors(angles_a), _basis_vectors(angles_b)
+    p = np.einsum("ixk,jyl,klmn,ixm,jyn->ijxy", va.conj(), vb.conj(),
+                  rho.reshape(2, 2, 2, 2), va, vb, optimize=True).real
+
+    def entropy(q, axes):
+        q = np.clip(q, 1e-300, None)
+        return -np.sum(q * np.log2(q), axis=axes)
+
+    return (entropy(p.sum(axis=3), 2) + entropy(p.sum(axis=2), 2)
+            - entropy(p, (2, 3)))
+
+
+def amid_scan(rho: np.ndarray) -> float:
+    """Two-qubit AMID by scanning both measurement bases.
+
+    I(A:B) minus the largest dephased mutual information: a 13 x 24
+    theta/phi grid on each qubit, then a Nelder-Mead polish from the best
+    grid pair; the winning pair is re-evaluated with the explicit projector
+    sum ``dephase_matrix``.
+    """
+    grid = np.stack(np.meshgrid(np.linspace(0.0, np.pi, 13),
+                                np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False),
+                                indexing="ij"), axis=-1).reshape(-1, 2)
+    values = _dephased_information_grid(rho, grid, grid)
+    i, j = np.unravel_index(np.argmax(values), values.shape)
+    res = minimize(
+        lambda x: -_dephased_information_grid(rho, x[None, :2], x[None, 2:])[0, 0],
+        np.concatenate([grid[i], grid[j]]), method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-13, "maxfev": 4000})
+    dephased = dephase_matrix(rho, res.x.reshape(2, 2))
+    return pair_information(rho) - pair_information(dephased)

@@ -156,6 +156,16 @@ def test_sweep_rejects_bad_measures_as_usage_error(capsys, spec):
     assert "--measures" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", [
+    "1:0.5:3:lin", "2,1", "nan,1", "inf:2:3:lin", "-1,1", "0.5:2:1:lin", "1:2",
+])
+def test_sweep_rejects_malformed_ratio_grid_as_usage_error(capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--n", "3", "--measures", "estats", f"--ratio-grid={spec}"])
+    assert exc.value.code == 2
+    assert "--ratio-grid" in capsys.readouterr().err
+
+
 def test_sweep_json_to_stdout(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--n", "3", "--ratio-grid", "0.9,1.1",

@@ -129,10 +129,7 @@ def test_dephase_matches_projector_sum(rng):
         pairs = [(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
                  for _ in range(2)]
         dephased = oracles.dephase_matrix(rho_mat, pairs)
-        expected = sum(
-            oracles.entropy_bits(oracles.partial_trace_dense(dephased, 2, [k]))
-            for k in (0, 1)
-        ) - oracles.entropy_bits(dephased)
+        expected = oracles.pair_information(dephased)
         got = _dephased_information(_bloch(rho_mat), np.ravel(pairs))
         assert abs(got - expected) < 1e-10
 

@@ -50,10 +50,7 @@ def test_reduced_two_spin_is_x_state():
 
 def test_pair_mutual_information_matches_general_form(rng):
     mat = oracles.random_x_matrix(rng)
-    s_a, s_b = (oracles.entropy_bits(oracles.partial_trace_dense(mat, 2, [k]))
-                for k in (0, 1))
-    expected = s_a + s_b - oracles.entropy_bits(mat)
-    assert abs(pair_mutual_information(mat) - expected) < 1e-10
+    assert abs(pair_mutual_information(mat) - oracles.pair_information(mat)) < 1e-10
 
 
 def test_anchors_bell_product_and_zero_field():
@@ -108,8 +105,11 @@ def test_non_x_state_falls_back_with_warning(rng):
 
 
 def test_discord_matches_brute_force_scan_on_non_x_states(rng):
-    for _ in range(3):
-        rho = oracles.random_density(rng, 2)
+    # The 147th Ginibre draw of rng 99: a polish from the best point of a
+    # 16 x 16 angle grid ended in a worse basin, 2.7e-3 above the "b->a" scan.
+    rng99 = np.random.default_rng(99)
+    hard = [oracles.random_density(rng99, 2) for _ in range(147)][-1]
+    for rho in [oracles.random_density(rng, 2) for _ in range(3)] + [hard]:
         for direction, measured in (("b->a", 1), ("a->b", 0)):
             with pytest.warns(NonXStateWarning):
                 got = discord(rho, direction=direction)
@@ -120,11 +120,6 @@ def test_discord_matches_brute_force_scan_on_non_x_states(rng):
 
 def test_mid_matches_projector_dephasing_on_non_x_states(rng):
     """MID against the explicit projector sum in the marginal eigenbases."""
-    def info(mat):
-        return (oracles.entropy_bits(oracles.partial_trace_dense(mat, 2, [0]))
-                + oracles.entropy_bits(oracles.partial_trace_dense(mat, 2, [1]))
-                - oracles.entropy_bits(mat))
-
     for _ in range(3):
         rho = oracles.random_density(rng, 2)
         angles = []
@@ -133,7 +128,8 @@ def test_mid_matches_projector_dephasing_on_non_x_states(rng):
             v = vecs[:, 1]
             angles.append((2.0 * np.arctan2(abs(v[1]), abs(v[0])),
                            np.angle(v[1]) - np.angle(v[0])))
-        expected = info(rho) - info(oracles.dephase_matrix(rho, angles))
+        expected = (oracles.pair_information(rho)
+                    - oracles.pair_information(oracles.dephase_matrix(rho, angles)))
         assert abs(mid(rho) - expected) < 1e-10
 
 
@@ -152,14 +148,35 @@ def test_pair_measures_reject_invalid_raw_arrays(measure, bad):
         measure(bad)
 
 
-def test_amid_warns_when_no_restart_converges(monkeypatch):
+def test_amid_matches_brute_force_scan(rng):
+    """AMID against a theta/phi scan of both bases, the best pair re-evaluated
+    by projector-sum dephasing, on X, locally rotated X, Ginibre and pure
+    states."""
+    def local_unitary():
+        a, b = oracles.random_pure(rng, 1)
+        return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+
+    states = []
+    for _ in range(2):
+        x = oracles.random_x_matrix(rng)
+        u = np.kron(local_unitary(), local_unitary())
+        psi = oracles.random_pure(rng, 2)
+        states += [x, u @ x @ u.conj().T, oracles.random_density(rng, 2),
+                   np.outer(psi, psi.conj())]
+    for k, rho in enumerate(states):
+        got, expected = amid(rho), oracles.amid_scan(rho)
+        assert got <= expected + 1e-10, (k, got, expected)
+        assert abs(got - expected) < 1e-6, (k, got, expected)
+
+
+def test_amid_warns_when_its_polish_does_not_converge(monkeypatch):
     def stalled(fun, x0, **kwargs):
         return OptimizeResult(x=x0, fun=fun(x0), success=False)
 
     monkeypatch.setattr("isingring.pair_measures.minimize", stalled)
     with pytest.warns(ConvergenceWarning):
         value = amid(BELL_RHO)
-    # the sigma^z start already attains the optimum for a Bell state
+    # the sigma^z probe pair already attains the optimum for a Bell state
     assert abs(value - 1.0) < 1e-12
 
 

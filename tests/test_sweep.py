@@ -152,6 +152,31 @@ def test_sweep_input_validation(monkeypatch):
             sweep(3, ratios=[1.0], measures=("estats",), n_workers=workers)
 
 
+def test_sweep_pool_is_no_larger_than_the_grid(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the requested pool size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", SerialPool)
+    grid = [0.5, 1.0, 2.0]
+    table = sweep(3, ratios=grid, measures=("estats",), n_workers=64)
+    assert sizes == [3]
+    assert table.same_as(sweep(3, ratios=grid, measures=("estats",)))
+
+
 def _fail(*args, **kwargs):
     raise RuntimeError("boom")
 
