@@ -70,6 +70,8 @@ def _parse_ratio_grid(spec: str) -> np.ndarray:
         parts = spec.split(":")
         if len(parts) == 1:
             grid = [float(tok) for tok in spec.split(",") if tok.strip()]
+        elif not np.all(np.isfinite([float(p) for p in parts[:2]])):
+            raise ValueError("start and stop must be finite")
         elif len(parts) in (3, 4) and parts[3:] in ([], ["log"]):
             grid = default_ratio_grid(float(parts[0]), float(parts[1]), int(parts[2]))
         elif len(parts) == 4 and parts[3] == "lin" and int(parts[2]) >= 2:
@@ -113,7 +115,8 @@ def _add_common(parser: argparse.ArgumentParser, *, needs_field: bool) -> None:
 def _add_optimizer(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--restarts", type=int, default=None,
-        help="multi-start count for the global-discord search",
+        help="multi-start count for the global-discord search (the "
+        "fallback when the certified basis does not apply)",
     )
     parser.add_argument(
         "--max-evals", type=int, default=None,
@@ -121,7 +124,8 @@ def _add_optimizer(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--uniform-angles", action="store_true",
-        help="restrict the search to one shared angle pair for all sites",
+        help="restrict the fallback search to one shared angle pair for "
+        "all sites",
     )
 
 
@@ -322,6 +326,8 @@ def _cmd_measures(args) -> int:
             "converged": result.converged,
             "n_restarts": result.n_restarts,
             "n_evals": result.n_evals,
+            "basis": result.basis,
+            "hessian_margin": result.hessian_margin,
         }
         converged = converged and result.converged
     if args.estats:

@@ -5,6 +5,12 @@ collapses, for a pure global state, to the Shannon entropy of the measured
 spectrum, from a cascade of one 2 x 2 rotation per site in O(2^N * N), minus
 one local term per site from its Bloch vector.  The tests check it against
 the definition, evaluated with explicit projector sums.
+
+A state invariant under the rotations and reflections of the ring, such as
+every ring ground state, is first tried on a certified path: the better of
+the all-sigma^x and all-sigma^z bases, accepted when a finite-difference
+gradient and Hessian show a strict local minimum there.  Every other state,
+and every failed certificate, goes to the multi-start search.
 """
 
 from __future__ import annotations
@@ -17,21 +23,45 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .density import (PureState, _entropy_bits, _h2, _unit, as_angles,
-                      reduced_state, rotation_matrix)
+from .density import (PureState, _angles, _entropy_bits, _h2, _unit,
+                      as_angles, reduced_state, rotation_matrix)
 
 DEFAULT_MAX_EVALS = 50_000
+
+#: A state is ring-symmetric when |<psi|T psi>| >= 1 - _SYMMETRY_TOL for the
+#: cyclic shift and for the reflection T of its sites.
+_SYMMETRY_TOL = 1e-12
+
+#: Central-difference step of the certificate in tilt coordinates, and the
+#: bounds it must meet: |grad| <= _GRAD_TOL and lambda_min >= _MARGIN_TOL.
+_STEP = 1e-3
+_GRAD_TOL = 1e-6
+_MARGIN_TOL = 1e-6
+
+#: Candidate bases as rows (n0, e1, e2): the measured axis shared by every
+#: site and the two tilt directions spanning its orthogonal complement.  On
+#: a tie the first, z, is kept.
+_FRAMES = {
+    "z": np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+    "x": np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+}
 
 
 @dataclass(frozen=True)
 class GDResult:
-    """Result of a global-discord minimization."""
+    """Result of a global-discord minimization.
+
+    ``basis`` ("x" or "z") and ``hessian_margin`` are set when the certified
+    path returned the result; ``n_restarts`` is then 0.
+    """
 
     value: float
     argmin_angles: np.ndarray
     n_restarts: int
     converged: bool
     n_evals: int
+    basis: str | None = None
+    hessian_margin: float | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -48,7 +78,8 @@ class OptimizerConfig:
     ``restarts=None`` selects max(16, 4N).  ``uniform_angles`` restricts the
     search to a single angle pair shared by every site, which the
     translation invariance of the ring ground state motivates; the
-    unconstrained search remains the default.
+    unconstrained search remains the default.  Only ``max_evals`` bounds the
+    certified path too; the other knobs steer the search alone.
     """
 
     restarts: int | None = None
@@ -166,20 +197,101 @@ def _run_nelder_mead(tracker, pack, x0: np.ndarray, maxfev: int, xatol, fatol):
         return False
 
 
+def _ring_symmetric(gs: PureState) -> bool:
+    """Invariance, up to a phase, under a cyclic shift and a reflection."""
+    psi = gs.as_tensor()
+    images = (np.moveaxis(psi, 0, -1), psi.transpose(range(gs.n_sites - 1, -1, -1)))
+    return all(abs(np.vdot(psi, t.ravel())) >= 1.0 - _SYMMETRY_TOL for t in images)
+
+
+def _certify(tracker: _BudgetTracker, n: int) -> GDResult | None:
+    """The better uniform basis, if it is a strict local minimum; else None.
+
+    Each site's axis is tilted as n_j = normalize(n0 + a_j e1 + b_j e2), a
+    chart with no pole at either candidate.  By the ring symmetry every site
+    has the same gradient, and the 2N x 2N Hessian is block-circulant with
+    symmetric 2 x 2 blocks C_j = C_{N-j}; so only site 0 against sites
+    0..N//2 is differenced, and the spectrum is that of sum_j C_j cos(k j),
+    k = 2 pi m / N.  Central differences with step ``_STEP`` cost
+    10 + 12 (N // 2) evaluations.  Where an outcome has probability zero
+    (sigma^z on a parity eigenstate) the objective grows like t^2 log(1/t)
+    and the margin measures the stencil, not a finite curvature.  Raises
+    ``_BudgetExhausted`` when the budget runs out.
+    """
+    def probe(frame, tilt):
+        v = frame[0] + tilt @ frame[1:]
+        return tracker(_angles(v / np.linalg.norm(v, axis=1, keepdims=True)))
+
+    values = {b: probe(f, np.zeros((n, 2))) for b, f in _FRAMES.items()}
+    basis = min(values, key=values.get)
+    frame, f0, h = _FRAMES[basis], values[basis], _STEP
+
+    def moved(*steps):
+        tilt = np.zeros((n, 2))
+        for site, axis, step in steps:
+            tilt[site, axis] += step
+        return probe(frame, tilt)
+
+    plus = [moved((0, d, h)) for d in (0, 1)]
+    minus = [moved((0, d, -h)) for d in (0, 1)]
+    grad = math.sqrt(n) * math.hypot(plus[0] - minus[0], plus[1] - minus[1]) / (2 * h)
+    rows = np.zeros((n // 2 + 1, 2, 2))
+    for d in (0, 1):
+        rows[0, d, d] = (plus[d] + minus[d] - 2.0 * f0) / h ** 2
+    for j in range(n // 2 + 1):
+        for d, e in ((0, 1), (0, 0), (1, 1)):
+            if j == 0 and d == e:
+                continue
+            rows[j, d, e] = rows[j, e, d] = sum(
+                s * t * moved((0, d, s * h), (j, e, t * h))
+                for s in (1, -1) for t in (1, -1)) / (4 * h * h)
+    sites = np.arange(n)
+    blocks = rows[np.minimum(sites, n - sites)]
+    phases = np.cos(2.0 * math.pi * np.outer(sites, sites) / n)
+    margin = float(np.linalg.eigvalsh(np.einsum("mj,jde->mde", phases, blocks)).min())
+    if not (grad <= _GRAD_TOL and margin >= _MARGIN_TOL):
+        return None
+    return GDResult(value=float(f0), argmin_angles=_angles(np.tile(frame[0], (n, 1))),
+                    n_restarts=0, converged=True, n_evals=tracker.n_evals,
+                    basis=basis, hessian_margin=margin)
+
+
 def global_discord(gs: PureState, opt: OptimizerConfig | None = None) -> GDResult:
     """Minimize the objective over all multi-local projective bases.
 
-    Multi-start Nelder-Mead over the 2N angles, seeded with the all-z and
-    all-x bases, the best point of a coarse uniform-angle scan, and random
-    draws; deterministic for a fixed seed.  The returned value is the lowest
-    objective value probed anywhere during the search.
+    A ring-symmetric state first takes the certified path (``_certify``):
+    it is converged when, at the better of the all-sigma^x and all-sigma^z
+    bases, the finite-difference gradient has norm <= ``_GRAD_TOL`` (1e-6)
+    and the smallest Hessian eigenvalue, ``hessian_margin``, is >=
+    ``_MARGIN_TOL`` (1e-6), both with step ``_STEP`` (1e-3).  A failed
+    certificate, or a state without the symmetry, falls back to the
+    multi-start search, which shares the evaluation budget ``max_evals``.
     """
     if opt is None:
         opt = OptimizerConfig()
-    n = gs.n_sites
+    tracker = _BudgetTracker(_objective_factory(gs), opt.max_evals)
+    if _ring_symmetric(gs):
+        try:
+            result = _certify(tracker, gs.n_sites)
+        except _BudgetExhausted:
+            return GDResult(value=float(tracker.best_value),
+                            argmin_angles=tracker.best_angles, n_restarts=0,
+                            converged=False, n_evals=tracker.n_evals)
+        if result is not None:
+            return result
+    return _search(tracker, gs.n_sites, opt)
+
+
+def _search(tracker: _BudgetTracker, n: int, opt: OptimizerConfig) -> GDResult:
+    """Multi-start Nelder-Mead over the 2N angles (or one shared pair).
+
+    Seeded with the all-z and all-x bases, the best point of a coarse
+    uniform-angle scan, and random draws; deterministic for a fixed seed.
+    The returned value is the lowest objective value probed anywhere, by the
+    search or before it on the same tracker.
+    """
     k = 1 if opt.uniform_angles else n
     rng = np.random.default_rng(opt.seed)
-    tracker = _BudgetTracker(_objective_factory(gs), opt.max_evals)
 
     def pack(x):
         return np.tile(x.reshape(k, 2), (n // k, 1))

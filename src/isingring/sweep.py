@@ -89,8 +89,8 @@ def default_ratio_grid(
     start: float = 1e-2, stop: float = 6.0, count: int = 100
 ) -> np.ndarray:
     """Logarithmic B/J grid with the critical point 1.0 always included."""
-    if not (0 < start < stop):
-        raise ValueError("grid requires 0 < start < stop")
+    if not (0 < start < stop < math.inf):
+        raise ValueError("grid requires 0 < start < stop, both finite")
     if count < 2:
         raise ValueError("grid requires at least 2 points")
     pts = np.geomspace(start, stop, count)

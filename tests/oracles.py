@@ -152,6 +152,43 @@ def full_matrix_objective(rho: np.ndarray, n: int, angle_pairs) -> float:
     return total
 
 
+#: Uniform measured axis n0 and tilt directions (e1, e2) of the sigma^x and
+#: sigma^z bases.
+_TILT_FRAMES = {
+    "x": ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)),
+    "z": ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+}
+
+
+def tilt_hessian(psi: np.ndarray, n: int, basis: str, h: float = 1e-3) -> np.ndarray:
+    """Full 2N x 2N central-difference Hessian of ``reference_objective`` at
+    a uniform basis, in tilt coordinates n_j = normalize(n0 + a_j e1 + b_j e2).
+
+    Diagonal entries use (f(+h) + f(-h) - 2 f(0)) / h^2 and every
+    off-diagonal entry the four corners (+-h, +-h) / (4 h^2).
+    """
+    n0, e1, e2 = (np.array(v) for v in _TILT_FRAMES[basis])
+
+    def f(tilt):
+        axes = n0 + np.outer(tilt[0::2], e1) + np.outer(tilt[1::2], e2)
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        theta = np.arccos(np.clip(axes[:, 2], -1.0, 1.0))
+        phi = np.arctan2(axes[:, 1], axes[:, 0])
+        return reference_objective(psi, n, np.column_stack([theta, phi]))
+
+    dim = 2 * n
+    unit = np.eye(dim) * h
+    f0 = f(np.zeros(dim))
+    hess = np.empty((dim, dim))
+    for i in range(dim):
+        hess[i, i] = (f(unit[i]) + f(-unit[i]) - 2.0 * f0) / h ** 2
+        for k in range(i):
+            hess[i, k] = hess[k, i] = (
+                f(unit[i] + unit[k]) - f(unit[i] - unit[k])
+                - f(unit[k] - unit[i]) + f(-unit[i] - unit[k])) / (4.0 * h * h)
+    return hess
+
+
 def free_fermion_energy(n: int, j: float, b: float) -> float:
     """Even-fermion-parity ring energy -sum_k eps_k, antiperiodic momenta.
 

@@ -57,8 +57,10 @@ def test_measures_global_on_ghz(capsys):
     )
     record = json.loads(out)
     assert code == 0
-    assert abs(record["global_discord"]["value"] - 1.0) < 1e-6
-    assert record["global_discord"]["converged"]
+    gd = record["global_discord"]
+    assert abs(gd["value"] - 1.0) < 1e-6 and gd["converged"]
+    assert gd["basis"] == "z" and gd["n_restarts"] == 0
+    assert gd["hessian_margin"] > 0.0
     assert abs(record["entanglement_stats"]["mean"] - 1.0) < 1e-9
     assert record["entanglement_stats"]["variance"] < 1e-12
 
@@ -66,7 +68,7 @@ def test_measures_global_on_ghz(capsys):
 def test_measures_budget_starvation_exit_code(capsys):
     code, out, _ = run_cli(
         capsys, "measures", "--n", "4", "--b", "1",
-        "--global", "--max-evals", "40",
+        "--global", "--max-evals", "20",
     )
     record = json.loads(out)
     assert code == 1
@@ -158,12 +160,16 @@ def test_sweep_rejects_bad_measures_as_usage_error(capsys, spec):
 
 @pytest.mark.parametrize("spec", [
     "1:0.5:3:lin", "2,1", "nan,1", "inf:2:3:lin", "-1,1", "0.5:2:1:lin", "1:2",
+    "0.1:inf:3:lin", "0.1:inf:3:log",
 ])
 def test_sweep_rejects_malformed_ratio_grid_as_usage_error(capsys, spec):
-    with pytest.raises(SystemExit) as exc:
+    with warnings.catch_warnings(record=True) as caught, \
+            pytest.raises(SystemExit) as exc:
+        warnings.simplefilter("always")
         main(["sweep", "--n", "3", "--measures", "estats", f"--ratio-grid={spec}"])
     assert exc.value.code == 2
     assert "--ratio-grid" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_sweep_json_to_stdout(capsys):
@@ -187,7 +193,7 @@ def test_sweep_gd_exit_reflects_convergence(capsys, tmp_path):
     starved = os.fspath(tmp_path / "starved.csv")
     code, _, _ = run_cli(
         capsys, "sweep", "--n", "3", "--ratio-grid", "1.0",
-        "--measures", "gd", "--max-evals", "40", "--out", starved,
+        "--measures", "gd", "--max-evals", "20", "--out", starved,
     )
     assert code == 1
     table = SweepTable.from_csv(starved)

@@ -9,11 +9,29 @@ from isingring.density import PureState, reduced_state, von_neumann_entropy
 from isingring.global_discord import (
     GDResult,
     OptimizerConfig,
+    _BudgetTracker,
+    _objective_factory,
     _outcome_probs,
+    _search,
     gd_objective,
     global_discord,
 )
 from isingring.ring import RingConfig, ghz_state, ground_state, product_state_down
+
+#: B/J where the all-sigma^x and all-sigma^z objectives cross, to 3 decimals.
+CROSSOVER = {3: 1.089, 4: 1.329, 5: 1.392, 6: 1.402, 7: 1.398, 8: 1.389,
+             9: 1.379, 10: 1.371, 11: 1.364, 12: 1.359}
+
+
+def ring(n, ratio):
+    return ground_state(RingConfig(n_sites=n, coupling_j=1.0, field_b=ratio))[0]
+
+
+def search(gs, opt):
+    """The multi-start search alone, which ring ground states skip when
+    their certificate holds."""
+    return _search(_BudgetTracker(_objective_factory(gs), opt.max_evals),
+                   gs.n_sites, opt)
 
 
 def reference_global_discord_n2(psi: np.ndarray) -> float:
@@ -142,33 +160,96 @@ def test_value_never_exceeds_probe_objectives():
 
 
 def test_uniform_mode_agrees_with_free_mode():
-    gs, _ = ground_state(RingConfig(n_sites=3, coupling_j=1.0, field_b=0.7))
-    free = global_discord(gs, OptimizerConfig(seed=0))
-    uniform = global_discord(gs, OptimizerConfig(seed=0, uniform_angles=True))
+    gs = ring(3, 0.7)
+    free = search(gs, OptimizerConfig(seed=0))
+    uniform = search(gs, OptimizerConfig(seed=0, uniform_angles=True))
     assert abs(free.value - uniform.value) < 1e-6
     assert uniform.converged
 
 
 def test_restart_doubling_stability():
-    gs, _ = ground_state(RingConfig(n_sites=4, coupling_j=1.0, field_b=0.9))
-    few = global_discord(gs, OptimizerConfig(seed=0, restarts=8))
-    many = global_discord(gs, OptimizerConfig(seed=0, restarts=16))
+    gs = ring(4, 0.9)
+    few = search(gs, OptimizerConfig(seed=0, restarts=8))
+    many = search(gs, OptimizerConfig(seed=0, restarts=16))
     assert abs(few.value - many.value) < 1e-6
 
 
 def test_determinism_same_seed():
-    gs, _ = ground_state(RingConfig(n_sites=4, coupling_j=1.0, field_b=1.1))
-    a = global_discord(gs, OptimizerConfig(seed=3))
-    b = global_discord(gs, OptimizerConfig(seed=3))
+    gs = ring(4, 1.1)
+    a = search(gs, OptimizerConfig(seed=3))
+    b = search(gs, OptimizerConfig(seed=3))
     assert a.value == b.value and a.n_evals == b.n_evals
 
 
 def test_budget_exhaustion_reports_not_converged():
-    gs, _ = ground_state(RingConfig(n_sites=4, coupling_j=1.0, field_b=1.0))
-    res = global_discord(gs, OptimizerConfig(seed=0, max_evals=60))
+    res = search(ring(4, 1.0), OptimizerConfig(seed=0, max_evals=60))
     assert not res.converged
     assert res.n_evals <= 60
     assert math.isfinite(res.value) and res.value >= 0.0
+
+
+def test_certificate_budget_below_its_stencil_reports_not_converged():
+    """N = 4 needs 10 + 12 * 2 = 34 evaluations to certify."""
+    gs = ring(4, 1.0)
+    assert global_discord(gs, OptimizerConfig(max_evals=34)).converged
+    res = global_discord(gs, OptimizerConfig(max_evals=33))
+    assert not res.converged and res.n_restarts == 0
+    assert res.n_evals <= 33
+    assert res.basis is None and res.hessian_margin is None
+    assert abs(res.value - gd_objective(gs, np.tile([math.pi / 2.0, 0.0], (4, 1)))) < 1e-12
+
+
+def test_certified_path_takes_every_ring_ground_state():
+    """O(N) evaluations, no search, on both branches and on both sides of
+    the crossover; a silent fall back to the search fails n_restarts."""
+    for n in range(2, 13):
+        ratios = [0.0, 0.5, 1.0, 6.0]
+        if n in CROSSOVER:
+            ratios += [CROSSOVER[n] - 0.01, CROSSOVER[n] + 0.01]
+        for ratio in ratios:
+            res = global_discord(ring(n, ratio))
+            assert res.converged and res.n_restarts == 0, (n, ratio)
+            assert res.n_evals <= 16 * n + 8, (n, ratio, res.n_evals)
+            assert res.hessian_margin >= 1e-6
+            # N = 2 has no crossover: at B = 0 the two bases tie, z is kept
+            below = n > 2 and ratio < CROSSOVER[n]
+            assert res.basis == ("x" if below else "z"), (n, ratio)
+
+
+def test_other_states_fall_back_to_the_search(rng):
+    psi = oracles.random_pure(rng, 3)
+    res = global_discord(PureState(psi, 3), OptimizerConfig(seed=0, restarts=4))
+    assert res.n_restarts == 4 and res.basis is None and res.hessian_margin is None
+    # a state with ring symmetry whose Hessian is zero (every basis gives 0)
+    res = global_discord(product_state_down(3), OptimizerConfig(seed=0))
+    assert res.n_restarts > 0 and res.basis is None and res.value < 1e-8
+
+
+def test_hessian_margin_matches_full_oracle_hessian():
+    """The block row and its circulant spectrum give the smallest eigenvalue
+    of the full 2N x 2N tilt Hessian of the reference objective."""
+    for n in (3, 4, 5):
+        for ratio in (0.5, CROSSOVER[n] - 0.015, 3.0):
+            gs = ring(n, ratio)
+            res = global_discord(gs)
+            hess = oracles.tilt_hessian(gs.amplitudes, n, res.basis)
+            lam = np.linalg.eigvalsh(hess)[0]
+            assert abs(res.hessian_margin - lam) <= 1e-4 * abs(lam), (n, ratio)
+
+
+def test_search_never_beats_the_certified_value():
+    for n in range(3, 8):
+        for ratio in (0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.2,
+                      CROSSOVER[n] - 0.01, CROSSOVER[n] + 0.01, 2.5, 6.0):
+            gs = ring(n, ratio)
+            cert = global_discord(gs)
+            found = search(gs, OptimizerConfig(seed=0, restarts=4, uniform_angles=True))
+            assert found.value >= cert.value - 1e-12, (n, ratio)
+    for n in (3, 4, 5):
+        for ratio in (0.3, CROSSOVER[n] + 0.01, 3.0):
+            gs = ring(n, ratio)
+            found = search(gs, OptimizerConfig(seed=0, restarts=4))
+            assert found.value >= global_discord(gs).value - 1e-12, (n, ratio)
 
 
 @pytest.mark.parametrize("kwargs", [
