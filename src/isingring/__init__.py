@@ -54,6 +54,7 @@ from .ring import (
     RingConfig,
     ghz_state,
     ground_state,
+    ground_state_ratio,
     parity_expectation,
     product_state_down,
 )
@@ -111,6 +112,7 @@ __all__ = [
     "RingConfig",
     "ghz_state",
     "ground_state",
+    "ground_state_ratio",
     "parity_expectation",
     "product_state_down",
     # sweep

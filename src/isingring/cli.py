@@ -224,12 +224,12 @@ def _emit_record(record: dict, args) -> None:
         flat = dict(record)
         manifest = flat.pop("manifest", {})
         for key, value in flat.items():
-            if isinstance(value, dict):
-                for k2, v2 in value.items():
-                    if np.isscalar(v2):
-                        rows.append(f"{key}.{k2},{v2}")
-            elif np.isscalar(value):
-                rows.append(f"{key},{value}")
+            items = ([(f"{key}.{k2}", v2) for k2, v2 in value.items()]
+                     if isinstance(value, dict) else [(key, value)])
+            # None is an empty cell, so the key set does not depend on it
+            for name, v in items:
+                if v is None or np.isscalar(v):
+                    rows.append(f"{name},{'' if v is None else v}")
         rows.append(f"manifest,{json.dumps(manifest)}")
         text = "\n".join(rows) + "\n"
     if args.out:

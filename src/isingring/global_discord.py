@@ -6,11 +6,14 @@ spectrum, from a cascade of one 2 x 2 rotation per site in O(2^N * N), minus
 one local term per site from its Bloch vector.  The tests check it against
 the definition, evaluated with explicit projector sums.
 
-A state invariant under the rotations and reflections of the ring, such as
-every ring ground state, is first tried on a certified path: the better of
-the all-sigma^x and all-sigma^z bases, accepted when a finite-difference
-gradient and Hessian show a strict local minimum there.  Every other state,
-and every failed certificate, goes to the multi-start search.
+A ring ground state is first tried on a certified path: the better of the
+all-sigma^x and all-sigma^z bases, accepted when a finite-difference
+gradient and Hessian show a strict local minimum there.  The certificate is
+local; that this minimum is also the global one rests on the tests, where
+no search over ring ground states beats it.  Other states with the ring's
+symmetry need not share this (the tests hold ones whose minimum lies in a
+tilted basis), so every state that is not a ring ground state, and every
+failed certificate, goes to the multi-start search.
 """
 
 from __future__ import annotations
@@ -25,12 +28,9 @@ from scipy.optimize import minimize
 
 from .density import (PureState, _angles, _entropy_bits, _h2, _unit,
                       as_angles, reduced_state, rotation_matrix)
+from .ring import ground_state_ratio
 
 DEFAULT_MAX_EVALS = 50_000
-
-#: A state is ring-symmetric when |<psi|T psi>| >= 1 - _SYMMETRY_TOL for the
-#: cyclic shift and for the reflection T of its sites.
-_SYMMETRY_TOL = 1e-12
 
 #: Central-difference step of the certificate in tilt coordinates, and the
 #: bounds it must meet: |grad| <= _GRAD_TOL and lambda_min >= _MARGIN_TOL.
@@ -197,18 +197,12 @@ def _run_nelder_mead(tracker, pack, x0: np.ndarray, maxfev: int, xatol, fatol):
         return False
 
 
-def _ring_symmetric(gs: PureState) -> bool:
-    """Invariance, up to a phase, under a cyclic shift and a reflection."""
-    psi = gs.as_tensor()
-    images = (np.moveaxis(psi, 0, -1), psi.transpose(range(gs.n_sites - 1, -1, -1)))
-    return all(abs(np.vdot(psi, t.ravel())) >= 1.0 - _SYMMETRY_TOL for t in images)
-
-
 def _certify(tracker: _BudgetTracker, n: int) -> GDResult | None:
     """The better uniform basis, if it is a strict local minimum; else None.
 
     Each site's axis is tilted as n_j = normalize(n0 + a_j e1 + b_j e2), a
-    chart with no pole at either candidate.  By the ring symmetry every site
+    chart with no pole at either candidate.  A ring ground state is
+    invariant under the rotations and reflections of the ring, so every site
     has the same gradient, and the 2N x 2N Hessian is block-circulant with
     symmetric 2 x 2 blocks C_j = C_{N-j}; so only site 0 against sites
     0..N//2 is differenced, and the spectrum is that of sum_j C_j cos(k j),
@@ -259,18 +253,20 @@ def _certify(tracker: _BudgetTracker, n: int) -> GDResult | None:
 def global_discord(gs: PureState, opt: OptimizerConfig | None = None) -> GDResult:
     """Minimize the objective over all multi-local projective bases.
 
-    A ring-symmetric state first takes the certified path (``_certify``):
+    A ring ground state (``ring.ground_state_ratio``) first takes the
+    certified path (``_certify``):
     it is converged when, at the better of the all-sigma^x and all-sigma^z
     bases, the finite-difference gradient has norm <= ``_GRAD_TOL`` (1e-6)
     and the smallest Hessian eigenvalue, ``hessian_margin``, is >=
-    ``_MARGIN_TOL`` (1e-6), both with step ``_STEP`` (1e-3).  A failed
-    certificate, or a state without the symmetry, falls back to the
-    multi-start search, which shares the evaluation budget ``max_evals``.
+    ``_MARGIN_TOL`` (1e-6), both with step ``_STEP`` (1e-3).  That shows a
+    strict local minimum; the tests show that no search beats it on ring
+    ground states.  A failed certificate, or any other state, falls back to
+    the multi-start search, which shares the evaluation budget ``max_evals``.
     """
     if opt is None:
         opt = OptimizerConfig()
     tracker = _BudgetTracker(_objective_factory(gs), opt.max_evals)
-    if _ring_symmetric(gs):
+    if ground_state_ratio(gs) is not None:
         try:
             result = _certify(tracker, gs.n_sites)
         except _BudgetExhausted:

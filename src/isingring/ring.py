@@ -30,6 +30,10 @@ MAX_SITES = 12
 #: so a degenerate doublet (e.g. at B = 0) resolves to the even-parity state.
 DEGENERACY_TOL = 1e-10
 
+#: ``ground_state_ratio`` accepts a state whose overlap with the ground state
+#: is at least 1 - _OVERLAP_TOL; ground states at N <= 12 miss 1 by < 2e-15.
+_OVERLAP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class RingConfig:
@@ -160,6 +164,29 @@ def ground_state(config: RingConfig) -> tuple[PureState, float]:
         raise EigensolverError("ground-state eigenpair failed residual check", residual)
     vec = _fix_phase(vec.astype(complex))
     return PureState(vec, config.n_sites), energy
+
+
+def ground_state_ratio(state: PureState) -> float | None:
+    """The B/J >= 0 at which ``state`` is, up to a phase, the ring ground
+    state (J = 1), or None if it is not a ring ground state.
+
+    B/J is the least-squares ratio r that makes ``state`` an eigenvector of
+    ``r sum_n sz_n - sum_n sx_n sx_{n+1}``; the state qualifies when its
+    overlap with ``ground_state`` at that ratio is at least
+    ``1 - _OVERLAP_TOL``.
+    """
+    basis = _symmetric_basis(state.n_sites)
+    psi = state.amplitudes
+    hop = psi[basis.partners].sum(axis=0)
+    field = (state.n_sites - 2 * basis.popcount) * psi
+    hop -= np.vdot(psi, hop) * psi
+    field -= np.vdot(psi, field) * psi
+    weight = float(np.vdot(field, field).real)
+    if weight < _OVERLAP_TOL:
+        return None
+    ratio = max(float(np.vdot(field, hop).real) / weight, 0.0)
+    ref, _ = ground_state(RingConfig(state.n_sites, 1.0, ratio))
+    return ratio if abs(np.vdot(ref.amplitudes, psi)) >= 1.0 - _OVERLAP_TOL else None
 
 
 def ghz_state(n_sites: int) -> PureState:

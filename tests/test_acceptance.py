@@ -4,9 +4,10 @@ Criteria 1 and 2 compare refined global-discord peaks against an external
 reference table.  The implementation is validated independently (criteria
 3 and 7 here, plus the definition-level oracles in the unit suite), yet its
 optima sit far below that table: 1.255, 1.524, 1.806 at N = 3..5 against
-1.83, 2.44, 3.09.  The GD values come from the certified sigma^x / sigma^z
-basis, which no multi-start search, shared or free angles, beats by more
-than 1e-12 in the unit suite; the gap is not an optimizer shortfall.
+1.83, 2.44, 3.09.  The GD values come from the sigma^x / sigma^z basis,
+certified as a strict local minimum, which no multi-start search (shared or
+free angles, in the gd_peaks fixture here and in the unit suite) beats by
+more than 1e-12; the gap is not an optimizer shortfall.
 Variants of the definition tried so far, and what they give at N = 3..5:
 
     variant                                  result
@@ -38,7 +39,14 @@ import pytest
 import oracles
 from isingring.density import DensityMatrix, PureState, von_neumann_entropy
 from isingring.entanglement import bipartition_entanglement, entanglement_stats
-from isingring.global_discord import OptimizerConfig, gd_objective, global_discord
+from isingring.global_discord import (
+    OptimizerConfig,
+    _BudgetTracker,
+    _objective_factory,
+    _search,
+    gd_objective,
+    global_discord,
+)
 from isingring.pair_measures import (
     _bloch,
     _dephased_information,
@@ -65,6 +73,13 @@ FOCUS_GRIDS = {
 }
 
 
+def search(gs, opt):
+    """The multi-start search alone, which ring ground states skip when
+    their certificate holds."""
+    return _search(_BudgetTracker(_objective_factory(gs), opt.max_evals),
+                   gs.n_sites, opt)
+
+
 def report(number: int, name: str, passed: bool, detail: str) -> str:
     line = (
         f"ACCEPTANCE {number:02d} {name}: "
@@ -78,9 +93,10 @@ def report(number: int, name: str, passed: bool, detail: str) -> str:
 def gd_peaks():
     """Refined global-discord peak per ring size.
 
-    Ring ground states take the certified basis whatever the optimizer
-    configuration; the free-angle run at each refined peak checks that the
-    shared-angle configuration of the sweep gives the same value to 1e-6.
+    The sweep and its refinement take the certified sigma^x / sigma^z
+    basis.  At each refined peak the multi-start search, with shared angles
+    at every N and with free angles at N <= 5, must converge to the same
+    value within 1e-6 and must not beat it by more than 1e-12.
     """
     peaks = {}
     for n in sorted(FOCUS_GRIDS):
@@ -97,11 +113,13 @@ def gd_peaks():
         gs, _ = ground_state(
             RingConfig(n_sites=n, coupling_j=1.0, field_b=peak.ratio_star)
         )
-        free = global_discord(gs, OptimizerConfig(seed=0))
-        assert free.converged, f"N={n} free-mode check did not converge"
-        assert abs(free.value - peak.value) < 1e-6, (
-            f"N={n}: free {free.value} vs uniform {peak.value}"
-        )
+        for uniform in (True, False) if n <= 5 else (True,):
+            found = search(gs, OptimizerConfig(seed=0, uniform_angles=uniform))
+            assert found.converged, f"N={n} search did not converge"
+            assert -1e-12 <= found.value - peak.value < 1e-6, (
+                f"N={n}, uniform={uniform}: search {found.value} "
+                f"vs certified {peak.value}"
+            )
         peaks[n] = peak
     return peaks
 
@@ -119,9 +137,9 @@ def test_criterion_01_peak_value_reproduction(gd_peaks):
     report(1, "refined-peak-values", passed, detail)
     if not passed:
         pytest.xfail(
-            "computed optima lie below the reference table; the values are "
-            "certified minima, so the table is unreachable for the measure "
-            "as defined here (see the module docstring)"
+            "computed optima lie below the reference table; no search beats "
+            "the certified minima, so the table is unreachable for the "
+            "measure as defined here (see the module docstring)"
         )
 
 

@@ -216,6 +216,17 @@ def test_certified_path_takes_every_ring_ground_state():
             assert res.basis == ("x" if below else "z"), (n, ratio)
 
 
+def symmetric_state(rng, n, parity):
+    """A random real state invariant under the rotations and reflections of
+    the ring, with parity ``parity`` under prod_n sigma^z_n."""
+    psi = rng.standard_normal((2,) * n)
+    images = [np.moveaxis(psi, range(n), [(i + s) % n for i in range(n)])
+              for s in range(n)]
+    v = sum(t + t.transpose(range(n - 1, -1, -1)) for t in images).ravel()
+    v *= (-1.0) ** np.array([bin(i).count("1") for i in range(2 ** n)]) == parity
+    return PureState(v / np.linalg.norm(v), n)
+
+
 def test_other_states_fall_back_to_the_search(rng):
     psi = oracles.random_pure(rng, 3)
     res = global_discord(PureState(psi, 3), OptimizerConfig(seed=0, restarts=4))
@@ -223,6 +234,24 @@ def test_other_states_fall_back_to_the_search(rng):
     # a state with ring symmetry whose Hessian is zero (every basis gives 0)
     res = global_discord(product_state_down(3), OptimizerConfig(seed=0))
     assert res.n_restarts > 0 and res.basis is None and res.value < 1e-8
+    res = global_discord(ghz_state(4), OptimizerConfig(seed=0, restarts=4))
+    assert res.n_restarts == 4 and abs(res.value - 1.0) < 1e-6
+
+
+def test_ring_symmetry_alone_does_not_take_the_certified_path():
+    """A uniform sigma^x or sigma^z basis can be a strict local minimum of a
+    ring-symmetric state that is not a ring ground state while a tilted
+    basis lies lower, so such states go to the search."""
+    rng = np.random.default_rng(0)
+    gaps = []
+    for parity in (1, -1, 1, -1):
+        gs = symmetric_state(rng, 4, parity)
+        res = global_discord(gs, OptimizerConfig(seed=0, restarts=4))
+        assert res.basis is None and res.n_restarts == 4 and res.converged
+        uniform = min(gd_objective(gs, np.tile(ang, (4, 1)))
+                      for ang in ([0.0, 0.0], [math.pi / 2, 0.0]))
+        gaps.append(uniform - res.value)
+    assert min(gaps) >= -1e-12 and max(gaps) > 0.5, gaps
 
 
 def test_hessian_margin_matches_full_oracle_hessian():

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import oracles
+from isingring.density import PureState
 from isingring.errors import CapacityError
 from isingring.ring import (
     MAX_SITES,
     RingConfig,
     ghz_state,
     ground_state,
+    ground_state_ratio,
     parity_diagonal,
     parity_expectation,
     product_state_down,
@@ -62,6 +64,19 @@ def test_ground_state_matches_dense_oracle():
                 assert abs(parity - (-1.0) ** n) < 1e-12, (n, b)
             if b == 0.0:
                 assert abs(parity - 1.0) < 1e-12, n
+
+
+def test_ground_state_ratio_recognizes_ring_ground_states_only():
+    for n in range(2, 9):
+        for b in (0.0, 0.5, 1.3, 6.0):
+            gs, _ = ground_state(RingConfig(n_sites=n, coupling_j=2.0, field_b=2.0 * b))
+            assert abs(ground_state_ratio(gs) - b) < 1e-9, (n, b)
+    # excited eigenstates of the same Hamiltonian, and two reference states
+    evecs = np.linalg.eigh(oracles.sparse_tfim(4, 1.0, 0.5).toarray())[1]
+    for k in (1, 2, 15):
+        assert ground_state_ratio(PureState(evecs[:, k], 4)) is None, k
+    assert ground_state_ratio(ghz_state(4)) is None
+    assert ground_state_ratio(product_state_down(4)) is None
 
 
 def test_zero_coupling_ground_state_is_all_down():
