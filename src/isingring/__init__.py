@@ -60,14 +60,12 @@ from .ring import (
 )
 from .sweep import (
     COLUMNS,
-    DriftReport,
     PeakResult,
     ScalingFit,
     SweepTable,
     default_ratio_grid,
     find_peak,
     fit_scaling,
-    peak_drift,
     sweep,
 )
 
@@ -117,13 +115,11 @@ __all__ = [
     "product_state_down",
     # sweep
     "COLUMNS",
-    "DriftReport",
     "PeakResult",
     "ScalingFit",
     "SweepTable",
     "default_ratio_grid",
     "find_peak",
     "fit_scaling",
-    "peak_drift",
     "sweep",
 ]

@@ -101,21 +101,20 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def _entropy_bits(weights: np.ndarray) -> float:
-    """Entropy kernel in bits: negatives clipped to 0, no validation.
+def _entropy_bits(weights, axis=None):
+    """Entropy kernel in bits, summed over ``axis`` (all of it by default):
+    negatives clipped to 0, no validation.
 
     For spectra that are valid by construction, such as those inside the
     optimizer loops; the public entropies below check their input first.
     """
-    lam = np.clip(weights, 0.0, None)
-    nz = lam[lam > 0.0]
-    return float(-np.dot(nz, np.log2(nz)))
+    return np.add.reduce(entr(np.maximum(weights, 0.0)), axis=axis) / math.log(2.0)
 
 
 def _h2(p):
     """Elementwise binary entropy in bits, arguments clipped to [0, 1]."""
-    p = np.clip(p, 0.0, 1.0)
-    return (entr(p) + entr(1.0 - p)) / math.log(2.0)
+    p = np.minimum(np.maximum(p, 0.0), 1.0)
+    return _entropy_bits(np.array([p, 1.0 - p]), axis=0)
 
 
 def binary_entropy(p: float) -> float:
@@ -128,7 +127,7 @@ def shannon_entropy(probs: np.ndarray) -> float:
     lam = np.asarray(probs, dtype=float)
     if lam.min() < -EIG_CLIP:
         raise ValueError(f"negative weight {lam.min():.3e} beyond clip window")
-    return _entropy_bits(lam)
+    return float(_entropy_bits(lam))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -157,10 +156,6 @@ class PureState:
         if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"state norm {norm} differs from 1 beyond tolerance")
         object.__setattr__(self, "amplitudes", v)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
 
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape((2,) * self.n_sites)

@@ -32,6 +32,10 @@ from .ring import ground_state_ratio
 
 DEFAULT_MAX_EVALS = 50_000
 
+#: Nelder-Mead stopping tolerance of the search, on the angles and on the
+#: objective alike.
+_NM_TOL = 1e-9
+
 #: Central-difference step of the certificate in tilt coordinates, and the
 #: bounds it must meet: |grad| <= _GRAD_TOL and lambda_min >= _MARGIN_TOL.
 _STEP = 1e-3
@@ -69,6 +73,9 @@ class GDResult:
         )
         if self.value < -1e-9:
             raise ValueError("global discord cannot be negative")
+        # rounding below zero, as on the product state, reads as 0
+        if self.value < 0.0:
+            object.__setattr__(self, "value", 0.0)
 
 
 @dataclass(frozen=True)
@@ -86,8 +93,6 @@ class OptimizerConfig:
     max_evals: int = DEFAULT_MAX_EVALS
     seed: int = 0
     uniform_angles: bool = False
-    xatol: float = 1e-9
-    fatol: float = 1e-9
 
     def __post_init__(self):
         if self.restarts is not None and self.restarts < 1:
@@ -127,7 +132,7 @@ def _objective_factory(gs: PureState):
 
     def objective(ang: np.ndarray) -> float:
         local = _h2(0.5 + 0.5 * np.sum(_unit(ang) * bloch, axis=1)) - base
-        return _entropy_bits(_outcome_probs(amps, ang)) - float(np.sum(local))
+        return float(_entropy_bits(_outcome_probs(amps, ang)) - np.sum(local))
 
     return objective
 
@@ -173,7 +178,7 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _run_nelder_mead(tracker, pack, x0: np.ndarray, maxfev: int, xatol, fatol):
+def _run_nelder_mead(tracker, pack, x0: np.ndarray, maxfev: int):
     def flat_objective(x):
         return tracker(pack(x))
 
@@ -186,8 +191,8 @@ def _run_nelder_mead(tracker, pack, x0: np.ndarray, maxfev: int, xatol, fatol):
             x0,
             method="Nelder-Mead",
             options={
-                "xatol": xatol,
-                "fatol": fatol,
+                "xatol": _NM_TOL,
+                "fatol": _NM_TOL,
                 "maxfev": budget,
                 "maxiter": 10 * budget,
             },
@@ -308,7 +313,7 @@ def _search(tracker: _BudgetTracker, n: int, opt: OptimizerConfig) -> GDResult:
 
     budget_each = max((tracker.remaining() * 3 // 4) // len(starts), 100)
     for x0 in starts:
-        _run_nelder_mead(tracker, pack, x0, budget_each, opt.xatol, opt.fatol)
+        _run_nelder_mead(tracker, pack, x0, budget_each)
         if tracker.exhausted:
             break
 
@@ -317,8 +322,7 @@ def _search(tracker: _BudgetTracker, n: int, opt: OptimizerConfig) -> GDResult:
     polished_ok = False
     if not tracker.exhausted:
         polished_ok = _run_nelder_mead(
-            tracker, pack, tracker.best_angles[:k].ravel(),
-            tracker.remaining(), opt.xatol, opt.fatol,
+            tracker, pack, tracker.best_angles[:k].ravel(), tracker.remaining()
         )
 
     return GDResult(

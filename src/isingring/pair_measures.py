@@ -22,7 +22,6 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 from scipy.optimize import minimize
-from scipy.special import entr
 
 from .density import (DensityMatrix, PureState, _angles, _entropy_bits, _h2,
                       _unit, reduced_state)
@@ -30,12 +29,17 @@ from .errors import ConvergenceWarning, NonXStateWarning, QuadratureError
 
 X_PATTERN_TOL = 1e-10
 
+#: Nelder-Mead stopping tolerance of the discord and AMID polish, on the
+#: angles and on the value alike.
+_POLISH_TOL = 1e-9
+
 _OFF_PATTERN = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
 
 
-def is_x_pattern(mat: np.ndarray, tol: float = X_PATTERN_TOL) -> bool:
-    """True when all entries off the diagonal and anti-diagonal vanish."""
-    return all(abs(mat[r, c]) <= tol for r, c in _OFF_PATTERN)
+def is_x_pattern(mat: np.ndarray) -> bool:
+    """True when all entries off the diagonal and anti-diagonal are at most
+    ``X_PATTERN_TOL`` in magnitude."""
+    return all(abs(mat[r, c]) <= X_PATTERN_TOL for r, c in _OFF_PATTERN)
 
 
 class XState(DensityMatrix):
@@ -111,12 +115,13 @@ def _probe_angles(bl: np.ndarray) -> np.ndarray:
     return _angles(axes)
 
 
-def _polish(cost, candidates: np.ndarray, maxfev: int, tol: float = 1e-9):
+def _polish(cost, candidates: np.ndarray, maxfev: int):
     """Score every candidate angle row in one vectorized ``cost`` call, then
     polish once by Nelder-Mead from the best row; returns (min, converged)."""
     values = cost(candidates)
     res = minimize(cost, candidates[np.argmin(values)], method="Nelder-Mead",
-                   options={"xatol": tol, "fatol": tol, "maxfev": maxfev})
+                   options={"xatol": _POLISH_TOL, "fatol": _POLISH_TOL,
+                            "maxfev": maxfev})
     return min(float(values.min()), float(res.fun)), bool(res.success)
 
 
@@ -161,8 +166,9 @@ def _dephased_information(bl: np.ndarray, angles: np.ndarray):
     ntm = np.einsum("...i,ij,...j->...", n, bl[1:, 1:], m)[..., None, None]
     a, b = np.array([[1.0], [-1.0]]), np.array([1.0, -1.0])
     p = np.clip(0.25 * (1.0 + a * rn + b * sm + a * b * ntm), 0.0, None)
-    return (entr(p.sum(axis=-1)).sum(axis=-1) + entr(p.sum(axis=-2)).sum(axis=-1)
-            - entr(p).sum(axis=(-2, -1))) / math.log(2.0)
+    return (_entropy_bits(p.sum(axis=-1), axis=-1)
+            + _entropy_bits(p.sum(axis=-2), axis=-1)
+            - _entropy_bits(p, axis=(-2, -1)))
 
 
 def mid(rho: DensityMatrix) -> float:
@@ -175,14 +181,13 @@ def mid(rho: DensityMatrix) -> float:
     return max(float(value), 0.0)
 
 
-def amid(rho: DensityMatrix, n_starts: int = 8, seed: int = 0,
-         tol: float = 1e-9) -> float:
+def amid(rho: DensityMatrix, n_starts: int = 8, seed: int = 0) -> float:
     """Ameliorated MID: mutual-information loss minimized over all bilocal
     projective bases (4 angles).
 
     The candidates are the 7 x 7 pairs of A and B probe axes plus
     ``max(n_starts, 4) - 4`` random angle pairs drawn from ``seed``; one
-    Nelder-Mead polish to ``tol`` starts from the best of them and warns
+    Nelder-Mead polish starts from the best of them and warns
     :class:`ConvergenceWarning` when it does not converge.
     """
     mat, bl = _pair_form(rho)
@@ -193,7 +198,7 @@ def amid(rho: DensityMatrix, n_starts: int = 8, seed: int = 0,
         th, ph = rng.uniform(0.0, math.pi, 2), rng.uniform(0.0, 2.0 * math.pi, 2)
         candidates.append([[th[0], ph[0], th[1], ph[1]]])
     loss, converged = _polish(lambda x: -_dephased_information(bl, x),
-                              np.vstack(candidates), maxfev=1600, tol=tol)
+                              np.vstack(candidates), maxfev=1600)
     if not converged:
         warnings.warn("the AMID polish did not converge; returning the best "
                       "value found", ConvergenceWarning, stacklevel=2)

@@ -59,13 +59,6 @@ class RingConfig:
         if self.field_b < 0:
             raise ValueError("field_b must be non-negative")
 
-    @property
-    def ratio(self) -> float:
-        """The control parameter B/J."""
-        if self.coupling_j == 0:
-            raise ValueError("B/J undefined at coupling_j = 0")
-        return self.field_b / self.coupling_j
-
 
 @dataclass(frozen=True)
 class _SymmetricBasis:

@@ -119,10 +119,7 @@ class SweepTable:
         ratios = np.asarray(self.columns["ratio"], dtype=float)
         if ratios.ndim != 1 or len(ratios) == 0:
             raise ValueError("ratio column must be a nonempty 1-d array")
-        if not np.all(np.isfinite(ratios)):
-            raise ValueError("ratios must be finite")
-        if np.any(np.diff(ratios) <= 0):
-            raise ValueError("ratios must be strictly increasing")
+        _checked_ratios(ratios)
         for name in COLUMNS:
             col = np.asarray(self.columns[name], dtype=float)
             if col.shape != ratios.shape:
@@ -364,8 +361,11 @@ def _make_evaluator(table: SweepTable, column: str):
     n_sites = meta["n_sites"]
     coupling_j = meta.get("coupling_j", 1.0)
     seed = meta.get("seed", 0)
-    opt_fields = meta.get("optimizer")
-    opt = OptimizerConfig(**opt_fields) if opt_fields else OptimizerConfig()
+    # tables written before the Nelder-Mead tolerances became constants
+    # still carry them as optimizer fields
+    opt_fields = {k: v for k, v in (meta.get("optimizer") or {}).items()
+                  if k not in ("xatol", "fatol")}
+    opt = OptimizerConfig(**opt_fields)
     columns, cells = _MEASURES[_REFINABLE[column]]
     k = columns.index(column)
 
@@ -478,33 +478,3 @@ def fit_scaling(points) -> ScalingFit:
     slope = float(np.dot(x, y) / denom)
     residuals = tuple(float(r) for r in (y - slope * x))
     return ScalingFit(slope=slope, points=pts, residuals=residuals)
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    """How the peak location approaches the infinite-size critical ratio 1."""
-
-    n_values: tuple
-    deviations: tuple
-    max_increase: float
-    monotone: bool
-
-
-def peak_drift(peaks, *, slack: float = 5e-2) -> DriftReport:
-    """Deviation |ratio* - 1| per size, flagged monotone if it never grows
-    by more than ``slack`` from one size to the next."""
-    pts = sorted((int(n), float(r)) for n, r in peaks)
-    if len(pts) < 2:
-        raise ValueError("drift report requires at least two sizes")
-    ns = tuple(n for n, _ in pts)
-    if len(set(ns)) != len(ns):
-        raise ValueError("duplicate sizes in drift report")
-    devs = tuple(abs(r - 1.0) for _, r in pts)
-    increases = [b - a for a, b in zip(devs[:-1], devs[1:])]
-    max_increase = max(increases)
-    return DriftReport(
-        n_values=ns,
-        deviations=devs,
-        max_increase=float(max_increase),
-        monotone=bool(max_increase <= slack),
-    )

@@ -56,6 +56,16 @@ def test_measures_csv_keys_do_not_depend_on_the_gd_path(capsys):
     assert keys[0] == keys[1]
 
 
+def test_measures_global_on_product_state_reads_zero(capsys):
+    """Every basis gives the product state a zero objective; the search's
+    rounding below zero is reported as 0.0, not as a negative discord."""
+    code, out, _ = run_cli(
+        capsys, "measures", "--n", "4", "--state", "product", "--global"
+    )
+    assert code == 0
+    assert json.loads(out)["global_discord"]["value"] == 0.0
+
+
 def test_measures_pair_and_exit_code(capsys):
     code, out, _ = run_cli(
         capsys, "measures", "--n", "5", "--b", "0", "--pair", "0", "1"
@@ -123,7 +133,7 @@ def test_measures_pair_discord_directions(capsys, monkeypatch):
 
 
 def test_measures_pair_amid_not_converged_exit_code(capsys, monkeypatch):
-    def stalled_amid(rho, n_starts=8, seed=0, tol=1e-9):
+    def stalled_amid(rho, n_starts=8, seed=0):
         warnings.warn("no AMID restart converged", ConvergenceWarning)
         return 0.0
 
@@ -290,6 +300,13 @@ def test_fit_from_tables(capsys, tmp_path):
     peak = record["peaks"][0]
     assert peak["n_sites"] == 3 and not peak["boundary"]
     assert 0.6 < peak["ratio_star"] < 0.8
+    # older tables also list the Nelder-Mead tolerances as optimizer fields
+    old_file = os.fspath(tmp_path / "old.csv")
+    table = SweepTable.from_csv(table_file)
+    table.metadata["optimizer"].update(xatol=1e-9, fatol=1e-9)
+    table.to_csv(old_file)
+    code, out, _ = run_cli(capsys, "fit", "--tables", old_file)
+    assert code == 0 and json.loads(out)["peaks"] == [peak]
 
 
 def test_fit_requires_exactly_one_source(capsys):

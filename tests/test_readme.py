@@ -1,8 +1,9 @@
 """The README's Python example runs as written; its CLI examples parse.
 
 Also guards the package surface: ``__all__`` resolves, the README imports
-only exported names, the test oracles stay independent of the package, and
-no module-level private name outlives its last use in the package.
+only exported names, the test oracles stay independent of the package, no
+module-level private name outlives its last use in the package, and no
+public one is reachable from the tests alone.
 """
 
 import ast
@@ -16,6 +17,7 @@ from isingring.cli import build_parser
 README = Path(__file__).resolve().parents[1] / "README.md"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 PACKAGE = Path(isingring.__file__).resolve().parent
+PERFBENCH = README.parent / "perfbench"
 
 
 def _python_blocks():
@@ -76,24 +78,51 @@ def test_oracles_import_nothing_from_the_package():
     assert not {m for m in modules if m.split(".")[0] == "isingring"}, modules
 
 
+def _referenced_names(path: Path) -> set:
+    """Names a module loads, reads as attributes or imports."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def _module_level_definitions(path: Path) -> set:
+    defined = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    return defined
+
+
 def test_every_private_name_is_used_in_the_package():
     """A module-level private name that nothing in the package references is
     dead code left behind by a refactor; a use in the tests does not count."""
-    defined, used = set(), set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined.update(t.id for t in targets if isinstance(t, ast.Name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+    modules = sorted(PACKAGE.glob("*.py"))
+    defined = set().union(*map(_module_level_definitions, modules))
+    used = set().union(*map(_referenced_names, modules))
     private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
     assert private <= used, sorted(private - used)
+
+
+def test_every_public_name_is_reachable_without_the_tests():
+    """A public module-level name (function, class or constant) must be
+    referenced by a package module other than ``__init__`` (whose re-exports
+    reach everything), by the benchmark in ``perfbench/`` or by the README;
+    a name that only the tests use is dead code."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    defined = set().union(*map(_module_level_definitions, modules))
+    public = {n for n in defined if not n.startswith("_")}
+    callers = [p for p in modules if p.name != "__init__.py"]
+    callers += sorted(PERFBENCH.glob("*.py"))
+    used = set().union(*map(_referenced_names, callers))
+    readme = README.read_text()
+    unreached = {n for n in public - used if not re.search(rf"\b{n}\b", readme)}
+    assert not unreached, sorted(unreached)

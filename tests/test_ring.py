@@ -33,10 +33,6 @@ def test_config_validation():
         with pytest.raises(ValueError):
             RingConfig(n_sites=4, coupling_j=bad, field_b=1.0)
     RingConfig(n_sites=4, coupling_j=0.0, field_b=0.5)
-    cfg = RingConfig(n_sites=4, coupling_j=2.0, field_b=1.0)
-    assert cfg.ratio == 0.5
-    with pytest.raises(ValueError):
-        _ = RingConfig(n_sites=4, coupling_j=0.0, field_b=1.0).ratio
 
 
 def _oracle_parity(n):

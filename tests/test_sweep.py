@@ -13,7 +13,6 @@ from isingring.sweep import (
     default_ratio_grid,
     find_peak,
     fit_scaling,
-    peak_drift,
     sweep,
 )
 
@@ -55,6 +54,8 @@ def test_default_grid_properties():
 def test_table_validation():
     with pytest.raises(ValueError):
         small_table(ratio=np.array([0.5, 0.75, 0.75, 1.25, 1.5]))  # not increasing
+    with pytest.raises(ValueError, match="nonnegative"):  # as in sweep grids
+        small_table(ratio=np.array([-0.5, 0.75, 1.0, 1.25, 1.5]))
     with pytest.raises(ValueError):
         small_table(ratio=np.array([0.5, 0.75, 1.0]))  # length mismatch
     bad = {c: np.zeros(2) for c in COLUMNS if c != "gd"}
@@ -265,18 +266,6 @@ def test_fit_scaling_reference_point_set():
     assert abs(fit.slope - 0.6965) < 5e-4
     # N=2 carries zero weight in the constrained fit
     assert abs(fit_scaling(points[1:]).slope - fit.slope) < 1e-15
-
-
-def test_peak_drift_report():
-    report = peak_drift([(3, 0.69), (4, 0.84), (5, 0.92), (6, 0.96)])
-    assert report.monotone
-    assert report.max_increase <= 0.0
-    worsening = peak_drift([(3, 0.95), (4, 0.7)])
-    assert not worsening.monotone
-    with pytest.raises(ValueError):
-        peak_drift([(3, 0.9)])
-    with pytest.raises(ValueError):
-        peak_drift([(3, 0.9), (3, 0.8)])
 
 
 def test_metadata_records_configuration():
