@@ -327,7 +327,9 @@ def _cmd_measures(args) -> int:
             "n_restarts": result.n_restarts,
             "n_evals": result.n_evals,
             "basis": result.basis,
-            "hessian_margin": result.hessian_margin,
+            # ~9 digits are stable: its central differences scale rounding by 1e6
+            "hessian_margin": (None if result.hessian_margin is None
+                               else round(result.hessian_margin, 8)),
         }
         converged = converged and result.converged
     if args.estats:

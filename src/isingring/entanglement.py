@@ -21,15 +21,11 @@ class EntanglementStats:
 
     mean: float
     variance: float
-    per_bipartition: tuple
     n_bipartitions: int
 
     def __post_init__(self):
         if self.variance < -1e-12:
             raise ValueError("variance cannot be negative")
-        values = [e for _, e in self.per_bipartition]
-        if values and not (min(values) - 1e-12 <= self.mean <= max(values) + 1e-12):
-            raise ValueError("mean outside the range of per-bipartition values")
 
 
 def _normalize_subset(subset, n_sites: int) -> tuple:
@@ -47,11 +43,16 @@ def bipartition_entanglement(gs: PureState, subset) -> float:
     The purity is computed from the Gram matrix of the reshaped amplitude
     tensor on the smaller side of the cut, so no 2^N x 2^N object is formed.
     """
-    sites = _normalize_subset(subset, gs.n_sites)
-    complement = tuple(s for s in range(gs.n_sites) if s not in sites)
+    return _cut_entanglement(gs.as_tensor(), _normalize_subset(subset, gs.n_sites))
+
+
+def _cut_entanglement(tensor: np.ndarray, sites: tuple) -> float:
+    """E for the cut (sites, complement) of an amplitude tensor with one
+    axis per site; ``sites`` must be sorted, distinct and a proper subset."""
+    complement = tuple(s for s in range(tensor.ndim) if s not in sites)
     side = sites if len(sites) <= len(complement) else complement
     other = complement if side is sites else sites
-    m = gs.as_tensor().transpose(side + other).reshape(2 ** len(side), -1)
+    m = tensor.transpose(side + other).reshape(2 ** len(side), -1)
     gram = m @ m.conj().T
     purity = float(np.sum(np.abs(gram) ** 2))
     purity = min(max(purity, 2.0 ** (-len(side))), 1.0)
@@ -71,14 +72,11 @@ def bipartitions(n_sites: int):
 
 def entanglement_stats(gs: PureState) -> EntanglementStats:
     """Mean and population variance of E over all unordered bipartitions."""
-    per = tuple(
-        (subset, bipartition_entanglement(gs, subset))
-        for subset in bipartitions(gs.n_sites)
-    )
-    values = np.array([e for _, e in per])
+    tensor = gs.as_tensor()
+    values = np.array([_cut_entanglement(tensor, cut)
+                       for cut in bipartitions(gs.n_sites)])
     return EntanglementStats(
         mean=float(values.mean()),
         variance=float(values.var()),
-        per_bipartition=per,
-        n_bipartitions=len(per),
+        n_bipartitions=values.size,
     )

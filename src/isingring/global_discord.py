@@ -36,6 +36,10 @@ DEFAULT_MAX_EVALS = 50_000
 #: objective alike.
 _NM_TOL = 1e-9
 
+#: A search probe at or below this value is a global minimum, since the
+#: objective is >= 0 in every basis.
+_ZERO_TOL = 1e-12
+
 #: Central-difference step of the certificate in tilt coordinates, and the
 #: bounds it must meet: |grad| <= _GRAD_TOL and lambda_min >= _MARGIN_TOL.
 _STEP = 1e-3
@@ -178,16 +182,17 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _run_nelder_mead(tracker, pack, x0: np.ndarray, maxfev: int):
-    def flat_objective(x):
-        return tracker(pack(x))
+class _ZeroReached(Exception):
+    """A probe reached the objective's lower bound 0: no basis does better."""
 
+
+def _run_nelder_mead(tracker, probe, x0: np.ndarray, maxfev: int):
     budget = min(maxfev, tracker.remaining())
     if budget < 2 * (x0.size + 1):
         return False
     try:
         res = minimize(
-            flat_objective,
+            probe,
             x0,
             method="Nelder-Mead",
             options={
@@ -289,46 +294,56 @@ def _search(tracker: _BudgetTracker, n: int, opt: OptimizerConfig) -> GDResult:
     Seeded with the all-z and all-x bases, the best point of a coarse
     uniform-angle scan, and random draws; deterministic for a fixed seed.
     The returned value is the lowest objective value probed anywhere, by the
-    search or before it on the same tracker.
+    search or before it on the same tracker.  The objective is >= 0 in every
+    basis, so the search stops, converged, at the first probe <=
+    ``_ZERO_TOL``.
     """
     k = 1 if opt.uniform_angles else n
     rng = np.random.default_rng(opt.seed)
 
-    def pack(x):
-        return np.tile(x.reshape(k, 2), (n // k, 1))
+    def probe(x):
+        value = tracker(np.tile(x.reshape(k, 2), (n // k, 1)))
+        if value <= _ZERO_TOL:
+            raise _ZeroReached
+        return value
 
-    # coarse scan over one shared (theta, phi); the tracker keeps its best
-    # point, and the budget (>= 1) always allows the first probe
-    with contextlib.suppress(_BudgetExhausted):
-        for theta, phi in itertools.product(np.linspace(0.0, math.pi, 13),
-                                            np.linspace(0.0, math.pi, 8)):
-            tracker(np.tile([theta, phi], (n, 1)))
-    starts = [np.zeros(2 * k), np.tile([math.pi / 2.0, 0.0], k),
-              tracker.best_angles[:k].ravel()]
-    while len(starts) < opt.n_restarts(n):
-        starts.append(np.column_stack([
-            rng.uniform(0.0, math.pi, k),
-            rng.uniform(0.0, 2.0 * math.pi, k),
-        ]).ravel())
+    starts = []
+    try:
+        # coarse scan over one shared (theta, phi); the tracker keeps its
+        # best point, and the budget (>= 1) always allows the first probe
+        with contextlib.suppress(_BudgetExhausted):
+            for theta, phi in itertools.product(np.linspace(0.0, math.pi, 13),
+                                                np.linspace(0.0, math.pi, 8)):
+                probe(np.tile([theta, phi], k))
+        starts = [np.zeros(2 * k), np.tile([math.pi / 2.0, 0.0], k),
+                  tracker.best_angles[:k].ravel()]
+        while len(starts) < opt.n_restarts(n):
+            starts.append(np.column_stack([
+                rng.uniform(0.0, math.pi, k),
+                rng.uniform(0.0, 2.0 * math.pi, k),
+            ]).ravel())
 
-    budget_each = max((tracker.remaining() * 3 // 4) // len(starts), 100)
-    for x0 in starts:
-        _run_nelder_mead(tracker, pack, x0, budget_each)
-        if tracker.exhausted:
-            break
+        budget_each = max((tracker.remaining() * 3 // 4) // len(starts), 100)
+        for x0 in starts:
+            _run_nelder_mead(tracker, probe, x0, budget_each)
+            if tracker.exhausted:
+                break
 
-    # final polish from the incumbent with the leftover budget; the search
-    # counts as converged when this last simplex contracts below tolerance
-    polished_ok = False
-    if not tracker.exhausted:
-        polished_ok = _run_nelder_mead(
-            tracker, pack, tracker.best_angles[:k].ravel(), tracker.remaining()
-        )
+        # polish the incumbent with the leftover budget; the search counts
+        # as converged when this last simplex contracts below tolerance
+        polished_ok = False
+        if not tracker.exhausted:
+            polished_ok = _run_nelder_mead(
+                tracker, probe, tracker.best_angles[:k].ravel(), tracker.remaining()
+            )
+        converged = polished_ok and not tracker.exhausted
+    except _ZeroReached:
+        converged = True
 
     return GDResult(
         value=float(tracker.best_value),
         argmin_angles=tracker.best_angles,
         n_restarts=len(starts),
-        converged=polished_ok and not tracker.exhausted,
+        converged=converged,
         n_evals=tracker.n_evals,
     )

@@ -65,7 +65,7 @@ class _SymmetricBasis:
     """Dihedral-orbit tables of one ring size (depend on N only).
 
     Bit ``n`` of a configuration index (most significant first) encodes site
-    ``n``, with bit 0 meaning spin-up.  ``partners[b, x]`` is ``x`` with the
+    ``n``, with bit 0 meaning spin-up.  ``x ^ flips[b]`` is ``x`` with the
     two spins of bond ``b`` flipped; for N = 2 both bonds flip the same pair,
     so that coupling enters with weight 2J.  ``labels[x]`` is the orbit of
     ``x`` and ``norm[x]`` the amplitude of ``x`` in the normalized orbit
@@ -74,7 +74,7 @@ class _SymmetricBasis:
     """
 
     popcount: np.ndarray
-    partners: np.ndarray
+    flips: np.ndarray
     labels: np.ndarray
     norm: np.ndarray
     n_orbits: int
@@ -107,9 +107,9 @@ def _symmetric_basis(n_sites: int) -> _SymmetricBasis:
     for parity in (0, 1):
         orbits = np.flatnonzero(popcount[reps] % 2 == parity)
         sectors.append((orbits, hop[np.ix_(orbits, orbits)], sz_total[orbits]))
-    basis = _SymmetricBasis(popcount, partners, labels, norm, reps.size, tuple(sectors))
+    basis = _SymmetricBasis(popcount, flips, labels, norm, reps.size, tuple(sectors))
     # Every caller shares the cached tables, so none may write to them.
-    for table in (popcount, partners, labels, norm, *(a for sec in sectors for a in sec)):
+    for table in (popcount, flips, labels, norm, *(a for sec in sectors for a in sec)):
         table.setflags(write=False)
     return basis
 
@@ -122,6 +122,12 @@ def parity_diagonal(n_sites: int) -> np.ndarray:
 def parity_expectation(state: PureState) -> float:
     """Expectation of ``prod_n sigma^z_n`` in the given state."""
     return float(parity_diagonal(state.n_sites) @ np.abs(state.amplitudes) ** 2)
+
+
+def _bond_hop(basis: _SymmetricBasis, vec: np.ndarray) -> np.ndarray:
+    """``sum_n sx_n sx_{n+1}`` applied to ``vec``, one bond flip at a time."""
+    idx = np.arange(vec.size)
+    return sum(vec[idx ^ flip] for flip in basis.flips)
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -151,7 +157,7 @@ def ground_state(config: RingConfig) -> tuple[PureState, float]:
     coef_all[orbits] = coef
     vec = coef_all[basis.labels] * basis.norm
     sz_sum = config.n_sites - 2 * basis.popcount
-    ham_vec = b * sz_sum * vec - j * vec[basis.partners].sum(axis=0)
+    ham_vec = b * sz_sum * vec - j * _bond_hop(basis, vec)
     residual = float(np.linalg.norm(ham_vec - energy * vec))
     if residual > 1e-8 * max(1.0, abs(energy)):
         raise EigensolverError("ground-state eigenpair failed residual check", residual)
@@ -170,7 +176,7 @@ def ground_state_ratio(state: PureState) -> float | None:
     """
     basis = _symmetric_basis(state.n_sites)
     psi = state.amplitudes
-    hop = psi[basis.partners].sum(axis=0)
+    hop = _bond_hop(basis, psi)
     field = (state.n_sites - 2 * basis.popcount) * psi
     hop -= np.vdot(psi, hop) * psi
     field -= np.vdot(psi, field) * psi

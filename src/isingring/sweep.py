@@ -3,8 +3,9 @@
 A sweep evaluates the measure families (global discord, nearest-neighbour
 pair measures, bipartition-entanglement statistics) on the ring ground state
 over a grid of field/coupling ratios and collects them in a flat table with
-a fixed column schema.  Peaks are refined by golden-section search that
-re-evaluates the underlying measure, not by interpolating the grid.
+a fixed column schema.  Peaks are refined by a bounded Brent search
+(``scipy.optimize.minimize_scalar``) that re-evaluates the underlying
+measure, not by interpolating the grid.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .entanglement import entanglement_stats
 from .global_discord import OptimizerConfig, global_discord
@@ -71,9 +73,6 @@ _REFINABLE = {
 
 _CSV_MAGIC = "# isingring-sweep-v1 "
 _JSON_FORMAT = "isingring-sweep-v1"
-
-#: Golden-ratio section constant for the peak refinement.
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _q12(x: float) -> float:
@@ -384,11 +383,16 @@ def find_peak(
 ) -> PeakResult:
     """Locate and refine the maximum of ``column`` along the ratio axis.
 
-    The grid argmax seeds a golden-section search on the bracketing
-    interval; every probe re-evaluates the measure itself.  A maximum on
-    the first or last grid point is returned unrefined with
-    ``boundary=True`` (no bracket exists).
+    The grid argmax brackets a bounded Brent search (``minimize_scalar``,
+    ``method="bounded"``) between its grid neighbours; every probe
+    re-evaluates the measure, ``n_evals`` is the search's ``nfev`` and
+    ``xtol`` (finite, > 0) the absolute tolerance on the refined ratio.
+    The result is never below the grid maximum: if no probe beats it, the
+    grid point is returned.  A maximum on the first or last grid point is
+    returned unrefined with ``boundary=True`` (no bracket exists).
     """
+    if not (math.isfinite(xtol) and xtol > 0):
+        raise ValueError(f"xtol must be finite and positive, got {xtol}")
     if evaluator is None and column not in _REFINABLE:
         raise ValueError(
             f"column {column!r} is not a refinable measure; "
@@ -398,48 +402,22 @@ def find_peak(
     if np.any(~np.isfinite(values)):
         raise ValueError(f"column {column!r} has non-finite entries")
     i = int(np.argmax(values))
+    best_r, best_v = float(table.ratios[i]), float(values[i])
     if i == 0 or i == table.n_rows - 1:
-        return PeakResult(
-            ratio_star=float(table.ratios[i]),
-            value=float(values[i]),
-            column=column,
-            boundary=True,
-            n_evals=0,
-        )
+        return PeakResult(ratio_star=best_r, value=best_v, column=column,
+                          boundary=True, n_evals=0)
     if evaluator is None:
         evaluator = _make_evaluator(table, column)
-    lo, hi = float(table.ratios[i - 1]), float(table.ratios[i + 1])
-    best_r, best_v = float(table.ratios[i]), float(values[i])
-    n_evals = 0
-
-    def probe(r: float) -> float:
-        nonlocal best_r, best_v, n_evals
-        v = float(evaluator(r))
-        n_evals += 1
-        if v > best_v:
-            best_r, best_v = r, v
-        return v
-
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = probe(c), probe(d)
-    while (b - a) > xtol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = probe(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = probe(d)
-    return PeakResult(
-        ratio_star=best_r,
-        value=best_v,
-        column=column,
-        boundary=False,
-        n_evals=n_evals,
+    res = minimize_scalar(
+        lambda r: -float(evaluator(r)),
+        method="bounded",
+        bounds=(float(table.ratios[i - 1]), float(table.ratios[i + 1])),
+        options={"xatol": xtol},
     )
+    if -res.fun > best_v:
+        best_r, best_v = float(res.x), float(-res.fun)
+    return PeakResult(ratio_star=best_r, value=best_v, column=column,
+                      boundary=False, n_evals=int(res.nfev))
 
 
 # ------------------------------------------------------------------- fits

@@ -7,6 +7,8 @@ import pytest
 
 from isingring.cli import _parse_ratio_grid, build_parser, main
 from isingring.errors import ConvergenceWarning
+from isingring.global_discord import global_discord
+from isingring.ring import RingConfig, ground_state
 from isingring.sweep import SweepTable
 
 
@@ -64,6 +66,18 @@ def test_measures_global_on_product_state_reads_zero(capsys):
     )
     assert code == 0
     assert json.loads(out)["global_discord"]["value"] == 0.0
+
+
+def test_measures_global_rounds_the_hessian_margin(capsys):
+    """Only about 9 digits of the margin are stable (its central differences
+    scale the objective's rounding by 1e6), so 8 decimals are printed."""
+    code, out, _ = run_cli(
+        capsys, "measures", "--n", "4", "--b", "0.9", "--global"
+    )
+    margin = json.loads(out)["global_discord"]["hessian_margin"]
+    assert code == 0 and margin == round(margin, 8)
+    gs, _ = ground_state(RingConfig(n_sites=4, coupling_j=1.0, field_b=0.9))
+    assert abs(margin - global_discord(gs).hessian_margin) <= 5e-9
 
 
 def test_measures_pair_and_exit_code(capsys):

@@ -72,7 +72,8 @@ def test_subset_validation():
 def test_population_variance_definition():
     gs, _ = ground_state(RingConfig(n_sites=5, coupling_j=1.0, field_b=1.0))
     stats = entanglement_stats(gs)
-    values = np.array([e for _, e in stats.per_bipartition])
+    values = np.array([bipartition_entanglement(gs, cut) for cut in bipartitions(5)])
+    assert stats.n_bipartitions == values.size == 15
     assert abs(stats.mean - values.mean()) < 1e-14
     assert abs(stats.variance - ((values - values.mean()) ** 2).mean()) < 1e-14
 

@@ -208,15 +208,43 @@ def test_row_errors_leave_failed_group_nan(monkeypatch, tmp_path, name, group,
     assert SweepTable.from_csv(path).same_as(table)
 
 
-def test_find_peak_refines_with_injected_evaluator():
-    table = small_table()
-    peak = find_peak(
-        table, "gd", evaluator=lambda r: 1.0 - (r - 1.0) ** 2, xtol=1e-5
-    )
+#: Peak shapes with their true maximum, each off the grid points of
+#: ``small_table`` so that only refinement can reach it.
+PEAKS = {
+    "parabola": (lambda r: 1.0 - (r - 0.9876) ** 2, 0.9876),
+    "kink": (lambda r: 2.0 - abs(r - 1.0312), 1.0312),
+    "skewed": (lambda r: r ** 3 * math.exp(-2.8 * r), 3.0 / 2.8),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PEAKS))
+def test_find_peak_refines_with_injected_evaluator(shape):
+    f, true_ratio = PEAKS[shape]
+    table = small_table(gd=np.array([f(r) for r in [0.5, 0.75, 1.0, 1.25, 1.5]]))
+    peak = find_peak(table, "gd", evaluator=f, xtol=1e-5)
     assert not peak.boundary
-    assert abs(peak.ratio_star - 1.0) < 1e-4
-    assert abs(peak.value - 1.0) < 1e-8
+    assert abs(peak.ratio_star - true_ratio) <= 1e-5
+    assert peak.value >= np.max(table.columns["gd"])
     assert peak.n_evals > 0
+    if shape == "parabola":
+        # Brent's parabolic steps land on a parabola's vertex at once; a
+        # golden-section loop takes 25 probes to this tolerance
+        assert peak.n_evals <= 10
+
+
+def test_find_peak_keeps_the_grid_point_when_no_probe_beats_it():
+    peak = find_peak(small_table(), "gd", evaluator=lambda r: 0.5)
+    assert not peak.boundary and peak.n_evals > 0
+    assert (peak.ratio_star, peak.value) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("xtol", [0.0, -1.0, math.nan, math.inf])
+def test_find_peak_rejects_bad_xtol(xtol):
+    def never(r):
+        raise AssertionError("probed before xtol was checked")
+
+    with pytest.raises(ValueError, match="xtol"):
+        find_peak(small_table(), "gd", evaluator=never, xtol=xtol)
 
 
 def test_find_peak_boundary_flag():
