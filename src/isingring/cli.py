@@ -102,8 +102,8 @@ def _parse_threads(spec: str) -> int:
 
 def _add_common(parser: argparse.ArgumentParser, *, needs_field: bool) -> None:
     parser.add_argument("--n", type=int, required=True, help="ring size N")
-    parser.add_argument("--j", type=float, default=1.0, help="coupling J")
     if needs_field:
+        parser.add_argument("--j", type=float, default=1.0, help="coupling J")
         parser.add_argument("--b", type=float, default=0.0, help="field B")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=str, default=None, help="output file")
@@ -221,16 +221,16 @@ def _emit_record(record: dict, args) -> None:
         text = json.dumps(record, indent=2, default=str) + "\n"
     else:
         rows = ["key,value"]
-        flat = dict(record)
-        manifest = flat.pop("manifest", {})
-        for key, value in flat.items():
+        for key, value in record.items():
             items = ([(f"{key}.{k2}", v2) for k2, v2 in value.items()]
-                     if isinstance(value, dict) else [(key, value)])
-            # None is an empty cell, so the key set does not depend on it
+                     if isinstance(value, dict) and key != "manifest"
+                     else [(key, value)])
+            # None is an empty cell, so the key set does not depend on it;
+            # lists, nested records and the manifest are JSON text
             for name, v in items:
-                if v is None or np.isscalar(v):
-                    rows.append(f"{name},{'' if v is None else v}")
-        rows.append(f"manifest,{json.dumps(manifest)}")
+                cell = ("" if v is None else v if np.isscalar(v)
+                        else json.dumps(v, default=str))
+                rows.append(f"{name},{cell}")
         text = "\n".join(rows) + "\n"
     if args.out:
         _atomic_write(args.out, text)
@@ -350,7 +350,6 @@ def _cmd_sweep(args) -> int:
     table = sweep(
         args.n,
         ratios=args.ratio_grid,
-        coupling_j=args.j,
         measures=args.measures,
         opt=_optimizer_from(args),
         seed=args.seed,

@@ -8,12 +8,13 @@ the definition, evaluated with explicit projector sums.
 
 A ring ground state is first tried on a certified path: the better of the
 all-sigma^x and all-sigma^z bases, accepted when a finite-difference
-gradient and Hessian show a strict local minimum there.  The certificate is
-local; that this minimum is also the global one rests on the tests, where
-no search over ring ground states beats it.  Other states with the ring's
-symmetry need not share this (the tests hold ones whose minimum lies in a
-tilted basis), so every state that is not a ring ground state, and every
-failed certificate, goes to the multi-start search.
+gradient and a Hessian of two scalar circulants (O(N) evaluations) show a
+strict local minimum there.  The certificate is local; that this minimum is
+also the global one rests on the tests, where no search over ring ground
+states beats it.  Other states with the ring's symmetry need not share
+this (the tests hold ones whose minimum lies in a tilted basis), so every
+state that is not a ring ground state, and every failed certificate, goes
+to the multi-start search.
 """
 
 from __future__ import annotations
@@ -211,16 +212,19 @@ def _certify(tracker: _BudgetTracker, n: int) -> GDResult | None:
     """The better uniform basis, if it is a strict local minimum; else None.
 
     Each site's axis is tilted as n_j = normalize(n0 + a_j e1 + b_j e2), a
-    chart with no pole at either candidate.  A ring ground state is
-    invariant under the rotations and reflections of the ring, so every site
-    has the same gradient, and the 2N x 2N Hessian is block-circulant with
-    symmetric 2 x 2 blocks C_j = C_{N-j}; so only site 0 against sites
-    0..N//2 is differenced, and the spectrum is that of sum_j C_j cos(k j),
-    k = 2 pi m / N.  Central differences with step ``_STEP`` cost
-    10 + 12 (N // 2) evaluations.  Where an outcome has probability zero
-    (sigma^z on a parity eigenstate) the objective grows like t^2 log(1/t)
-    and the margin measures the stencil, not a finite curvature.  Raises
-    ``_BudgetExhausted`` when the budget runs out.
+    chart with no pole at either candidate.  Only ring ground states get
+    here.  The ring's symmetry gives every site the same gradient and makes
+    a coupling depend on |i - j| mod N; reality (e2 is sigma^y) and parity
+    (n and -n give one basis) make the objective even in all b_j, and in
+    all a_j, together.  So the a-b couplings vanish and the Hessian is two
+    circulants with spectra sum_j C_{d,j} cos(2 pi m j / N).  Each coupling
+    C_{d,j} = C_{d,N-j} of site 0 takes two probes,
+    [f(h e_0d + h e_jd) - f(h e_0d - h e_jd)] / (2 h^2): 6 + 4 (N // 2)
+    evaluations in all.  The gradient's four probes spot-check the evenness.
+    Where an outcome has probability zero (sigma^z on a parity eigenstate)
+    the objective grows like t^2 log(1/t) and the margin measures the
+    stencil, not a finite curvature.  Raises ``_BudgetExhausted`` when the
+    budget runs out.
     """
     def probe(frame, tilt):
         v = frame[0] + tilt @ frame[1:]
@@ -230,29 +234,24 @@ def _certify(tracker: _BudgetTracker, n: int) -> GDResult | None:
     basis = min(values, key=values.get)
     frame, f0, h = _FRAMES[basis], values[basis], _STEP
 
-    def moved(*steps):
+    def moved(d, *steps):
         tilt = np.zeros((n, 2))
-        for site, axis, step in steps:
-            tilt[site, axis] += step
+        for site, step in steps:
+            tilt[site, d] += step
         return probe(frame, tilt)
 
-    plus = [moved((0, d, h)) for d in (0, 1)]
-    minus = [moved((0, d, -h)) for d in (0, 1)]
+    plus = [moved(d, (0, h)) for d in (0, 1)]
+    minus = [moved(d, (0, -h)) for d in (0, 1)]
     grad = math.sqrt(n) * math.hypot(plus[0] - minus[0], plus[1] - minus[1]) / (2 * h)
-    rows = np.zeros((n // 2 + 1, 2, 2))
+    rows = np.zeros((2, n // 2 + 1))
     for d in (0, 1):
-        rows[0, d, d] = (plus[d] + minus[d] - 2.0 * f0) / h ** 2
-    for j in range(n // 2 + 1):
-        for d, e in ((0, 1), (0, 0), (1, 1)):
-            if j == 0 and d == e:
-                continue
-            rows[j, d, e] = rows[j, e, d] = sum(
-                s * t * moved((0, d, s * h), (j, e, t * h))
-                for s in (1, -1) for t in (1, -1)) / (4 * h * h)
+        rows[d, 0] = (plus[d] + minus[d] - 2.0 * f0) / h ** 2
+        for j in range(1, n // 2 + 1):
+            rows[d, j] = (moved(d, (0, h), (j, h))
+                          - moved(d, (0, h), (j, -h))) / (2 * h * h)
     sites = np.arange(n)
-    blocks = rows[np.minimum(sites, n - sites)]
     phases = np.cos(2.0 * math.pi * np.outer(sites, sites) / n)
-    margin = float(np.linalg.eigvalsh(np.einsum("mj,jde->mde", phases, blocks)).min())
+    margin = float((rows[:, np.minimum(sites, n - sites)] @ phases).min())
     if not (grad <= _GRAD_TOL and margin >= _MARGIN_TOL):
         return None
     return GDResult(value=float(f0), argmin_angles=_angles(np.tile(frame[0], (n, 1))),
@@ -267,7 +266,7 @@ def global_discord(gs: PureState, opt: OptimizerConfig | None = None) -> GDResul
     certified path (``_certify``):
     it is converged when, at the better of the all-sigma^x and all-sigma^z
     bases, the finite-difference gradient has norm <= ``_GRAD_TOL`` (1e-6)
-    and the smallest Hessian eigenvalue, ``hessian_margin``, is >=
+    and the smallest tilt-Hessian eigenvalue, ``hessian_margin``, is >=
     ``_MARGIN_TOL`` (1e-6), both with step ``_STEP`` (1e-3).  That shows a
     strict local minimum; the tests show that no search beats it on ring
     ground states.  A failed certificate, or any other state, falls back to

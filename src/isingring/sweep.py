@@ -182,6 +182,8 @@ class SweepTable:
         if not lines or not lines[0].startswith(_CSV_MAGIC):
             raise ValueError(f"{path}: not an isingring sweep CSV")
         metadata = json.loads(lines[0][len(_CSV_MAGIC):])
+        if len(lines) < 2:
+            raise ValueError(f"{path}: missing the column header")
         header = tuple(lines[1].split(","))
         if header != COLUMNS:
             raise ValueError(f"{path}: unexpected column header {header}")
@@ -242,11 +244,8 @@ def _normalize_measures(measures) -> tuple:
     return tuple(g for g in MEASURE_GROUPS if g in requested)
 
 
-def _state_at(n_sites: int, coupling_j: float, ratio: float):
-    config = RingConfig(
-        n_sites=n_sites, coupling_j=coupling_j, field_b=ratio * coupling_j
-    )
-    return ground_state(config)[0]
+def _state_at(n_sites: int, ratio: float):
+    return ground_state(RingConfig(n_sites=n_sites, field_b=ratio))[0]
 
 
 def _row_values(args):
@@ -255,8 +254,8 @@ def _row_values(args):
     A group that raises leaves all of its cells unset (NaN in the table);
     a failed GD search also counts as not converged.
     """
-    n_sites, coupling_j, ratio, measures, opt, seed = args
-    gs = _state_at(n_sites, coupling_j, ratio)
+    n_sites, ratio, measures, opt, seed = args
+    gs = _state_at(n_sites, ratio)
     out, errors = {}, []
     for group in measures:
         columns, cells = _MEASURES[group]
@@ -273,7 +272,6 @@ def sweep(
     n_sites: int,
     ratios=None,
     *,
-    coupling_j: float = 1.0,
     measures=MEASURE_GROUPS,
     opt: OptimizerConfig | None = None,
     seed: int = 0,
@@ -281,6 +279,7 @@ def sweep(
 ) -> SweepTable:
     """Evaluate the requested measure families over a B/J grid.
 
+    Every measure depends on B/J alone, so the ring is solved at J = 1.
     Rows are computed independently (in ``n_workers`` processes; None means
     1) and assembled in grid order, so the result is identical for any worker
     count.  A failure at one grid point leaves NaN in the affected cells, is
@@ -294,7 +293,7 @@ def sweep(
         raise ValueError(f"n_workers must be None or >= 1, got {n_workers}")
     measures = _normalize_measures(measures)
     opt = opt if opt is not None else OptimizerConfig(seed=seed)
-    args = [(n_sites, coupling_j, float(r), measures, opt, seed) for r in ratios]
+    args = [(n_sites, float(r), measures, opt, seed) for r in ratios]
     if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
             results = list(pool.map(_row_values, args))
@@ -311,7 +310,6 @@ def sweep(
     columns["gd_diff"] = _first_difference(ratios, columns["gd"])
     metadata = {
         "n_sites": n_sites,
-        "coupling_j": coupling_j,
         "seed": seed,
         "measures": list(measures),
         "grid": {
@@ -358,10 +356,10 @@ def _make_evaluator(table: SweepTable, column: str):
     """
     meta = table.metadata
     n_sites = meta["n_sites"]
-    coupling_j = meta.get("coupling_j", 1.0)
     seed = meta.get("seed", 0)
     # tables written before the Nelder-Mead tolerances became constants
-    # still carry them as optimizer fields
+    # still carry them as optimizer fields; older ones also carry a
+    # coupling_j, ignored since every measure depends on B/J alone
     opt_fields = {k: v for k, v in (meta.get("optimizer") or {}).items()
                   if k not in ("xatol", "fatol")}
     opt = OptimizerConfig(**opt_fields)
@@ -369,7 +367,7 @@ def _make_evaluator(table: SweepTable, column: str):
     k = columns.index(column)
 
     def evaluate(ratio: float) -> float:
-        return cells(_state_at(n_sites, coupling_j, ratio), opt, seed)[k]
+        return cells(_state_at(n_sites, ratio), opt, seed)[k]
 
     return evaluate
 

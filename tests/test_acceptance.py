@@ -25,7 +25,10 @@ Variants of the definition tried so far, and what they give at N = 3..5:
     another log base                         reference / ours = 1.46, 1.60,
                                              1.71, 1.77, 1.88 at N = 3..7,
                                              not a constant factor
-    thermal state at T > 0                   untested
+    thermal state at T > 0 (test_thermal)    max of min(f_x, f_z), an upper
+                                             bound on GD, over 20 B/J in
+                                             [0.05, 3] and 8 T in [0.02, 5]:
+                                             1.254, 1.523, 1.794, at T = 0.02
 
 Those two criteria therefore fail honestly and are marked xfail with the
 evidence printed.

@@ -40,6 +40,31 @@ def test_ground_state_csv_format(capsys):
     assert {"energy", "parity", "manifest"} <= keys
 
 
+def test_csv_record_keys_equal_flattened_json_keys(capsys, tmp_path):
+    """The CSV form lists every field of the JSON record, nested records
+    flattened one level; list-valued cells are JSON text."""
+    table_file = os.fspath(tmp_path / "n3.csv")
+    run_cli(capsys, "sweep", "--n", "3", "--ratio-grid", "0.5,0.7,1.0",
+            "--measures", "gd", "--out", table_file)
+    for argv in (["ground-state", "--n", "3", "--b", "0.5"],
+                 ["measures", "--n", "3", "--b", "0.5", "--pair", "0", "1"],
+                 ["fit", "--tables", table_file]):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        flat = {}
+        for key, value in json.loads(out).items():
+            if isinstance(value, dict) and key != "manifest":
+                flat.update({f"{key}.{k2}": v2 for k2, v2 in value.items()})
+            else:
+                flat[key] = value
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        cells = dict(ln.split(",", 1) for ln in out.splitlines()[1:])
+        assert code == 0 and cells.keys() == flat.keys(), argv
+        for key, value in flat.items():
+            if isinstance(value, list):
+                assert json.loads(cells[key]) == value, (argv, key)
+
+
 def test_measures_csv_keys_do_not_depend_on_the_gd_path(capsys):
     """The product state falls back to the search (basis and margin null),
     a ring ground state takes the certified path; both list the same
@@ -110,7 +135,7 @@ def test_measures_global_on_ghz(capsys):
 def test_measures_budget_starvation_exit_code(capsys):
     code, out, _ = run_cli(
         capsys, "measures", "--n", "4", "--b", "1",
-        "--global", "--max-evals", "20",
+        "--global", "--max-evals", "13",
     )
     record = json.loads(out)
     assert code == 1
@@ -190,6 +215,11 @@ def test_sweep_writes_table_with_manifest(capsys, tmp_path):
     manifest = table.metadata["manifest"]
     assert manifest["command"] == "sweep"
     assert manifest["arguments"]["measures"] == ["pair", "estats"]
+    # every measure depends on B/J alone, so a sweep takes no coupling
+    assert "coupling_j" not in table.metadata
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--n", "4", "--ratio-grid", "0.5,1,2", "--j", "0"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("spec", ["foo", ""])
@@ -235,7 +265,7 @@ def test_sweep_gd_exit_reflects_convergence(capsys, tmp_path):
     starved = os.fspath(tmp_path / "starved.csv")
     code, _, _ = run_cli(
         capsys, "sweep", "--n", "3", "--ratio-grid", "1.0",
-        "--measures", "gd", "--max-evals", "20", "--out", starved,
+        "--measures", "gd", "--max-evals", "9", "--out", starved,
     )
     assert code == 1
     table = SweepTable.from_csv(starved)
@@ -314,10 +344,12 @@ def test_fit_from_tables(capsys, tmp_path):
     peak = record["peaks"][0]
     assert peak["n_sites"] == 3 and not peak["boundary"]
     assert 0.6 < peak["ratio_star"] < 0.8
-    # older tables also list the Nelder-Mead tolerances as optimizer fields
+    # older tables also list the Nelder-Mead tolerances as optimizer fields,
+    # and the coupling J
     old_file = os.fspath(tmp_path / "old.csv")
     table = SweepTable.from_csv(table_file)
     table.metadata["optimizer"].update(xatol=1e-9, fatol=1e-9)
+    table.metadata["coupling_j"] = 2.0
     table.to_csv(old_file)
     code, out, _ = run_cli(capsys, "fit", "--tables", old_file)
     assert code == 0 and json.loads(out)["peaks"] == [peak]

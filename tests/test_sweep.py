@@ -51,7 +51,7 @@ def test_default_grid_properties():
         default_ratio_grid(count=1)
 
 
-def test_table_validation():
+def test_table_validation(tmp_path):
     with pytest.raises(ValueError):
         small_table(ratio=np.array([0.5, 0.75, 0.75, 1.25, 1.5]))  # not increasing
     with pytest.raises(ValueError, match="nonnegative"):  # as in sweep grids
@@ -69,6 +69,11 @@ def test_table_validation():
             | {"gd": np.array([1, 1, math.nan, 1, 1], dtype=float)},
             metadata={"measures": ["gd"], "row_errors": []},
         )
+    # a CSV cut after its metadata line has no column header
+    truncated = tmp_path / "truncated.csv"
+    truncated.write_text(small_table()._csv_text().splitlines()[0] + "\n")
+    with pytest.raises(ValueError, match="truncated.csv: missing the column header"):
+        SweepTable.from_csv(os.fspath(truncated))
 
 
 def test_zero_field_row_reproduces_cat_state_values():
@@ -300,6 +305,7 @@ def test_metadata_records_configuration():
     table = sweep(3, ratios=[0.8, 1.2], measures=("estats",), seed=9)
     meta = table.metadata
     assert meta["n_sites"] == 3 and meta["seed"] == 9
+    assert "coupling_j" not in meta
     assert meta["measures"] == ["estats"]
     assert meta["grid"] == {"count": 2, "min": 0.8, "max": 1.2}
     assert meta["row_errors"] == []
