@@ -8,6 +8,8 @@ code is 0 only when every requested optimization converged.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 import time
@@ -220,18 +222,21 @@ def _emit_record(record: dict, args) -> None:
     if fmt == "json":
         text = json.dumps(record, indent=2, default=str) + "\n"
     else:
-        rows = ["key,value"]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("key", "value"))
         for key, value in record.items():
             items = ([(f"{key}.{k2}", v2) for k2, v2 in value.items()]
                      if isinstance(value, dict) and key != "manifest"
                      else [(key, value)])
             # None is an empty cell, so the key set does not depend on it;
-            # lists, nested records and the manifest are JSON text
+            # lists, nested records and the manifest are JSON text, quoted
+            # by the writer where their commas would split the row
             for name, v in items:
                 cell = ("" if v is None else v if np.isscalar(v)
                         else json.dumps(v, default=str))
-                rows.append(f"{name},{cell}")
-        text = "\n".join(rows) + "\n"
+                writer.writerow((name, cell))
+        text = buf.getvalue()
     if args.out:
         _atomic_write(args.out, text)
     else:

@@ -82,19 +82,31 @@ class _SymmetricBasis:
 
 
 @functools.lru_cache(maxsize=None)
-def _symmetric_basis(n_sites: int) -> _SymmetricBasis:
+def _dihedral_orbits(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the N-bit configurations under the rotations and
+    reflections of the ring: ``reps[labels[x]]`` is the smallest index among
+    all rotations of ``x`` and of its mirror image, and ``reps`` is sorted,
+    so comparing labels compares representatives."""
     n = n_sites
     idx = np.arange(2 ** n)
-    bits = [(idx >> k) & 1 for k in range(n)]
-    popcount = sum(bits)
-    reversed_idx = sum(bit << (n - 1 - k) for k, bit in enumerate(bits))
-    # Orbit representative: the smallest index among all rotations of the
-    # configuration and of its mirror image.
+    reversed_idx = sum(((idx >> k) & 1) << (n - 1 - k) for k in range(n))
     rep = idx.copy()
     for word in (idx, reversed_idx):
         for k in range(n):
             np.minimum(rep, ((word << k) | (word >> (n - k))) & (2 ** n - 1), out=rep)
     reps, labels = np.unique(rep, return_inverse=True)
+    # Every caller shares the cached tables, so none may write to them.
+    reps.setflags(write=False)
+    labels.setflags(write=False)
+    return reps, labels
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetric_basis(n_sites: int) -> _SymmetricBasis:
+    n = n_sites
+    idx = np.arange(2 ** n)
+    popcount = sum((idx >> k) & 1 for k in range(n))
+    reps, labels = _dihedral_orbits(n)
     norm = 1.0 / np.sqrt(np.bincount(labels))[labels]
     flips = np.array([(1 << (n - 1 - s)) | (1 << (n - 1 - (s + 1) % n)) for s in range(n)])
     partners = idx[None, :] ^ flips[:, None]
@@ -109,7 +121,7 @@ def _symmetric_basis(n_sites: int) -> _SymmetricBasis:
         sectors.append((orbits, hop[np.ix_(orbits, orbits)], sz_total[orbits]))
     basis = _SymmetricBasis(popcount, flips, labels, norm, reps.size, tuple(sectors))
     # Every caller shares the cached tables, so none may write to them.
-    for table in (popcount, flips, labels, norm, *(a for sec in sectors for a in sec)):
+    for table in (popcount, flips, norm, *(a for sec in sectors for a in sec)):
         table.setflags(write=False)
     return basis
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import warnings
@@ -16,6 +17,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def csv_cells(out):
+    """The key -> value cells of a CSV record, header row dropped."""
+    return dict(csv.reader(out.splitlines()[1:]))
 
 
 def test_ground_state_record(capsys):
@@ -58,11 +64,34 @@ def test_csv_record_keys_equal_flattened_json_keys(capsys, tmp_path):
             else:
                 flat[key] = value
         code, out, _ = run_cli(capsys, *argv, "--format", "csv")
-        cells = dict(ln.split(",", 1) for ln in out.splitlines()[1:])
+        cells = csv_cells(out)
         assert code == 0 and cells.keys() == flat.keys(), argv
         for key, value in flat.items():
             if isinstance(value, list):
                 assert json.loads(cells[key]) == value, (argv, key)
+
+
+def test_csv_records_parse_as_csv(capsys):
+    """JSON cells hold commas, so the writer quotes them: a CSV reader sees
+    two fields on every row, and each JSON cell round-trips."""
+    for argv in (["fit", "--points", "3:1.83,4:2.44"],
+                 ["measures", "--n", "4", "--b", "0.5", "--pair", "0", "1"]):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        record = json.loads(out)
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        rows = list(csv.reader(out.splitlines()))
+        assert code == 0 and rows[0] == ["key", "value"], argv
+        assert all(len(row) == 2 for row in rows), argv
+        json_cells = {key: cell for key, cell in rows[1:]
+                      if cell.startswith(("[", "{"))}
+        assert {"manifest"} < json_cells.keys(), argv
+        for key, cell in json_cells.items():
+            value = json.loads(cell)
+            assert json.dumps(value) == cell, (argv, key)
+            if key != "manifest":
+                section, _, field = key.partition(".")
+                assert value == (record[section][field] if field
+                                 else record[section]), (argv, key)
 
 
 def test_measures_csv_keys_do_not_depend_on_the_gd_path(capsys):
@@ -76,7 +105,7 @@ def test_measures_csv_keys_do_not_depend_on_the_gd_path(capsys):
             "--global", "--restarts", "4", "--format", "csv",
         )
         assert code == 0
-        cells = dict(ln.split(",", 1) for ln in out.splitlines()[1:-1])
+        cells = csv_cells(out)
         keys.append({k for k in cells if k.startswith("global_discord.")})
         margin = cells["global_discord.hessian_margin"]
         assert (margin == "") == (state == "product"), (state, margin)
