@@ -1,8 +1,11 @@
 """Command-line interface: ground-state, measures, sweep, fit.
 
-Every run emits a manifest (command, argument echo, seed, package version,
-wall time) embedded in its output so results stay reproducible.  The exit
-code is 0 only when every requested optimization converged.
+A subcommand parses its arguments into a computation and returns its output
+(a record or a sweep table) and whether every requested optimization
+converged.  ``main`` alone stamps the manifest (command, argument echo,
+seed, package version, wall time) into that output, writes it, and turns
+convergence into the exit code.  ``measures`` and ``sweep`` compute through
+one measure table, ``sweep._MEASURES``.
 """
 
 from __future__ import annotations
@@ -14,21 +17,12 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
-from .entanglement import entanglement_stats
 from .errors import ConvergenceWarning
-from .global_discord import OptimizerConfig, global_discord
-from .pair_measures import (
-    amid,
-    discord,
-    mid,
-    pair_mutual_information,
-    reduced_two_spin,
-)
+from .global_discord import OptimizerConfig
 from .ring import (
     RingConfig,
     ghz_state,
@@ -37,6 +31,7 @@ from .ring import (
     product_state_down,
 )
 from .sweep import (
+    _MEASURES,
     SweepTable,
     _atomic_write,
     _checked_ratios,
@@ -49,21 +44,12 @@ from .sweep import (
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 1
+EXIT_USAGE = 2
 EXIT_ERROR = 3
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record attached to every CLI output."""
-
-    command: str
-    arguments: dict
-    seed: int | None
-    version: str
-    wall_time_s: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+class _UsageError(Exception):
+    """A combination of options that the parser cannot reject by itself."""
 
 
 def _parse_ratio_grid(spec: str) -> np.ndarray:
@@ -108,6 +94,10 @@ def _add_common(parser: argparse.ArgumentParser, *, needs_field: bool) -> None:
         parser.add_argument("--j", type=float, default=1.0, help="coupling J")
         parser.add_argument("--b", type=float, default=0.0, help="field B")
     parser.add_argument("--seed", type=int, default=0)
+    _add_output(parser)
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=str, default=None, help="output file")
     parser.add_argument(
         "--format", choices=("csv", "json"), default=None, dest="fmt"
@@ -192,55 +182,34 @@ def build_parser() -> argparse.ArgumentParser:
         "--tables", type=str, nargs="+", default=None,
         help="sweep tables (csv/json); each contributes its refined gd peak",
     )
-    p_ft.add_argument("--out", type=str, default=None)
-    p_ft.add_argument(
-        "--format", choices=("csv", "json"), default=None, dest="fmt"
-    )
+    _add_output(p_ft)
     p_ft.set_defaults(func=_cmd_fit)
     return parser
 
 
-def _manifest(args, command: str, t0: float) -> RunManifest:
-    echo = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "command"):
-            continue
-        if isinstance(value, np.ndarray):
-            value = [float(v) for v in value]
-        echo[key] = value
-    return RunManifest(
-        command=command,
-        arguments=echo,
-        seed=getattr(args, "seed", None),
-        version=__version__,
-        wall_time_s=round(time.time() - t0, 3),
-    )
+def _is_json(path) -> bool:
+    """The suffix rule: a path ending in ``.json`` holds JSON, any other CSV."""
+    return (path or "").endswith(".json")
 
 
-def _emit_record(record: dict, args) -> None:
-    fmt = args.fmt or "json"
+def _record_text(record: dict, fmt: str) -> str:
     if fmt == "json":
-        text = json.dumps(record, indent=2, default=str) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("key", "value"))
-        for key, value in record.items():
-            items = ([(f"{key}.{k2}", v2) for k2, v2 in value.items()]
-                     if isinstance(value, dict) and key != "manifest"
-                     else [(key, value)])
-            # None is an empty cell, so the key set does not depend on it;
-            # lists, nested records and the manifest are JSON text, quoted
-            # by the writer where their commas would split the row
-            for name, v in items:
-                cell = ("" if v is None else v if np.isscalar(v)
-                        else json.dumps(v, default=str))
-                writer.writerow((name, cell))
-        text = buf.getvalue()
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+        return json.dumps(record, indent=2, default=str) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("key", "value"))
+    for key, value in record.items():
+        items = ([(f"{key}.{k2}", v2) for k2, v2 in value.items()]
+                 if isinstance(value, dict) and key != "manifest"
+                 else [(key, value)])
+        # None is an empty cell, so the key set does not depend on it;
+        # lists, nested records and the manifest are JSON text, quoted
+        # by the writer where their commas would split the row
+        for name, v in items:
+            cell = ("" if v is None else v if np.isscalar(v)
+                    else json.dumps(v, default=str))
+            writer.writerow((name, cell))
+    return buf.getvalue()
 
 
 def _optimizer_from(args) -> OptimizerConfig:
@@ -261,8 +230,7 @@ def _state_for(args):
     return ground_state(config)
 
 
-def _cmd_ground_state(args) -> int:
-    t0 = time.time()
+def _cmd_ground_state(args):
     config = RingConfig(n_sites=args.n, coupling_j=args.j, field_b=args.b)
     gs, energy = ground_state(config)
     amps = gs.amplitudes
@@ -281,21 +249,18 @@ def _cmd_ground_state(args) -> int:
             for k in top
             if abs(amps[k]) > 1e-12
         },
-        "converged": True,
     }
-    record["manifest"] = _manifest(args, "ground-state", t0).to_dict()
-    _emit_record(record, args)
-    return EXIT_OK
+    return record, True
 
 
-def _cmd_measures(args) -> int:
-    t0 = time.time()
-    if args.pair is None and not args.global_measure and not args.estats:
-        print(
-            "measures: choose at least one of --pair/--global/--estats",
-            file=sys.stderr,
-        )
-        return 2
+def _cmd_measures(args):
+    # in the order the record lists them
+    wanted = (("pair", args.pair is not None), ("gd", args.global_measure),
+              ("estats", args.estats))
+    groups = [group for group, flag in wanted if flag]
+    if not groups:
+        raise _UsageError(
+            "measures: choose at least one of --pair/--global/--estats")
     state, energy = _state_for(args)
     record = {
         "n_sites": args.n,
@@ -305,53 +270,22 @@ def _cmd_measures(args) -> int:
     }
     if energy is not None:
         record["energy"] = energy
-    converged = True
-    if args.pair is not None:
-        i, j = args.pair
-        pair = reduced_two_spin(state, i, j)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ConvergenceWarning)
-            d_a = discord(pair, direction="a->b")
-            d_b = discord(pair, direction="b->a")
-            record["pair"] = {
-                "sites": [i, j],
-                "discord": max(d_a, d_b),
-                "discord_a_measured": d_a,
-                "discord_b_measured": d_b,
-                "mid": mid(pair),
-                "amid": amid(pair, seed=args.seed),
-                "mutual_information": pair_mutual_information(pair),
-            }
-        if any(issubclass(w.category, ConvergenceWarning) for w in caught):
-            converged = False
-    if args.global_measure:
-        result = global_discord(state, _optimizer_from(args))
-        record["global_discord"] = {
-            "value": result.value,
-            "converged": result.converged,
-            "n_restarts": result.n_restarts,
-            "n_evals": result.n_evals,
-            "basis": result.basis,
-            # ~9 digits are stable: its central differences scale rounding by 1e6
-            "hessian_margin": (None if result.hessian_margin is None
-                               else round(result.hessian_margin, 8)),
-        }
-        converged = converged and result.converged
-    if args.estats:
-        stats = entanglement_stats(state)
-        record["entanglement_stats"] = {
-            "mean": stats.mean,
-            "variance": stats.variance,
-            "n_bipartitions": stats.n_bipartitions,
-        }
-    record["converged"] = converged
-    record["manifest"] = _manifest(args, "measures", t0).to_dict()
-    _emit_record(record, args)
-    return EXIT_OK if converged else EXIT_NOT_CONVERGED
+    # only --global uses it, so only --global rejects a bad budget
+    opt = _optimizer_from(args) if args.global_measure else None
+    # the pair polishes warn when they stop on their budget.  The capture
+    # stays here, not in main: a sweep's worker processes keep their
+    # warnings, so there they could not decide the exit code.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConvergenceWarning)
+        for group in groups:
+            key, record_of, _ = _MEASURES[group]
+            record[key] = record_of(state, opt, args.seed, args.pair)
+    stalled = any(issubclass(w.category, ConvergenceWarning) for w in caught)
+    return record, not stalled and record.get("global_discord", {}).get(
+        "converged", True)
 
 
-def _cmd_sweep(args) -> int:
-    t0 = time.time()
+def _cmd_sweep(args):
     table = sweep(
         args.n,
         ratios=args.ratio_grid,
@@ -360,16 +294,8 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         n_workers=args.threads,
     )
-    table.metadata["manifest"] = _manifest(args, "sweep", t0).to_dict()
-    fmt = args.fmt or ("json" if (args.out or "").endswith(".json") else "csv")
-    if args.out:
-        (table.to_json if fmt == "json" else table.to_csv)(args.out)
-    else:
-        sys.stdout.write(table._json_text() if fmt == "json" else table._csv_text())
-    ok = not table.metadata["row_errors"]
-    if "gd" in args.measures:
-        ok = ok and bool(np.all(table.columns["gd_converged"] == 1.0))
-    return EXIT_OK if ok else EXIT_NOT_CONVERGED
+    gd_ok = "gd" not in args.measures or np.all(table.columns["gd_converged"] == 1.0)
+    return table, bool(gd_ok) and not table.metadata["row_errors"]
 
 
 def _parse_points(spec: str) -> list[tuple[int, float]]:
@@ -389,15 +315,13 @@ def _parse_points(spec: str) -> list[tuple[int, float]]:
     return points
 
 
-def _cmd_fit(args) -> int:
-    t0 = time.time()
+def _cmd_fit(args):
     if (args.points is None) == (args.tables is None):
-        print("fit: supply exactly one of --points or --tables", file=sys.stderr)
-        return 2
+        raise _UsageError("fit: supply exactly one of --points or --tables")
     points, peaks = args.points or [], []
     for path in args.tables or ():
         loader = (
-            SweepTable.from_json if path.endswith(".json")
+            SweepTable.from_json if _is_json(path)
             else SweepTable.from_csv
         )
         table = loader(path)
@@ -419,22 +343,41 @@ def _cmd_fit(args) -> int:
     }
     if peaks:
         record["peaks"] = peaks
-    record["converged"] = True
-    record["manifest"] = _manifest(args, "fit", t0).to_dict()
-    _emit_record(record, args)
-    return EXIT_OK
+    return record, True
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
-        return args.func(args)
-    except SystemExit:
-        raise
+        output, converged = args.func(args)
+        echo = {k: [float(x) for x in v] if isinstance(v, np.ndarray) else v
+                for k, v in sorted(vars(args).items()) if k not in ("func", "command")}
+        manifest = {"command": args.command, "arguments": echo,
+                    "seed": getattr(args, "seed", None), "version": __version__,
+                    "wall_time_s": round(time.time() - t0, 3)}
+        if isinstance(output, SweepTable):
+            output.metadata["manifest"] = manifest
+            fmt = args.fmt or ("json" if _is_json(args.out) else "csv")
+            if args.out:
+                (output.to_json if fmt == "json" else output.to_csv)(args.out)
+            else:
+                sys.stdout.write(output._json_text() if fmt == "json"
+                                 else output._csv_text())
+        else:
+            output.update(converged=converged, manifest=manifest)
+            text = _record_text(output, args.fmt or "json")
+            if args.out:
+                _atomic_write(args.out, text)
+            else:
+                sys.stdout.write(text)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:  # surface a clean one-line error, not a traceback
         print(f"isingring: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
 if __name__ == "__main__":

@@ -3,9 +3,11 @@
 A sweep evaluates the measure families (global discord, nearest-neighbour
 pair measures, bipartition-entanglement statistics) on the ring ground state
 over a grid of field/coupling ratios and collects them in a flat table with
-a fixed column schema.  Peaks are refined by a bounded Brent search
-(``scipy.optimize.minimize_scalar``) that re-evaluates the underlying
-measure, not by interpolating the grid.
+a fixed column schema.  One measure table, ``_MEASURES``, maps each family
+to the function that computes its record; the columns are a fixed projection
+of those records, and the CLI's ``measures`` prints them whole.  Peaks are
+refined by a bounded Brent search (``scipy.optimize.minimize_scalar``) that
+re-evaluates the underlying measure, not by interpolating the grid.
 """
 
 from __future__ import annotations
@@ -15,14 +17,17 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from multiprocessing import get_context
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .entanglement import entanglement_stats
 from .global_discord import OptimizerConfig, global_discord
-from .pair_measures import amid, discord, mid, reduced_two_spin
+from .pair_measures import (amid, discord, mid, pair_mutual_information,
+                            reduced_two_spin)
 from .ring import RingConfig, ground_state
 
 COLUMNS = (
@@ -38,37 +43,54 @@ COLUMNS = (
 )
 
 
-def _gd_cells(gs, opt, seed):
+#: The pair a sweep's ``pair`` group measures: nearest neighbours.
+_NN_SITES = (0, 1)
+
+
+def _gd_record(gs, opt, seed, sites):
     res = global_discord(gs, opt)
-    return res.value, float(res.converged)
+    # ~9 digits of the margin are stable: its central differences scale
+    # rounding by 1e6
+    margin = None if res.hessian_margin is None else round(res.hessian_margin, 8)
+    return {"value": res.value, "converged": res.converged,
+            "n_restarts": res.n_restarts, "n_evals": res.n_evals,
+            "basis": res.basis, "hessian_margin": margin}
 
 
-def _pair_cells(gs, opt, seed):
-    pair = reduced_two_spin(gs, 0, 1)
-    return discord(pair, direction="sym"), mid(pair), amid(pair, seed=seed)
+def _pair_record(gs, opt, seed, sites):
+    pair = reduced_two_spin(gs, *sites)
+    d_a, d_b = discord(pair, direction="a->b"), discord(pair, direction="b->a")
+    return {"sites": list(sites), "discord": max(d_a, d_b),
+            "discord_a_measured": d_a, "discord_b_measured": d_b,
+            "mid": mid(pair), "amid": amid(pair, seed=seed),
+            "mutual_information": pair_mutual_information(pair)}
 
 
-def _estats_cells(gs, opt, seed):
-    stats = entanglement_stats(gs)
-    return stats.mean, stats.variance
+def _estats_record(gs, opt, seed, sites):
+    return asdict(entanglement_stats(gs))
 
 
-#: Measure group -> (the columns it fills, the function of (PureState,
-#: OptimizerConfig, seed) returning those cells in that order).  Sweep rows
-#: and find_peak both read it.  The functions look the measures up by their
-#: module-global names at call time, so wrapping or monkeypatching those
-#: names reaches every call.
+#: Measure group -> (its key in a ``measures`` record, the function of
+#: (PureState, OptimizerConfig, seed, pair sites) returning the group's
+#: record, {table column: the record field it holds}).  The CLI's
+#: ``measures``, sweep rows and find_peak all read it.  The functions look
+#: the measures up by their module-global names at call time, so wrapping or
+#: monkeypatching those names reaches every call in this process.
 _MEASURES = {
-    "gd": (("gd", "gd_converged"), _gd_cells),
-    "pair": (("nn_discord", "nn_mid", "nn_amid"), _pair_cells),
-    "estats": (("mean_E", "var_E"), _estats_cells),
+    "gd": ("global_discord", _gd_record,
+           {"gd": "value", "gd_converged": "converged"}),
+    "pair": ("pair", _pair_record,
+             {"nn_discord": "discord", "nn_mid": "mid", "nn_amid": "amid"}),
+    "estats": ("entanglement_stats", _estats_record,
+               {"mean_E": "mean", "var_E": "variance"}),
 }
 
 MEASURE_GROUPS = tuple(_MEASURES)
 
 #: Column find_peak can re-evaluate -> its group: every cell but the 0/1 flag.
 _REFINABLE = {
-    c: g for g, (cols, _) in _MEASURES.items() for c in cols if c != "gd_converged"
+    c: g for g, (_, _, cols) in _MEASURES.items() for c in cols
+    if c != "gd_converged"
 }
 
 _CSV_MAGIC = "# isingring-sweep-v1 "
@@ -126,7 +148,7 @@ class SweepTable:
             object.__setattr__(self, "columns", {**self.columns, name: col})
         if not self.metadata.get("row_errors"):
             measures = self.metadata.get("measures", ())
-            checked = [c for g in measures for c in _MEASURES[g][0]]
+            checked = [c for g in measures for c in _MEASURES[g][2]]
             if "gd" in measures:
                 checked.append("gd_diff")
             for name in checked:
@@ -199,8 +221,14 @@ class SweepTable:
     def from_json(cls, path: str) -> "SweepTable":
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("format") != _JSON_FORMAT:
+        if not isinstance(payload, dict) or payload.get("format") != _JSON_FORMAT:
             raise ValueError(f"{path}: not an isingring sweep JSON")
+        for key in ("metadata", "columns"):
+            if key not in payload:
+                raise ValueError(f"{path}: missing the {key!r} key")
+        missing = [c for c in COLUMNS if c not in payload["columns"]]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
         columns = {c: np.array(payload["columns"][c], float) for c in COLUMNS}
         return cls(columns=columns, metadata=payload["metadata"])
 
@@ -248,6 +276,28 @@ def _state_at(n_sites: int, ratio: float):
     return ground_state(RingConfig(n_sites=n_sites, field_b=ratio))[0]
 
 
+#: Environment variables that size the BLAS thread pool of a new process.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _worker_pool(n_workers: int):
+    """Pool of ``n_workers`` spawned processes with one BLAS thread each, as
+    rows already run in parallel (a forked worker keeps the parent's pool).
+    A spawn pool starts workers on demand as work is submitted, so the
+    thread variables stay set for the whole block, then are restored."""
+    saved = {name: os.environ.pop(name, None) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(n_workers, mp_context=get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            os.environ.pop(name, None)
+            if value is not None:
+                os.environ[name] = value
+
+
 def _row_values(args):
     """Evaluate one grid point; module-level so worker processes can pick it up.
 
@@ -258,9 +308,10 @@ def _row_values(args):
     gs = _state_at(n_sites, ratio)
     out, errors = {}, []
     for group in measures:
-        columns, cells = _MEASURES[group]
+        _, record_of, columns = _MEASURES[group]
         try:
-            out.update(zip(columns, cells(gs, opt, seed)))
+            record = record_of(gs, opt, seed, _NN_SITES)
+            out.update((c, record[f]) for c, f in columns.items())
         except Exception as exc:
             errors.append(f"{group}@ratio={ratio:.6g}: {exc}")
             if group == "gd":
@@ -280,10 +331,11 @@ def sweep(
     """Evaluate the requested measure families over a B/J grid.
 
     Every measure depends on B/J alone, so the ring is solved at J = 1.
-    Rows are computed independently (in ``n_workers`` processes; None means
-    1) and assembled in grid order, so the result is identical for any worker
-    count.  A failure at one grid point leaves NaN in the affected cells, is
-    recorded in ``metadata['row_errors']``, and the sweep continues.
+    Rows are computed independently (in ``n_workers`` spawned processes with
+    one BLAS thread each; None means 1) and assembled in grid order, so the
+    result is identical for any worker count.  A failure at one grid point
+    leaves NaN in the affected cells, is recorded in
+    ``metadata['row_errors']``, and the sweep continues.
     """
     if ratios is None:
         ratios = default_ratio_grid()
@@ -295,7 +347,7 @@ def sweep(
     opt = opt if opt is not None else OptimizerConfig(seed=seed)
     args = [(n_sites, float(r), measures, opt, seed) for r in ratios]
     if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
+        with _worker_pool(min(workers, len(args))) as pool:
             results = list(pool.map(_row_values, args))
     else:
         results = [_row_values(a) for a in args]
@@ -363,11 +415,11 @@ def _make_evaluator(table: SweepTable, column: str):
     opt_fields = {k: v for k, v in (meta.get("optimizer") or {}).items()
                   if k not in ("xatol", "fatol")}
     opt = OptimizerConfig(**opt_fields)
-    columns, cells = _MEASURES[_REFINABLE[column]]
-    k = columns.index(column)
+    _, record_of, columns = _MEASURES[_REFINABLE[column]]
 
     def evaluate(ratio: float) -> float:
-        return cells(_state_at(n_sites, ratio), opt, seed)[k]
+        return record_of(_state_at(n_sites, ratio), opt, seed,
+                         _NN_SITES)[columns[column]]
 
     return evaluate
 

@@ -1,16 +1,21 @@
 import csv
+import importlib
 import json
 import os
 import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from isingring.cli import _parse_ratio_grid, build_parser, main
 from isingring.errors import ConvergenceWarning
 from isingring.global_discord import global_discord
 from isingring.ring import RingConfig, ground_state
-from isingring.sweep import SweepTable
+from isingring.sweep import SweepTable, _q12, sweep
+
+# ``isingring.sweep`` the attribute is the function; this is the module.
+sweep_module = importlib.import_module("isingring.sweep")
 
 
 def run_cli(capsys, *argv):
@@ -188,7 +193,7 @@ def test_measures_pair_discord_directions(capsys, monkeypatch):
         calls.append(direction)
         return {"a->b": 0.25, "b->a": 0.5}[direction]
 
-    monkeypatch.setattr("isingring.cli.discord", one_sided)
+    monkeypatch.setattr(sweep_module, "discord", one_sided)
     code, out, _ = run_cli(
         capsys, "measures", "--n", "4", "--b", "1", "--pair", "0", "1"
     )
@@ -205,13 +210,49 @@ def test_measures_pair_amid_not_converged_exit_code(capsys, monkeypatch):
         warnings.warn("no AMID restart converged", ConvergenceWarning)
         return 0.0
 
-    monkeypatch.setattr("isingring.cli.amid", stalled_amid)
+    monkeypatch.setattr(sweep_module, "amid", stalled_amid)
     code, out, _ = run_cli(
         capsys, "measures", "--n", "4", "--b", "1", "--pair", "0", "1"
     )
     record = json.loads(out)
     assert code == 1
     assert record["converged"] is False
+
+
+def test_measures_pair_discord_not_converged_exit_code(capsys, monkeypatch):
+    real = importlib.import_module("isingring.pair_measures").minimize
+
+    def stall_discord(fun, x0, **kwargs):
+        if len(x0) == 2:  # a discord polish; AMID's has 4 angles
+            return OptimizeResult(x=x0, fun=fun(x0), success=False)
+        return real(fun, x0, **kwargs)
+
+    monkeypatch.setattr("isingring.pair_measures.minimize", stall_discord)
+    code, out, _ = run_cli(
+        capsys, "measures", "--n", "4", "--b", "1", "--pair", "0", "1"
+    )
+    assert code == 1 and json.loads(out)["converged"] is False
+
+
+def test_sweep_row_is_a_projection_of_the_measures_record(capsys):
+    """``measures`` and ``sweep`` read one measure table: on the same ring,
+    each sweep cell is the matching ``measures`` field at 12 digits."""
+    code, out, _ = run_cli(
+        capsys, "measures", "--n", "4", "--b", "0.9", "--pair", "0", "1",
+        "--global", "--estats", "--seed", "3",
+    )
+    record = json.loads(out)
+    row = {c: v[0] for c, v in sweep(4, ratios=[0.9], seed=3).columns.items()}
+    pair, gd = record["pair"], record["global_discord"]
+    expected = {
+        "gd": gd["value"], "gd_converged": float(gd["converged"]),
+        "nn_discord": max(pair["discord_a_measured"], pair["discord_b_measured"]),
+        "nn_mid": pair["mid"], "nn_amid": pair["amid"],
+        "mean_E": record["entanglement_stats"]["mean"],
+        "var_E": record["entanglement_stats"]["variance"],
+    }
+    assert code == 0
+    assert {c: row[c] for c in expected} == {c: _q12(v) for c, v in expected.items()}
 
 
 def test_measures_requires_a_selection(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,36 @@ def test_discord_matches_brute_force_scan_on_non_x_states(rng):
             expected = oracles.discord_scan(rho, measured)
             assert got <= expected + 1e-10, (direction, got, expected)
             assert abs(got - expected) < 1e-6, (direction, got, expected)
+
+
+def test_discord_polish_converges_from_a_zero_angle_probe():
+    """The 23rd Ginibre draw after 150 X states of rng 42: the "a->b" polish
+    starts on a probe with a zero angle.  A simplex stepping 2.5e-4 rad there
+    runs out of its 600 evaluations 0.0126 bit above the scan; the restart
+    with a 0.05 rad simplex converges onto the scan, with no
+    ConvergenceWarning."""
+    rng42 = np.random.default_rng(42)
+    for _ in range(150):
+        oracles.random_x_matrix(rng42)
+    rho = [oracles.random_density(rng42, 2) for _ in range(23)][-1]
+    expected = oracles.discord_scan(rho, 0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        one_sided, symmetric = discord(rho, direction="a->b"), discord(rho)
+    assert {w.category for w in caught} == {NonXStateWarning}
+    assert abs(one_sided - expected) < 1e-6, (one_sided, expected)
+    expected = max(expected, oracles.discord_scan(rho, 1))
+    assert abs(symmetric - expected) < 1e-6, (symmetric, expected)
+
+
+def test_discord_warns_when_its_polish_does_not_converge(monkeypatch):
+    def stalled(fun, x0, **kwargs):
+        return OptimizeResult(x=x0, fun=fun(x0), success=False)
+
+    monkeypatch.setattr("isingring.pair_measures.minimize", stalled)
+    with pytest.warns(ConvergenceWarning):
+        value = discord(BELL_RHO)
+    assert abs(value - 1.0) < 1e-12
 
 
 def test_mid_matches_projector_dephasing_on_non_x_states(rng):

@@ -17,6 +17,7 @@ from isingring.cli import build_parser
 README = Path(__file__).resolve().parents[1] / "README.md"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 PACKAGE = Path(isingring.__file__).resolve().parent
+CLI = PACKAGE / "cli.py"
 PERFBENCH = README.parent / "perfbench"
 
 
@@ -76,6 +77,23 @@ def test_oracles_import_nothing_from_the_package():
         elif isinstance(node, ast.ImportFrom):
             modules.add(node.module or "")
     assert not {m for m in modules if m.split(".")[0] == "isingring"}, modules
+
+
+def test_cli_reaches_the_measures_through_the_measure_table():
+    """The CLI computes measures through ``sweep._MEASURES`` alone: it imports
+    nothing from ``pair_measures`` or ``entanglement`` and only the optimizer
+    settings from ``global_discord``."""
+    imported = set()  # (module, name); name None for a whole module
+    for node in ast.walk(ast.parse(CLI.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {(a.name.split(".")[-1], None) for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            imported |= {(a.name, None) if module in ("", "isingring")
+                         else (module, a.name) for a in node.names}
+    modules = {module for module, _ in imported}
+    assert not modules & {"pair_measures", "entanglement"}, imported
+    assert {n for m, n in imported if m == "global_discord"} == {"OptimizerConfig"}
 
 
 def _referenced_names(path: Path) -> set:

@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 import os
 
@@ -74,6 +75,23 @@ def test_table_validation(tmp_path):
     truncated.write_text(small_table()._csv_text().splitlines()[0] + "\n")
     with pytest.raises(ValueError, match="truncated.csv: missing the column header"):
         SweepTable.from_csv(os.fspath(truncated))
+    # a JSON table without its metadata, its columns or one column, or JSON
+    # that is not an object
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="list.json: not an isingring sweep JSON"):
+        SweepTable.from_json(os.fspath(not_object))
+    payload = json.loads(small_table()._json_text())
+    for cut, message in ((("metadata",), "missing the 'metadata' key"),
+                         (("columns",), "missing the 'columns' key"),
+                         (("columns", "nn_amid"), r"missing columns \['nn_amid'\]")):
+        broken = json.loads(json.dumps(payload))
+        owner = broken if len(cut) == 1 else broken["columns"]
+        del owner[cut[-1]]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken))
+        with pytest.raises(ValueError, match=f"broken.json: {message}"):
+            SweepTable.from_json(os.fspath(path))
 
 
 def test_zero_field_row_reproduces_cat_state_values():
@@ -164,7 +182,8 @@ def test_sweep_pool_is_no_larger_than_the_grid(monkeypatch):
     class SerialPool:
         """Records the requested pool size and maps in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == "spawn"
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -183,6 +202,26 @@ def test_sweep_pool_is_no_larger_than_the_grid(monkeypatch):
     assert table.same_as(sweep(3, ratios=grid, measures=("estats",)))
 
 
+def _threads_after_blas_call(size):
+    a = np.ones((size, size))
+    a @ a
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc")
+def test_sweep_workers_start_with_one_blas_thread(monkeypatch):
+    """A forked worker inherits the parent's BLAS pool (one thread per core);
+    the sweep's spawned workers start with one BLAS thread, whatever the
+    parent's environment, and the parent's environment is left as it was."""
+    for name in sweep_module._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    with sweep_module._worker_pool(2) as pool:
+        counts = list(pool.map(_threads_after_blas_call, [256, 256]))
+    assert counts == [1, 1]
+    assert not set(sweep_module._BLAS_THREAD_VARS) & set(os.environ)
+
+
 def _fail(*args, **kwargs):
     raise RuntimeError("boom")
 
@@ -190,7 +229,7 @@ def _fail(*args, **kwargs):
 @pytest.mark.parametrize("name, group, failed, kept", [
     ("entanglement_stats", "estats", ("mean_E", "var_E"), ("nn_discord",)),
     ("global_discord", "gd", ("gd",), ("mean_E", "var_E")),
-    # amid runs last in the pair group; its failure voids the whole group
+    # amid fails after discord and MID have run; the whole group is void
     ("amid", "pair", ("nn_discord", "nn_mid", "nn_amid"), ("mean_E",)),
 ])
 def test_row_errors_leave_failed_group_nan(monkeypatch, tmp_path, name, group,
