@@ -16,12 +16,10 @@ import io
 import json
 import sys
 import time
-import warnings
 
 import numpy as np
 
 from . import __version__
-from .errors import ConvergenceWarning
 from .global_discord import OptimizerConfig
 from .ring import (
     RingConfig,
@@ -36,6 +34,7 @@ from .sweep import (
     _atomic_write,
     _checked_ratios,
     _normalize_measures,
+    _stalls,
     default_ratio_grid,
     find_peak,
     fit_scaling,
@@ -272,16 +271,13 @@ def _cmd_measures(args):
         record["energy"] = energy
     # only --global uses it, so only --global rejects a bad budget
     opt = _optimizer_from(args) if args.global_measure else None
-    # the pair polishes warn when they stop on their budget.  The capture
-    # stays here, not in main: a sweep's worker processes keep their
-    # warnings, so there they could not decide the exit code.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ConvergenceWarning)
+    # the pair polishes warn ConvergenceWarning when they reach their step
+    # cap; a sweep collects the same warnings per row, as row errors
+    with _stalls() as stalls:
         for group in groups:
             key, record_of, _ = _MEASURES[group]
             record[key] = record_of(state, opt, args.seed, args.pair)
-    stalled = any(issubclass(w.category, ConvergenceWarning) for w in caught)
-    return record, not stalled and record.get("global_discord", {}).get(
+    return record, not stalls and record.get("global_discord", {}).get(
         "converged", True)
 
 

@@ -3,14 +3,15 @@
 Every pair measure works on the real Bloch form R[i, j] = Tr[rho sigma_i (x)
 sigma_j] (sigma_0 = I), which holds A's Bloch vector r = R[1:, 0], B's
 s = R[0, 1:] and the correlation matrix T = R[1:, 1:].  One numpy kernel per
-measure scores many measurement axes and single optimizer probes alike, on
-the single-qubit kernels of :mod:`density`.  Discord and AMID share one
-search, ``_polish``: score the probe axes (sigma^z, sigma^x, sigma^y, the
-side's Bloch direction and the singular axes of T) in one kernel call, then
-polish once (restarted once if it stops on its budget).  On X states (non-zero
+measure scores a whole batch of measurement angles per call, on the
+single-qubit kernels of :mod:`density`.  Discord and AMID share one search,
+``_polish``: score the probe axes (sigma^z, sigma^x, sigma^y, the side's
+Bloch direction and the singular axes of T) in one kernel call, then take
+safeguarded Newton steps from the best, two kernel calls each (a
+finite-difference stencil, then a line search).  On X states (non-zero
 entries on the diagonal and anti-diagonal only, as in every reduced pair of
 the ring) the probes hold the semi-closed Ali-Rau-Alber discord minimum
-(PRA 81, 042105, 2010).
+(PRA 81, 042105, 2010), so one step confirms it: three kernel calls.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
-from scipy.optimize import minimize
 
 from .density import (DensityMatrix, PureState, _angles, _entropy_bits, _h2,
                       _unit, reduced_state)
@@ -30,16 +30,18 @@ from .errors import ConvergenceWarning, NonXStateWarning, QuadratureError
 
 X_PATTERN_TOL = 1e-10
 
-#: Nelder-Mead stopping tolerance of the discord and AMID polish, on the
-#: angles and on the value alike.
-_POLISH_TOL = 1e-9
-
-#: Simplex edge (radians) of the polish's one restart.  scipy's default steps
-#: only 2.5e-4 rad in a zero angle, as on the sigma^z and sigma^x probes: the
-#: fewest evaluations from the exact optima of X states, but near theta = 0
-#: it can stall 0.01 bit above the minimum.  The restart has its own budget,
-#: so a polish that stalls spends up to twice ``maxfev``.
-_POLISH_STEP = 0.05
+#: Newton polish of discord and AMID: finite-difference step (rad), floor on
+#: the Hessian's |eigenvalues|, step fractions of the line search, the
+#: stopping tolerances on the value (bits) and on the move (rad), and the
+#: step cap.  Rounding puts ~4e-8 of noise on the Hessian at this step; a
+#: floor of 1e-6 cut true curvatures of ~7e-8 (phi, near theta = 0 of nearly
+#: mixed states) and crept through 50 steps there.
+_FD_STEP = 1e-4
+_CURVATURE_FLOOR = 1e-8
+_LINE_SEARCH = 0.5 ** np.arange(8)
+_POLISH_FTOL = 1e-15
+_POLISH_XTOL = 1e-9
+_POLISH_MAX_ITER = 50
 
 _OFF_PATTERN = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
 
@@ -123,30 +125,64 @@ def _probe_angles(bl: np.ndarray) -> np.ndarray:
     return _angles(axes)
 
 
-def _polish(cost, candidates: np.ndarray, maxfev: int) -> float:
+def _stencil(d: int) -> np.ndarray:
+    """Central-difference stencil offsets in units of the step: 0, then
+    +-e_i for each i, then (++, +-, -+, --) of e_i, e_j for each i < j;
+    2 d^2 + 1 rows."""
+    eye = np.eye(d)
+    pairs = [si * eye[i] + sj * eye[j] for i in range(d) for j in range(i + 1, d)
+             for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    return np.vstack([np.zeros(d), eye, -eye, *pairs])
+
+
+def _newton_step(values: np.ndarray, d: int) -> np.ndarray:
+    """Saddle-free Newton step from the ``_stencil`` values: the gradient and
+    Hessian by central differences, the Hessian's eigenvalues replaced by
+    max(|lambda|, ``_CURVATURE_FLOOR``), so the step descends at saddles and
+    stays put along flat directions (phi at theta = 0)."""
+    h = _FD_STEP
+    f0, fp, fm = values[0], values[1:d + 1], values[d + 1:2 * d + 1]
+    grad = (fp - fm) / (2.0 * h)
+    hess = np.diag((fp - 2.0 * f0 + fm) / h ** 2)
+    hess[np.triu_indices(d, 1)] = (values[2 * d + 1:].reshape(-1, 4)
+                                   @ [1.0, -1.0, -1.0, 1.0]) / (4.0 * h ** 2)
+    lam, vec = np.linalg.eigh(hess, UPLO="U")
+    return -vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), _CURVATURE_FLOOR))
+
+
+def _polish(cost, candidates: np.ndarray) -> float:
     """Score every candidate angle row in one vectorized ``cost`` call, then
-    polish by Nelder-Mead from the best row; returns the minimum.  A polish
-    that stops on its budget restarts once where it stopped, with a simplex
-    of edge ``_POLISH_STEP``, and warns :class:`ConvergenceWarning` if that
-    one stops on its budget too."""
+    polish the best row by safeguarded Newton steps; returns the minimum.
+
+    Each step takes two ``cost`` calls: the ``_stencil`` around the current
+    point, then the Newton step from it scaled by 1, 1/2, ..., 1/128.  The
+    point moves to the lowest of all those rows, so a stencil row leaves a
+    saddle or a flat start even where the step cannot.  It stops, converged,
+    when no row is lower by more than ``_POLISH_FTOL`` or the move is below
+    ``_POLISH_XTOL`` rad, and warns :class:`ConvergenceWarning` after
+    ``_POLISH_MAX_ITER`` steps that did not.
+    """
     values = cost(candidates)
     x, best = candidates[np.argmin(values)], float(values.min())
-    for edge in (None, _POLISH_STEP):
-        simplex = None if edge is None else x + edge * np.eye(len(x) + 1, len(x), -1)
-        res = minimize(cost, x, method="Nelder-Mead",
-                       options={"xatol": _POLISH_TOL, "fatol": _POLISH_TOL,
-                                "maxfev": maxfev, "initial_simplex": simplex})
-        x, best = res.x, min(best, float(res.fun))
-        if res.success:
-            return best
-    warnings.warn("the Nelder-Mead polish did not converge; returning the "
-                  "best value found", ConvergenceWarning, stacklevel=3)
+    d = len(x)
+    offsets = _FD_STEP * _stencil(d)
+    for _ in range(_POLISH_MAX_ITER):
+        rows = x + offsets
+        values = cost(rows)
+        trials = x + _LINE_SEARCH[:, None] * _newton_step(values, d)
+        rows, values = np.vstack([rows, trials]), np.concatenate([values, cost(trials)])
+        k = np.argmin(values)
+        if values[k] >= best - _POLISH_FTOL or np.linalg.norm(rows[k] - x) < _POLISH_XTOL:
+            return min(best, float(values[k]))
+        x, best = rows[k], float(values[k])
+    warnings.warn(f"the Newton polish did not converge in {_POLISH_MAX_ITER} "
+                  "steps; returning the best value found", ConvergenceWarning,
+                  stacklevel=3)
     return best
 
 
 def _discord_measured_on_b(bl: np.ndarray, s_ab: float) -> float:
-    h_min = _polish(lambda x: _conditional_entropy(bl, _unit(x)),
-                    _probe_angles(bl), maxfev=600)
+    h_min = _polish(lambda x: _conditional_entropy(bl, _unit(x)), _probe_angles(bl))
     s_b = _h2(0.5 + 0.5 * np.linalg.norm(bl[0, 1:]))
     return max(float(s_b - s_ab + h_min), 0.0)
 
@@ -157,11 +193,11 @@ def discord(rho: DensityMatrix, direction: str = "sym") -> float:
     ``direction`` selects the measured side: ``"b->a"`` measures the second
     qubit, ``"a->b"`` the first, and ``"sym"`` returns the maximum of the two
     (the symmetrized discord).  The conditional entropy is scored on the
-    measured side's 7 probe axes and polished by Nelder-Mead from the best
-    of them, which warns :class:`ConvergenceWarning` when it does not
-    converge.  On X states the probe axes reproduce the semi-closed
-    formula's minimum; on other states the same search is a numerical
-    minimum only, and a :class:`NonXStateWarning` says so.
+    measured side's 7 probe axes and polished by Newton steps from the best
+    of them (``_polish``), which warns :class:`ConvergenceWarning` when it
+    reaches its step cap.  On X states the probe axes reproduce the
+    semi-closed formula's minimum; on other states the same search is a
+    numerical minimum only, and a :class:`NonXStateWarning` says so.
     """
     mat, bl = _pair_form(rho)
     sides = {"b->a": (bl,), "a->b": (bl.T,), "sym": (bl, bl.T)}
@@ -207,8 +243,8 @@ def amid(rho: DensityMatrix, n_starts: int = 8, seed: int = 0) -> float:
 
     The candidates are the 7 x 7 pairs of A and B probe axes plus
     ``max(n_starts, 4) - 4`` random angle pairs drawn from ``seed``; one
-    Nelder-Mead polish starts from the best of them and warns
-    :class:`ConvergenceWarning` when it does not converge.
+    Newton polish (``_polish``) starts from the best of them and warns
+    :class:`ConvergenceWarning` when it reaches its step cap.
     """
     mat, bl = _pair_form(rho)
     a, b = _probe_angles(bl.T), _probe_angles(bl)
@@ -217,8 +253,7 @@ def amid(rho: DensityMatrix, n_starts: int = 8, seed: int = 0) -> float:
     for _ in range(max(n_starts, 4) - 4):
         th, ph = rng.uniform(0.0, math.pi, 2), rng.uniform(0.0, 2.0 * math.pi, 2)
         candidates.append([[th[0], ph[0], th[1], ph[1]]])
-    loss = _polish(lambda x: -_dephased_information(bl, x),
-                   np.vstack(candidates), maxfev=1600)
+    loss = _polish(lambda x: -_dephased_information(bl, x), np.vstack(candidates))
     return max(_mutual_information(bl, mat) + loss, 0.0)
 
 

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -25,6 +26,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .entanglement import entanglement_stats
+from .errors import ConvergenceWarning
 from .global_discord import OptimizerConfig, global_discord
 from .pair_measures import (amid, discord, mid, pair_mutual_information,
                             reduced_two_spin)
@@ -298,11 +300,29 @@ def _worker_pool(n_workers: int):
                 os.environ[name] = value
 
 
+@contextmanager
+def _stalls():
+    """Collect the messages of the ConvergenceWarnings raised in the block
+    (the pair polishes reaching their step cap); other warnings pass on.  The messages travel as values, so they also leave worker
+    processes, whose warnings would stay there."""
+    messages = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConvergenceWarning)
+        yield messages
+    for w in caught:
+        if issubclass(w.category, ConvergenceWarning):
+            messages.append(str(w.message))
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+
+
 def _row_values(args):
     """Evaluate one grid point; module-level so worker processes can pick it up.
 
     A group that raises leaves all of its cells unset (NaN in the table);
-    a failed GD search also counts as not converged.
+    a failed GD search also counts as not converged.  A group that warns
+    :class:`ConvergenceWarning` keeps its cells and reports the warning as a
+    row error.
     """
     n_sites, ratio, measures, opt, seed = args
     gs = _state_at(n_sites, ratio)
@@ -310,8 +330,10 @@ def _row_values(args):
     for group in measures:
         _, record_of, columns = _MEASURES[group]
         try:
-            record = record_of(gs, opt, seed, _NN_SITES)
+            with _stalls() as stalls:
+                record = record_of(gs, opt, seed, _NN_SITES)
             out.update((c, record[f]) for c, f in columns.items())
+            errors.extend(f"{group}@ratio={ratio:.6g}: {m}" for m in stalls)
         except Exception as exc:
             errors.append(f"{group}@ratio={ratio:.6g}: {exc}")
             if group == "gd":
@@ -335,7 +357,9 @@ def sweep(
     one BLAS thread each; None means 1) and assembled in grid order, so the
     result is identical for any worker count.  A failure at one grid point
     leaves NaN in the affected cells, is recorded in
-    ``metadata['row_errors']``, and the sweep continues.
+    ``metadata['row_errors']``, and the sweep continues.  A pair polish that
+    stops on its step cap (``ConvergenceWarning``) is recorded there too,
+    with its cells kept, so the CLI exits 1 as ``measures --pair`` does.
     """
     if ratios is None:
         ratios = default_ratio_grid()

@@ -200,18 +200,24 @@ def free_fermion_energy(n: int, j: float, b: float) -> float:
 
 
 def _measured_conditional_entropy(rho: np.ndarray, measured: int,
-                                  theta: float, phi: float) -> float:
-    """sum_k p_k S(rho_{other|k}) for a projective measurement on one qubit."""
-    total = 0.0
-    for outcome in (0, 1):
-        vec = basis_vector(theta, phi, outcome)
-        proj = np.outer(vec, vec.conj())
-        op = np.kron(proj, np.eye(2)) if measured == 0 else np.kron(np.eye(2), proj)
-        post = partial_trace_dense(op @ rho @ op, 2, [1 - measured])
-        p = np.trace(post).real
-        if p > 1e-14:
-            total += p * entropy_bits(post / p)
-    return total
+                                  thetas, phis) -> np.ndarray:
+    """sum_k p_k S(rho_{other|k}) for a projective measurement on one qubit,
+    for every (theta, phi) pair of the grid ``thetas`` x ``phis``, flattened
+    theta-major: explicit rank-one projectors P_k = |v_k><v_k| on the
+    measured qubit, post-measurement states (P_k (x) I) rho (P_k (x) I) (or
+    I (x) P_k), and their partial trace over the measured qubit."""
+    grid = np.array([(t, f) for t in thetas for f in phis])
+    vecs = _basis_vectors(grid)
+    proj = np.einsum("rki,rkj->rkij", vecs, vecs.conj())
+    op = (np.einsum("rkij,ab->rkiajb", proj, np.eye(2)) if measured == 0
+          else np.einsum("ab,rkij->rkaibj", np.eye(2), proj)).reshape(-1, 2, 4, 4)
+    post = (op @ rho @ op).reshape(-1, 2, 2, 2, 2, 2)
+    post = np.einsum("rkabac->rkbc" if measured == 0 else "rkabcb->rkac", post)
+    p = np.trace(post, axis1=-2, axis2=-1).real
+    evals = np.clip(np.linalg.eigvalsh(post / np.where(p > 1e-14, p, 1.0)[..., None, None]),
+                    1e-300, None)
+    s_cond = -np.sum(evals * np.log2(evals), axis=-1)
+    return np.sum(np.where(p > 1e-14, p * s_cond, 0.0), axis=-1)
 
 
 def discord_scan(rho: np.ndarray, measured: int, zooms: int = 4) -> float:
@@ -223,8 +229,9 @@ def discord_scan(rho: np.ndarray, measured: int, zooms: int = 4) -> float:
     five times finer, around the best point so far.
     """
     def scan(thetas, phis):
-        return min((_measured_conditional_entropy(rho, measured, t, f), t, f)
-                   for t in thetas for f in phis)
+        values = _measured_conditional_entropy(rho, measured, thetas, phis)
+        k = int(np.argmin(values))
+        return values[k], thetas[k // len(phis)], phis[k % len(phis)]
 
     best = scan(np.linspace(0.0, np.pi, 31),
                 np.linspace(0.0, 2.0 * np.pi, 62, endpoint=False))

@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from isingring.cli import _parse_ratio_grid, build_parser, main
 from isingring.errors import ConvergenceWarning
@@ -220,14 +219,17 @@ def test_measures_pair_amid_not_converged_exit_code(capsys, monkeypatch):
 
 
 def test_measures_pair_discord_not_converged_exit_code(capsys, monkeypatch):
-    real = importlib.import_module("isingring.pair_measures").minimize
+    pair_measures = importlib.import_module("isingring.pair_measures")
+    real = pair_measures._polish
 
-    def stall_discord(fun, x0, **kwargs):
-        if len(x0) == 2:  # a discord polish; AMID's has 4 angles
-            return OptimizeResult(x=x0, fun=fun(x0), success=False)
-        return real(fun, x0, **kwargs)
+    def stall_discord(cost, candidates):
+        if candidates.shape[1] == 2:  # a discord polish; AMID's has 4 angles
+            with monkeypatch.context() as patch:
+                patch.setattr(pair_measures, "_POLISH_MAX_ITER", 0)
+                return real(cost, candidates)
+        return real(cost, candidates)
 
-    monkeypatch.setattr("isingring.pair_measures.minimize", stall_discord)
+    monkeypatch.setattr(pair_measures, "_polish", stall_discord)
     code, out, _ = run_cli(
         capsys, "measures", "--n", "4", "--b", "1", "--pair", "0", "1"
     )
@@ -340,6 +342,24 @@ def test_sweep_gd_exit_reflects_convergence(capsys, tmp_path):
     assert code == 1
     table = SweepTable.from_csv(starved)
     assert table.columns["gd_converged"][0] == 0.0
+
+
+def test_sweep_pair_exit_reflects_polish_convergence(capsys, tmp_path, monkeypatch):
+    """A pair polish on its step cap makes ``sweep`` exit 1, as it does
+    ``measures --pair``; the row keeps its cells and names the stall."""
+    monkeypatch.setattr(importlib.import_module("isingring.pair_measures"),
+                        "_POLISH_MAX_ITER", 0)
+    out_file = os.fspath(tmp_path / "stalled.csv")
+    code, _, _ = run_cli(
+        capsys, "sweep", "--n", "4", "--ratio-grid", "0.5,1.0",
+        "--measures", "pair", "--out", out_file,
+    )
+    assert code == 1
+    table = SweepTable.from_csv(out_file)
+    for col in ("nn_discord", "nn_mid", "nn_amid"):
+        assert np.all(np.isfinite(table.columns[col])), col
+    errors = table.metadata["row_errors"]
+    assert {e.split(":")[0] for e in errors} == {"pair@ratio=0.5", "pair@ratio=1"}
 
 
 def test_sweep_threads_flag(capsys, tmp_path):

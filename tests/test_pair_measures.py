@@ -3,9 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 import oracles
+import isingring.pair_measures as pair_measures
 from isingring.errors import ConvergenceWarning, NonXStateWarning, QuadratureError
 from isingring.pair_measures import (
     CorrelatorSet,
@@ -121,10 +121,9 @@ def test_discord_matches_brute_force_scan_on_non_x_states(rng):
 
 def test_discord_polish_converges_from_a_zero_angle_probe():
     """The 23rd Ginibre draw after 150 X states of rng 42: the "a->b" polish
-    starts on a probe with a zero angle.  A simplex stepping 2.5e-4 rad there
-    runs out of its 600 evaluations 0.0126 bit above the scan; the restart
-    with a 0.05 rad simplex converges onto the scan, with no
-    ConvergenceWarning."""
+    starts on a probe with a zero angle, where phi is flat.  A Nelder-Mead
+    simplex stepping 2.5e-4 rad there stalled 0.0126 bit above the scan; the
+    Newton polish converges onto the scan, with no ConvergenceWarning."""
     rng42 = np.random.default_rng(42)
     for _ in range(150):
         oracles.random_x_matrix(rng42)
@@ -140,13 +139,41 @@ def test_discord_polish_converges_from_a_zero_angle_probe():
 
 
 def test_discord_warns_when_its_polish_does_not_converge(monkeypatch):
-    def stalled(fun, x0, **kwargs):
-        return OptimizeResult(x=x0, fun=fun(x0), success=False)
-
-    monkeypatch.setattr("isingring.pair_measures.minimize", stalled)
+    monkeypatch.setattr(pair_measures, "_POLISH_MAX_ITER", 0)
     with pytest.warns(ConvergenceWarning):
         value = discord(BELL_RHO)
     assert abs(value - 1.0) < 1e-12
+
+
+def test_ring_pair_polish_confirms_its_probe_in_few_kernel_calls(monkeypatch):
+    """On ring pairs (X states) the best probe is the minimum, so each
+    discord side and each AMID makes at most 4 kernel calls: the probes, then
+    one Newton step's stencil and line search (Nelder-Mead spent ~100-300
+    evaluations).  The discord values still match the scan."""
+    calls = []
+    for name in ("_conditional_entropy", "_dephased_information"):
+        def counted(*args, _kernel=getattr(pair_measures, name)):
+            calls.append(name)
+            return _kernel(*args)
+        monkeypatch.setattr(pair_measures, name, counted)
+
+    def kernel_calls(measure, *args, **kwargs):
+        calls.clear()
+        value = measure(*args, **kwargs)
+        return value, len(calls)
+
+    for n in (6, 8):
+        for ratio in (0.05, 0.5, 1.0, 2.0, 6.0):
+            gs, _ = ground_state(RingConfig(n_sites=n, coupling_j=1.0, field_b=ratio))
+            for sep in range(1, n // 2 + 1):
+                rho = reduced_two_spin(gs, 0, sep)
+                for direction, measured in (("b->a", 1), ("a->b", 0)):
+                    got, count = kernel_calls(discord, rho, direction=direction)
+                    assert 1 <= count <= 4, (n, ratio, sep, direction, count)
+                    expected = oracles.discord_scan(rho.matrix, measured)
+                    assert abs(got - expected) < 1e-6, (n, ratio, sep, got, expected)
+                _, count = kernel_calls(amid, rho)
+                assert 1 <= count <= 4, (n, ratio, sep, "amid", count)
 
 
 def test_mid_matches_projector_dephasing_on_non_x_states(rng):
@@ -201,10 +228,7 @@ def test_amid_matches_brute_force_scan(rng):
 
 
 def test_amid_warns_when_its_polish_does_not_converge(monkeypatch):
-    def stalled(fun, x0, **kwargs):
-        return OptimizeResult(x=x0, fun=fun(x0), success=False)
-
-    monkeypatch.setattr("isingring.pair_measures.minimize", stalled)
+    monkeypatch.setattr(pair_measures, "_POLISH_MAX_ITER", 0)
     with pytest.warns(ConvergenceWarning):
         value = amid(BELL_RHO)
     # the sigma^z probe pair already attains the optimum for a Bell state
