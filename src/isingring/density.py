@@ -22,16 +22,18 @@ from scipy.special import entr
 EIG_CLIP = 1e-10
 
 
-def rotation_matrix(theta: float, phi: float) -> np.ndarray:
+def rotation_matrix(theta, phi) -> np.ndarray:
     """Single-qubit rotation taking the sigma^z eigenbasis to the (theta, phi) basis.
 
     The first column is the +1 measurement vector with Bloch direction
     ``(sin(theta) cos(phi), sin(theta) sin(phi), cos(theta))``; the second
-    column is the antipodal vector.
+    column is the antipodal vector.  Arrays of angles, of one shape, give
+    a stack of matrices of that shape plus (2, 2).
     """
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    ph = complex(math.cos(phi), math.sin(phi))
-    return np.array([[c, -s * ph.conjugate()], [s * ph, c]], dtype=complex)
+    c, s = np.cos(np.divide(theta, 2.0)), np.sin(np.divide(theta, 2.0))
+    ph = np.cos(phi) + 1j * np.sin(phi)
+    return np.stack([c + 0j, -s * ph.conj(), s * ph, c + 0j],
+                    axis=-1).reshape(*np.shape(c), 2, 2)
 
 
 def _unit(angles) -> np.ndarray:

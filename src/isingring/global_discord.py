@@ -14,7 +14,9 @@ also the global one rests on the tests, where no search over ring ground
 states beats it.  Other states with the ring's symmetry need not share
 this (the tests hold ones whose minimum lies in a tilted basis), so every
 state that is not a ring ground state, and every failed certificate, goes
-to the multi-start search.
+to the multi-start search: one Newton polish (:mod:`newton`) per start, on
+an objective that scores a whole batch of angle rows per call.  The budget
+``max_evals`` counts objective rows.
 """
 
 from __future__ import annotations
@@ -25,19 +27,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .density import (PureState, _angles, _entropy_bits, _h2, _unit,
                       as_angles, reduced_state, rotation_matrix)
+from .newton import _polish
 from .ring import ground_state_ratio
 
 DEFAULT_MAX_EVALS = 50_000
 
-#: Nelder-Mead stopping tolerance of the search, on the angles and on the
-#: objective alike.
-_NM_TOL = 1e-9
-
-#: A search probe at or below this value is a global minimum, since the
+#: A scored row at or below this value is a global minimum, since the
 #: objective is >= 0 in every basis.
 _ZERO_TOL = 1e-12
 
@@ -112,18 +110,23 @@ class OptimizerConfig:
 
 
 def _outcome_probs(amps: np.ndarray, ang: np.ndarray) -> np.ndarray:
-    """Probabilities of all 2^N outcomes of the product measurement.
+    """Probabilities of all 2^N outcomes of the product measurement, one row
+    per basis of the (rows, N, 2) angles.
 
-    Applies each site's R_j^dagger to the middle axis of the amplitudes viewed
-    as (2^j, 2, rest): O(2^N * N), not a 2^N x 2^N transform; no checks.
+    Applies each site's R_j^dagger to the middle axis of the amplitudes
+    viewed as (rows, 2^j, 2, rest): O(2^N * N) per row, not a 2^N x 2^N
+    transform; no checks.
     """
-    for j, (theta, phi) in enumerate(ang):
-        amps = rotation_matrix(theta, phi).conj().T @ amps.reshape(2 ** j, 2, -1)
-    return np.abs(amps.ravel()) ** 2
+    rdag = rotation_matrix(ang[..., 0], ang[..., 1]).conj().swapaxes(-1, -2)
+    out = amps.reshape(1, -1)  # the first site's product broadcasts it to every row
+    for j in range(ang.shape[1]):
+        out = rdag[:, j, None] @ out.reshape(len(out), 2 ** j, 2, -1)
+    return np.abs(out.reshape(len(ang), -1)) ** 2
 
 
 def _objective_factory(gs: PureState):
-    """Closure evaluating the pure-state objective on a ``(n_sites, 2)`` array.
+    """Closure evaluating the pure-state objective on angle rows of shape
+    ``(rows, n_sites, 2)``, one value per row.
 
     Site j, with Bloch vector r_j, measured along n_j has the local term
     h((1 + n_j.r_j) / 2) - h((1 + |r_j|) / 2); the r_j are computed once.
@@ -135,9 +138,10 @@ def _objective_factory(gs: PureState):
     base = _h2(0.5 + 0.5 * np.linalg.norm(bloch, axis=1))
     amps = gs.amplitudes
 
-    def objective(ang: np.ndarray) -> float:
-        local = _h2(0.5 + 0.5 * np.sum(_unit(ang) * bloch, axis=1)) - base
-        return float(_entropy_bits(_outcome_probs(amps, ang)) - np.sum(local))
+    def objective(ang: np.ndarray) -> np.ndarray:
+        local = _h2(0.5 + 0.5 * np.sum(_unit(ang) * bloch, axis=-1)) - base
+        return (_entropy_bits(_outcome_probs(amps, ang), axis=-1)
+                - np.sum(local, axis=-1))
 
     return objective
 
@@ -148,11 +152,11 @@ def gd_objective(gs: PureState, angles) -> float:
     Equals H(lambda) - sum_j [S(Pi_j(rho_j)) - S(rho_j)] where lambda is the
     measured spectrum; the global entropy term vanishes for pure states.
     """
-    return _objective_factory(gs)(as_angles(angles, gs.n_sites))
+    return float(_objective_factory(gs)(as_angles(angles, gs.n_sites)[None])[0])
 
 
 class _BudgetTracker:
-    """Wraps the objective, counting evaluations and keeping the best probe."""
+    """Wraps the objective, counting scored rows and keeping the best row."""
 
     def __init__(self, objective, max_evals: int):
         self._objective = objective
@@ -161,22 +165,28 @@ class _BudgetTracker:
         self.best_value = math.inf
         self.best_angles = None
 
-    @property
-    def exhausted(self) -> bool:
-        return self.n_evals >= self.max_evals
-
-    def remaining(self) -> int:
-        return max(self.max_evals - self.n_evals, 0)
-
-    def __call__(self, ang: np.ndarray) -> float:
-        if self.exhausted:
+    def __call__(self, rows: np.ndarray, zero_tol: float = -math.inf,
+                 stop: int | None = None) -> np.ndarray:
+        """Values of the (rows, N, 2) angle rows that fit before ``max_evals``
+        and ``stop``, counted up to the first <= ``zero_tol``.  Keeps the best
+        row, then raises ``_ZeroReached`` or ``_BudgetExhausted`` if it
+        stopped short of the last row."""
+        end = self.max_evals if stop is None else min(stop, self.max_evals)
+        fit = rows[:max(end - self.n_evals, 0)]
+        if not len(fit):
             raise _BudgetExhausted
-        self.n_evals += 1
-        value = self._objective(ang)
-        if value < self.best_value:
-            self.best_value = value
-            self.best_angles = ang.copy()
-        return value
+        values = self._objective(fit)
+        zeros = np.flatnonzero(values <= zero_tol)
+        counted = int(zeros[0]) + 1 if zeros.size else len(fit)
+        self.n_evals += counted
+        k = int(np.argmin(values[:counted]))
+        if values[k] < self.best_value:
+            self.best_value, self.best_angles = float(values[k]), fit[k].copy()
+        if zeros.size:
+            raise _ZeroReached
+        if len(fit) < len(rows):
+            raise _BudgetExhausted
+        return values
 
 
 class _BudgetExhausted(Exception):
@@ -184,28 +194,7 @@ class _BudgetExhausted(Exception):
 
 
 class _ZeroReached(Exception):
-    """A probe reached the objective's lower bound 0: no basis does better."""
-
-
-def _run_nelder_mead(tracker, probe, x0: np.ndarray, maxfev: int):
-    budget = min(maxfev, tracker.remaining())
-    if budget < 2 * (x0.size + 1):
-        return False
-    try:
-        res = minimize(
-            probe,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "xatol": _NM_TOL,
-                "fatol": _NM_TOL,
-                "maxfev": budget,
-                "maxiter": 10 * budget,
-            },
-        )
-        return bool(res.success)
-    except _BudgetExhausted:
-        return False
+    """A row reached the objective's lower bound 0: no basis does better."""
 
 
 def _certify(tracker: _BudgetTracker, n: int) -> GDResult | None:
@@ -220,35 +209,37 @@ def _certify(tracker: _BudgetTracker, n: int) -> GDResult | None:
     circulants with spectra sum_j C_{d,j} cos(2 pi m j / N).  Each coupling
     C_{d,j} = C_{d,N-j} of site 0 takes two probes,
     [f(h e_0d + h e_jd) - f(h e_0d - h e_jd)] / (2 h^2): 6 + 4 (N // 2)
-    evaluations in all.  The gradient's four probes spot-check the evenness.
-    Where an outcome has probability zero (sigma^z on a parity eigenstate)
-    the objective grows like t^2 log(1/t) and the margin measures the
-    stencil, not a finite curvature.  Raises ``_BudgetExhausted`` when the
-    budget runs out.
+    evaluations in all, scored in three calls: one per basis, then the
+    rest.  The gradient's four probes spot-check the evenness.  Where an
+    outcome has probability zero (sigma^z on a parity eigenstate) the
+    objective grows like t^2 log(1/t) and the margin measures the stencil,
+    not a finite curvature.  Raises ``_BudgetExhausted`` when the budget
+    runs out.
     """
-    def probe(frame, tilt):
-        v = frame[0] + tilt @ frame[1:]
-        return tracker(_angles(v / np.linalg.norm(v, axis=1, keepdims=True)))
+    def probe(frame, tilts):
+        v = frame[0] + tilts @ frame[1:]
+        return tracker(_angles(v / np.linalg.norm(v, axis=-1, keepdims=True)))
 
-    values = {b: probe(f, np.zeros((n, 2))) for b, f in _FRAMES.items()}
+    values = {b: probe(f, np.zeros((1, n, 2)))[0] for b, f in _FRAMES.items()}
     basis = min(values, key=values.get)
     frame, f0, h = _FRAMES[basis], values[basis], _STEP
 
-    def moved(d, *steps):
-        tilt = np.zeros((n, 2))
+    def tilt(d, *steps):
+        t = np.zeros((n, 2))
         for site, step in steps:
-            tilt[site, d] += step
-        return probe(frame, tilt)
+            t[site, d] += step
+        return t
 
-    plus = [moved(d, (0, h)) for d in (0, 1)]
-    minus = [moved(d, (0, -h)) for d in (0, 1)]
+    # the gradient's four probes, then the couplings' two per (d, j), in one call
+    stencil = [tilt(d, (0, step)) for step in (h, -h) for d in (0, 1)]
+    stencil += [tilt(d, (0, h), (j, step)) for d in (0, 1)
+                for j in range(1, n // 2 + 1) for step in (h, -h)]
+    values = probe(frame, np.array(stencil))
+    plus, minus = values[:4].reshape(2, 2)
+    pairs = values[4:].reshape(2, n // 2, 2)
     grad = math.sqrt(n) * math.hypot(plus[0] - minus[0], plus[1] - minus[1]) / (2 * h)
-    rows = np.zeros((2, n // 2 + 1))
-    for d in (0, 1):
-        rows[d, 0] = (plus[d] + minus[d] - 2.0 * f0) / h ** 2
-        for j in range(1, n // 2 + 1):
-            rows[d, j] = (moved(d, (0, h), (j, h))
-                          - moved(d, (0, h), (j, -h))) / (2 * h * h)
+    rows = np.column_stack([(plus + minus - 2.0 * f0) / h ** 2,
+                            (pairs[..., 0] - pairs[..., 1]) / (2 * h * h)])
     sites = np.arange(n)
     phases = np.cos(2.0 * math.pi * np.outer(sites, sites) / n)
     margin = float((rows[:, np.minimum(sites, n - sites)] @ phases).min())
@@ -288,32 +279,39 @@ def global_discord(gs: PureState, opt: OptimizerConfig | None = None) -> GDResul
 
 
 def _search(tracker: _BudgetTracker, n: int, opt: OptimizerConfig) -> GDResult:
-    """Multi-start Nelder-Mead over the 2N angles (or one shared pair).
+    """Multi-start Newton polish over the 2N angles (or one shared pair).
 
-    Seeded with the all-z and all-x bases, the best point of a coarse
+    The starts are the all-z and all-x bases, the best point of a coarse
     uniform-angle scan, and random draws; deterministic for a fixed seed.
-    The returned value is the lowest objective value probed anywhere, by the
-    search or before it on the same tracker.  The objective is >= 0 in every
-    basis, so the search stops, converged, at the first probe <=
-    ``_ZERO_TOL``.
+    Each start gets one polish on at most its share of the budget, then the
+    incumbent is polished with what is left; the search counts as converged
+    when that last polish does.  The returned value is the lowest objective
+    value scored anywhere, by the search or before it on the same tracker.
+    The objective is >= 0 in every basis, so the search stops, converged,
+    at the first row <= ``_ZERO_TOL``.
     """
     k = 1 if opt.uniform_angles else n
     rng = np.random.default_rng(opt.seed)
 
-    def probe(x):
-        value = tracker(np.tile(x.reshape(k, 2), (n // k, 1)))
-        if value <= _ZERO_TOL:
-            raise _ZeroReached
-        return value
+    def polish(x0: np.ndarray, stop: int) -> bool:
+        """One polish from ``x0`` that ends before evaluation ``stop``; True
+        when it converged."""
+        def cost(x):
+            return tracker(np.tile(x.reshape(-1, k, 2), (1, n // k, 1)),
+                           _ZERO_TOL, stop)
+
+        with contextlib.suppress(_BudgetExhausted):
+            return _polish(cost, x0[None])[1]
+        return False
 
     starts = []
     try:
         # coarse scan over one shared (theta, phi); the tracker keeps its
-        # best point, and the budget (>= 1) always allows the first probe
+        # best point, and the budget (>= 1) always allows the first row
+        grid = np.array(list(itertools.product(np.linspace(0.0, math.pi, 13),
+                                               np.linspace(0.0, math.pi, 8))))
         with contextlib.suppress(_BudgetExhausted):
-            for theta, phi in itertools.product(np.linspace(0.0, math.pi, 13),
-                                                np.linspace(0.0, math.pi, 8)):
-                probe(np.tile([theta, phi], k))
+            tracker(np.tile(grid[:, None], (1, n, 1)), _ZERO_TOL)
         starts = [np.zeros(2 * k), np.tile([math.pi / 2.0, 0.0], k),
                   tracker.best_angles[:k].ravel()]
         while len(starts) < opt.n_restarts(n):
@@ -322,27 +320,13 @@ def _search(tracker: _BudgetTracker, n: int, opt: OptimizerConfig) -> GDResult:
                 rng.uniform(0.0, 2.0 * math.pi, k),
             ]).ravel())
 
-        budget_each = max((tracker.remaining() * 3 // 4) // len(starts), 100)
+        share = (tracker.max_evals - tracker.n_evals) * 3 // 4 // len(starts)
         for x0 in starts:
-            _run_nelder_mead(tracker, probe, x0, budget_each)
-            if tracker.exhausted:
-                break
-
-        # polish the incumbent with the leftover budget; the search counts
-        # as converged when this last simplex contracts below tolerance
-        polished_ok = False
-        if not tracker.exhausted:
-            polished_ok = _run_nelder_mead(
-                tracker, probe, tracker.best_angles[:k].ravel(), tracker.remaining()
-            )
-        converged = polished_ok and not tracker.exhausted
+            polish(x0, tracker.n_evals + max(share, 100))
+        converged = polish(tracker.best_angles[:k].ravel(), tracker.max_evals)
     except _ZeroReached:
         converged = True
 
-    return GDResult(
-        value=float(tracker.best_value),
-        argmin_angles=tracker.best_angles,
-        n_restarts=len(starts),
-        converged=converged,
-        n_evals=tracker.n_evals,
-    )
+    return GDResult(value=float(tracker.best_value),
+                    argmin_angles=tracker.best_angles, n_restarts=len(starts),
+                    converged=converged, n_evals=tracker.n_evals)

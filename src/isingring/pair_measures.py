@@ -4,10 +4,10 @@ Every pair measure works on the real Bloch form R[i, j] = Tr[rho sigma_i (x)
 sigma_j] (sigma_0 = I), which holds A's Bloch vector r = R[1:, 0], B's
 s = R[0, 1:] and the correlation matrix T = R[1:, 1:].  One numpy kernel per
 measure scores a whole batch of measurement angles per call, on the
-single-qubit kernels of :mod:`density`.  Discord and AMID share one search,
-``_polish``: score the probe axes (sigma^z, sigma^x, sigma^y, the side's
-Bloch direction and the singular axes of T) in one kernel call, then take
-safeguarded Newton steps from the best, two kernel calls each (a
+single-qubit kernels of :mod:`density`.  Discord and AMID share one search:
+score the probe axes (sigma^z, sigma^x, sigma^y, the side's Bloch direction
+and the singular axes of T) in one kernel call, then take the safeguarded
+Newton steps of :mod:`newton` from the best, two kernel calls each (a
 finite-difference stencil, then a line search).  On X states (non-zero
 entries on the diagonal and anti-diagonal only, as in every reduced pair of
 the ring) the probes hold the semi-closed Ali-Rau-Alber discord minimum
@@ -22,26 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import toeplitz
 
+from . import newton
 from .density import (DensityMatrix, PureState, _angles, _entropy_bits, _h2,
                       _unit, reduced_state)
 from .errors import ConvergenceWarning, NonXStateWarning, QuadratureError
 
 X_PATTERN_TOL = 1e-10
-
-#: Newton polish of discord and AMID: finite-difference step (rad), floor on
-#: the Hessian's |eigenvalues|, step fractions of the line search, the
-#: stopping tolerances on the value (bits) and on the move (rad), and the
-#: step cap.  Rounding puts ~4e-8 of noise on the Hessian at this step; a
-#: floor of 1e-6 cut true curvatures of ~7e-8 (phi, near theta = 0 of nearly
-#: mixed states) and crept through 50 steps there.
-_FD_STEP = 1e-4
-_CURVATURE_FLOOR = 1e-8
-_LINE_SEARCH = 0.5 ** np.arange(8)
-_POLISH_FTOL = 1e-15
-_POLISH_XTOL = 1e-9
-_POLISH_MAX_ITER = 50
 
 _OFF_PATTERN = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
 
@@ -125,64 +112,18 @@ def _probe_angles(bl: np.ndarray) -> np.ndarray:
     return _angles(axes)
 
 
-def _stencil(d: int) -> np.ndarray:
-    """Central-difference stencil offsets in units of the step: 0, then
-    +-e_i for each i, then (++, +-, -+, --) of e_i, e_j for each i < j;
-    2 d^2 + 1 rows."""
-    eye = np.eye(d)
-    pairs = [si * eye[i] + sj * eye[j] for i in range(d) for j in range(i + 1, d)
-             for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    return np.vstack([np.zeros(d), eye, -eye, *pairs])
-
-
-def _newton_step(values: np.ndarray, d: int) -> np.ndarray:
-    """Saddle-free Newton step from the ``_stencil`` values: the gradient and
-    Hessian by central differences, the Hessian's eigenvalues replaced by
-    max(|lambda|, ``_CURVATURE_FLOOR``), so the step descends at saddles and
-    stays put along flat directions (phi at theta = 0)."""
-    h = _FD_STEP
-    f0, fp, fm = values[0], values[1:d + 1], values[d + 1:2 * d + 1]
-    grad = (fp - fm) / (2.0 * h)
-    hess = np.diag((fp - 2.0 * f0 + fm) / h ** 2)
-    hess[np.triu_indices(d, 1)] = (values[2 * d + 1:].reshape(-1, 4)
-                                   @ [1.0, -1.0, -1.0, 1.0]) / (4.0 * h ** 2)
-    lam, vec = np.linalg.eigh(hess, UPLO="U")
-    return -vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), _CURVATURE_FLOOR))
-
-
-def _polish(cost, candidates: np.ndarray) -> float:
-    """Score every candidate angle row in one vectorized ``cost`` call, then
-    polish the best row by safeguarded Newton steps; returns the minimum.
-
-    Each step takes two ``cost`` calls: the ``_stencil`` around the current
-    point, then the Newton step from it scaled by 1, 1/2, ..., 1/128.  The
-    point moves to the lowest of all those rows, so a stencil row leaves a
-    saddle or a flat start even where the step cannot.  It stops, converged,
-    when no row is lower by more than ``_POLISH_FTOL`` or the move is below
-    ``_POLISH_XTOL`` rad, and warns :class:`ConvergenceWarning` after
-    ``_POLISH_MAX_ITER`` steps that did not.
-    """
-    values = cost(candidates)
-    x, best = candidates[np.argmin(values)], float(values.min())
-    d = len(x)
-    offsets = _FD_STEP * _stencil(d)
-    for _ in range(_POLISH_MAX_ITER):
-        rows = x + offsets
-        values = cost(rows)
-        trials = x + _LINE_SEARCH[:, None] * _newton_step(values, d)
-        rows, values = np.vstack([rows, trials]), np.concatenate([values, cost(trials)])
-        k = np.argmin(values)
-        if values[k] >= best - _POLISH_FTOL or np.linalg.norm(rows[k] - x) < _POLISH_XTOL:
-            return min(best, float(values[k]))
-        x, best = rows[k], float(values[k])
-    warnings.warn(f"the Newton polish did not converge in {_POLISH_MAX_ITER} "
-                  "steps; returning the best value found", ConvergenceWarning,
-                  stacklevel=3)
-    return best
+def _minimum(cost, candidates: np.ndarray) -> float:
+    """``newton._polish``; warns :class:`ConvergenceWarning` on its step cap."""
+    value, converged = newton._polish(cost, candidates)
+    if not converged:
+        warnings.warn(f"the Newton polish did not converge in "
+                      f"{newton._POLISH_MAX_ITER} steps; returning the best "
+                      "value found", ConvergenceWarning, stacklevel=4)
+    return value
 
 
 def _discord_measured_on_b(bl: np.ndarray, s_ab: float) -> float:
-    h_min = _polish(lambda x: _conditional_entropy(bl, _unit(x)), _probe_angles(bl))
+    h_min = _minimum(lambda x: _conditional_entropy(bl, _unit(x)), _probe_angles(bl))
     s_b = _h2(0.5 + 0.5 * np.linalg.norm(bl[0, 1:]))
     return max(float(s_b - s_ab + h_min), 0.0)
 
@@ -194,8 +135,8 @@ def discord(rho: DensityMatrix, direction: str = "sym") -> float:
     qubit, ``"a->b"`` the first, and ``"sym"`` returns the maximum of the two
     (the symmetrized discord).  The conditional entropy is scored on the
     measured side's 7 probe axes and polished by Newton steps from the best
-    of them (``_polish``), which warns :class:`ConvergenceWarning` when it
-    reaches its step cap.  On X states the probe axes reproduce the
+    of them (``newton._polish``); it warns :class:`ConvergenceWarning` when
+    the polish reaches its step cap.  On X states the probe axes reproduce the
     semi-closed formula's minimum; on other states the same search is a
     numerical minimum only, and a :class:`NonXStateWarning` says so.
     """
@@ -243,8 +184,8 @@ def amid(rho: DensityMatrix, n_starts: int = 8, seed: int = 0) -> float:
 
     The candidates are the 7 x 7 pairs of A and B probe axes plus
     ``max(n_starts, 4) - 4`` random angle pairs drawn from ``seed``; one
-    Newton polish (``_polish``) starts from the best of them and warns
-    :class:`ConvergenceWarning` when it reaches its step cap.
+    Newton polish (``newton._polish``) starts from the best of them; it warns
+    :class:`ConvergenceWarning` when the polish reaches its step cap.
     """
     mat, bl = _pair_form(rho)
     a, b = _probe_angles(bl.T), _probe_angles(bl)
@@ -253,7 +194,7 @@ def amid(rho: DensityMatrix, n_starts: int = 8, seed: int = 0) -> float:
     for _ in range(max(n_starts, 4) - 4):
         th, ph = rng.uniform(0.0, math.pi, 2), rng.uniform(0.0, 2.0 * math.pi, 2)
         candidates.append([[th[0], ph[0], th[1], ph[1]]])
-    loss = _polish(lambda x: -_dephased_information(bl, x), np.vstack(candidates))
+    loss = _minimum(lambda x: -_dephased_information(bl, x), np.vstack(candidates))
     return max(_mutual_information(bl, mat) + loss, 0.0)
 
 
@@ -326,13 +267,11 @@ def toeplitz_correlators(lam: float, s: int) -> CorrelatorSet:
     if err > QUAD_ABS_TOL:
         raise QuadratureError("correlator quadrature above tolerance", err)
 
-    def det_for(offset: int) -> float:
-        col = [g[r + offset] for r in range(s)]
-        row = [g[-c + offset] for c in range(s)]
-        return float(np.linalg.det(toeplitz(col, row)))
-
-    chi_xx = det_for(-1)
-    chi_yy = det_for(+1)
+    # chi_xx and chi_yy: determinants of the Toeplitz matrices with entries
+    # g[offset + i - j], offset -1 and +1; ``moments`` is g shifted by s
+    moments, i = np.array([g[k] for k in range(-s, s + 1)]), np.arange(s)
+    chi_xx, chi_yy = (float(np.linalg.det(moments[s + offset + i[:, None] - i]))
+                      for offset in (-1, 1))
     chi_zz = g[0] ** 2 - g[s] * g[-s]
     return CorrelatorSet(chi_xx, chi_yy, chi_zz, g[0], s, lam, err)
 

@@ -433,8 +433,7 @@ def _make_evaluator(table: SweepTable, column: str):
     meta = table.metadata
     n_sites = meta["n_sites"]
     seed = meta.get("seed", 0)
-    # tables written before the Nelder-Mead tolerances became constants
-    # still carry them as optimizer fields; older ones also carry a
+    # older tables carry xatol and fatol as optimizer fields, and some a
     # coupling_j, ignored since every measure depends on B/J alone
     opt_fields = {k: v for k, v in (meta.get("optimizer") or {}).items()
                   if k not in ("xatol", "fatol")}

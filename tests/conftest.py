@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from isingring.global_discord import _BudgetTracker, _objective_factory, _search
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +20,13 @@ def chain14_pair():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def search():
+    """The multi-start search alone, which ring ground states skip when
+    their certificate holds: ``search(gs, opt)``."""
+    def run(gs, opt):
+        return _search(_BudgetTracker(_objective_factory(gs), opt.max_evals),
+                       gs.n_sites, opt)
+    return run

@@ -55,9 +55,6 @@ from isingring.density import DensityMatrix, PureState, von_neumann_entropy
 from isingring.entanglement import bipartition_entanglement, entanglement_stats
 from isingring.global_discord import (
     OptimizerConfig,
-    _BudgetTracker,
-    _objective_factory,
-    _search,
     gd_objective,
     global_discord,
 )
@@ -87,13 +84,6 @@ FOCUS_GRIDS = {
 }
 
 
-def search(gs, opt):
-    """The multi-start search alone, which ring ground states skip when
-    their certificate holds."""
-    return _search(_BudgetTracker(_objective_factory(gs), opt.max_evals),
-                   gs.n_sites, opt)
-
-
 def report(number: int, name: str, passed: bool, detail: str) -> str:
     line = (
         f"ACCEPTANCE {number:02d} {name}: "
@@ -104,7 +94,7 @@ def report(number: int, name: str, passed: bool, detail: str) -> str:
 
 
 @pytest.fixture(scope="module")
-def gd_peaks():
+def gd_peaks(search):
     """Refined global-discord peak per ring size.
 
     The sweep and its refinement take the certified sigma^x / sigma^z

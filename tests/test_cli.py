@@ -176,6 +176,20 @@ def test_measures_budget_starvation_exit_code(capsys):
     assert record["global_discord"]["converged"] is False
 
 
+def test_measures_starved_fallback_search_exit_code(capsys):
+    """GHZ is not a ring ground state; 150 evaluations cover the 104-row
+    scan but not the polishes, so the search reports not converged."""
+    code, out, _ = run_cli(
+        capsys, "measures", "--n", "4", "--state", "ghz",
+        "--global", "--max-evals", "150",
+    )
+    record = json.loads(out)
+    assert code == 1
+    assert record["converged"] is False
+    assert record["global_discord"]["converged"] is False
+    assert record["global_discord"]["n_evals"] == 150
+
+
 @pytest.mark.parametrize("flag, value", [("--max-evals", "0"), ("--restarts", "-3")])
 def test_measures_rejects_empty_optimizer_budget(capsys, flag, value):
     code, out, err = run_cli(
@@ -219,17 +233,17 @@ def test_measures_pair_amid_not_converged_exit_code(capsys, monkeypatch):
 
 
 def test_measures_pair_discord_not_converged_exit_code(capsys, monkeypatch):
-    pair_measures = importlib.import_module("isingring.pair_measures")
-    real = pair_measures._polish
+    newton = importlib.import_module("isingring.newton")
+    real = newton._polish
 
     def stall_discord(cost, candidates):
         if candidates.shape[1] == 2:  # a discord polish; AMID's has 4 angles
             with monkeypatch.context() as patch:
-                patch.setattr(pair_measures, "_POLISH_MAX_ITER", 0)
+                patch.setattr(newton, "_POLISH_MAX_ITER", 0)
                 return real(cost, candidates)
         return real(cost, candidates)
 
-    monkeypatch.setattr(pair_measures, "_polish", stall_discord)
+    monkeypatch.setattr(newton, "_polish", stall_discord)
     code, out, _ = run_cli(
         capsys, "measures", "--n", "4", "--b", "1", "--pair", "0", "1"
     )
@@ -347,7 +361,7 @@ def test_sweep_gd_exit_reflects_convergence(capsys, tmp_path):
 def test_sweep_pair_exit_reflects_polish_convergence(capsys, tmp_path, monkeypatch):
     """A pair polish on its step cap makes ``sweep`` exit 1, as it does
     ``measures --pair``; the row keeps its cells and names the stall."""
-    monkeypatch.setattr(importlib.import_module("isingring.pair_measures"),
+    monkeypatch.setattr(importlib.import_module("isingring.newton"),
                         "_POLISH_MAX_ITER", 0)
     out_file = os.fspath(tmp_path / "stalled.csv")
     code, _, _ = run_cli(

@@ -9,10 +9,8 @@ from isingring.density import PureState, reduced_state, von_neumann_entropy
 from isingring.global_discord import (
     GDResult,
     OptimizerConfig,
-    _BudgetTracker,
     _objective_factory,
     _outcome_probs,
-    _search,
     gd_objective,
     global_discord,
 )
@@ -25,13 +23,6 @@ CROSSOVER = {3: 1.089, 4: 1.329, 5: 1.392, 6: 1.402, 7: 1.398, 8: 1.389,
 
 def ring(n, ratio):
     return ground_state(RingConfig(n_sites=n, coupling_j=1.0, field_b=ratio))[0]
-
-
-def search(gs, opt):
-    """The multi-start search alone, which ring ground states skip when
-    their certificate holds."""
-    return _search(_BudgetTracker(_objective_factory(gs), opt.max_evals),
-                   gs.n_sites, opt)
 
 
 def reference_global_discord_n2(psi: np.ndarray) -> float:
@@ -60,10 +51,11 @@ def reference_global_discord_n2(psi: np.ndarray) -> float:
 
 
 def test_measured_spectrum_anchors():
-    lam = np.sort(_outcome_probs(ghz_state(4).as_tensor(), np.zeros((4, 2))))[::-1]
+    lam = _outcome_probs(ghz_state(4).as_tensor(), np.zeros((1, 4, 2)))[0]
+    lam = np.sort(lam)[::-1]
     assert abs(lam[0] - 0.5) < 1e-14 and abs(lam[1] - 0.5) < 1e-14
     assert lam[2] < 1e-14
-    lam = _outcome_probs(product_state_down(3).as_tensor(), np.zeros((3, 2)))
+    lam = _outcome_probs(product_state_down(3).as_tensor(), np.zeros((1, 3, 2)))[0]
     assert abs(lam[-1] - 1.0) < 1e-14
 
 
@@ -72,7 +64,7 @@ def test_measured_spectrum_matches_explicit_projectors(rng):
     for n in (3, 5):
         psi = oracles.random_pure(rng, n)
         pairs = rng.uniform(0.0, math.pi, size=(n, 2))
-        lam = _outcome_probs(psi.reshape((2,) * n), pairs)
+        lam = _outcome_probs(psi.reshape((2,) * n), pairs[None])[0]
         projectors = oracles.product_projectors(pairs)
         expected = np.array([(psi.conj() @ p @ psi).real for p in projectors])
         assert np.allclose(lam, expected, atol=1e-12)
@@ -122,6 +114,16 @@ def test_fast_objective_equals_full_matrix_bracket(rng):
             assert abs(gd_objective(gs, pairs) - full) < 1e-9
 
 
+def test_objective_scores_a_batch_exactly_as_row_by_row(rng):
+    """The certificate scores its stencil in one call, so a row's value must
+    not depend on the batch it comes in: bit for bit, not within rounding."""
+    for n in (3, 5):
+        objective = _objective_factory(PureState(oracles.random_pure(rng, n), n))
+        rows = rng.uniform(0.0, math.pi, size=(6, n, 2))
+        one_by_one = [objective(row[None])[0] for row in rows]
+        assert objective(rows).tolist() == one_by_one
+
+
 def test_ghz_and_product_anchors():
     for n in (3, 4, 5):
         res = global_discord(ghz_state(n), OptimizerConfig(seed=0))
@@ -159,7 +161,7 @@ def test_value_never_exceeds_probe_objectives():
     assert res.value <= gd_objective(gs, all_x) + 1e-12
 
 
-def test_uniform_mode_agrees_with_free_mode():
+def test_uniform_mode_agrees_with_free_mode(search):
     gs = ring(3, 0.7)
     free = search(gs, OptimizerConfig(seed=0))
     uniform = search(gs, OptimizerConfig(seed=0, uniform_angles=True))
@@ -167,21 +169,21 @@ def test_uniform_mode_agrees_with_free_mode():
     assert uniform.converged
 
 
-def test_restart_doubling_stability():
+def test_restart_doubling_stability(search):
     gs = ring(4, 0.9)
     few = search(gs, OptimizerConfig(seed=0, restarts=8))
     many = search(gs, OptimizerConfig(seed=0, restarts=16))
     assert abs(few.value - many.value) < 1e-6
 
 
-def test_determinism_same_seed():
+def test_determinism_same_seed(search):
     gs = ring(4, 1.1)
     a = search(gs, OptimizerConfig(seed=3))
     b = search(gs, OptimizerConfig(seed=3))
     assert a.value == b.value and a.n_evals == b.n_evals
 
 
-def test_budget_exhaustion_reports_not_converged():
+def test_budget_exhaustion_reports_not_converged(search):
     res = search(ring(4, 1.0), OptimizerConfig(seed=0, max_evals=60))
     assert not res.converged
     assert res.n_evals <= 60
@@ -258,6 +260,59 @@ def test_ring_symmetry_alone_does_not_take_the_certified_path():
     assert min(gaps) >= -1e-12 and max(gaps) > 0.5, gaps
 
 
+#: Best known minima (free, shared angles) of the rng-7 fallback panel, to
+#: 10 decimals: the lowest of every search run on it, up to 64 restarts on
+#: a budget of 2,000,000 evaluations.
+BEST_KNOWN_GD = {
+    "random3.0": (0.5970445190, 0.7677428812),
+    "random3.1": (0.5043583865, 0.7433866683),
+    "random3.2": (1.3573637553, 1.7355384765),
+    "sym3+1": (1.2460543229, 1.2460543229),
+    "sym3-1": (1.1681784205, 1.1681784205),
+    "ghz3": (1.0, 1.0),
+    "product3": (0.0, 0.0),
+    "random4.0": (2.1709197251, 2.7356640591),
+    "random4.1": (2.4161943576, 2.7313315577),
+    "random4.2": (2.3189975134, 2.8394240280),
+    "sym4+1": (1.2295958664, 1.2295958664),
+    "sym4-1": (1.3844643409, 1.3844643409),
+    "ghz4": (1.0, 1.0),
+    "product4": (0.0, 0.0),
+    "random5.0": (3.4868208385, 3.9547138305),
+    "random5.1": (3.3827318060, 3.8358488028),
+    "random5.2": (3.4472263184, 4.0004151267),
+    "sym5+1": (0.9139802212, 0.9139802212),
+    "sym5-1": (3.1525709681, 3.1525709681),
+    "ghz5": (1.0, 1.0),
+    "product5": (0.0, 0.0),
+}
+
+
+def test_fallback_search_reaches_the_best_known_minima():
+    """Per N = 3, 4, 5, drawn from rng 7: three random complex states, two
+    ring-symmetric states (parity +1, -1), GHZ and the product state, none
+    a ring ground state.  With 4 restarts, in free and shared mode, the
+    search lands within 1e-9 of the best known minimum, and its argmin
+    gives its value back under the reference objective.  One Nelder-Mead
+    simplex per start, the search this replaced, stopped up to 0.061 bit
+    high here (random5.1, free: 3.4441)."""
+    rng = np.random.default_rng(7)
+    for n in (3, 4, 5):
+        panel = {f"random{n}.{i}": PureState(oracles.random_pure(rng, n), n)
+                 for i in range(3)}
+        panel.update({f"sym{n}{p:+d}": symmetric_state(rng, n, p) for p in (1, -1)})
+        panel.update({f"ghz{n}": ghz_state(n), f"product{n}": product_state_down(n)})
+        for label, state in panel.items():
+            for uniform, best in zip((False, True), BEST_KNOWN_GD[label]):
+                res = global_discord(state, OptimizerConfig(
+                    seed=0, restarts=4, uniform_angles=uniform))
+                assert res.basis is None and res.converged, (label, uniform)
+                assert res.value <= best + 1e-9, (label, uniform, res.value, best)
+                ref = oracles.reference_objective(state.amplitudes, n,
+                                                  res.argmin_angles.ravel())
+                assert abs(ref - res.value) <= 1e-9, (label, uniform, ref, res.value)
+
+
 def test_hessian_margin_matches_full_oracle_hessian():
     """The two scalar circulants give the smallest eigenvalue of the full
     2N x 2N tilt Hessian of the reference objective, whose e1-e2 couplings
@@ -274,7 +329,7 @@ def test_hessian_margin_matches_full_oracle_hessian():
             assert abs(res.hessian_margin - lam) <= 1e-4 * abs(lam), (n, ratio)
 
 
-def test_search_never_beats_the_certified_value():
+def test_search_never_beats_the_certified_value(search):
     for n in range(3, 8):
         for ratio in (0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.2,
                       CROSSOVER[n] - 0.01, CROSSOVER[n] + 0.01, 2.5, 6.0):

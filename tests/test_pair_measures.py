@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+import isingring.newton as newton
 import isingring.pair_measures as pair_measures
 from isingring.errors import ConvergenceWarning, NonXStateWarning, QuadratureError
 from isingring.pair_measures import (
@@ -139,7 +140,7 @@ def test_discord_polish_converges_from_a_zero_angle_probe():
 
 
 def test_discord_warns_when_its_polish_does_not_converge(monkeypatch):
-    monkeypatch.setattr(pair_measures, "_POLISH_MAX_ITER", 0)
+    monkeypatch.setattr(newton, "_POLISH_MAX_ITER", 0)
     with pytest.warns(ConvergenceWarning):
         value = discord(BELL_RHO)
     assert abs(value - 1.0) < 1e-12
@@ -228,7 +229,7 @@ def test_amid_matches_brute_force_scan(rng):
 
 
 def test_amid_warns_when_its_polish_does_not_converge(monkeypatch):
-    monkeypatch.setattr(pair_measures, "_POLISH_MAX_ITER", 0)
+    monkeypatch.setattr(newton, "_POLISH_MAX_ITER", 0)
     with pytest.warns(ConvergenceWarning):
         value = amid(BELL_RHO)
     # the sigma^z probe pair already attains the optimum for a Bell state
