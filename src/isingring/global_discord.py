@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (PureState, _angles, _entropy_bits, _h2, _unit,
-                      as_angles, reduced_state, rotation_matrix)
+                      as_angles, rotation_matrix)
 from .newton import _polish
 from .ring import ground_state_ratio
 
@@ -132,7 +132,8 @@ def _objective_factory(gs: PureState):
     h((1 + n_j.r_j) / 2) - h((1 + |r_j|) / 2); the r_j are computed once.
     Angles come from the optimizer already shaped, so nothing is validated.
     """
-    rho1 = np.array([reduced_state(gs, (j,)).matrix for j in range(gs.n_sites)])
+    halves = [np.moveaxis(gs.as_tensor(), j, 0).reshape(2, -1) for j in range(gs.n_sites)]
+    rho1 = np.array([m @ m.conj().T for m in halves])  # unvalidated partial traces
     bloch = np.stack([2.0 * rho1[:, 1, 0].real, 2.0 * rho1[:, 1, 0].imag,
                       (rho1[:, 0, 0] - rho1[:, 1, 1]).real], axis=1)
     base = _h2(0.5 + 0.5 * np.linalg.norm(bloch, axis=1))

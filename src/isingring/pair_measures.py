@@ -231,49 +231,47 @@ class CorrelatorSet:
 
 
 def _g_moment(lam: float, k: int) -> tuple[float, float]:
-    """Quadrature for the moment G_k; returns (value, error estimate)."""
+    """G_k = (1/pi) int_0^pi [cos k phi + lam cos (k+1) phi] / eps(phi) dphi,
+    eps^2 = 1 + lam^2 + 2 lam cos phi, as (value, error estimate) of one
+    quadrature in t = pi - phi, where no term cancels next to lam = 1.  A
+    QUADPACK message (ier != 0) raises :class:`QuadratureError`."""
+    a, b = 1.0 - lam, 2.0 * math.sqrt(lam)
 
-    def eps(phi):
-        return np.sqrt(1.0 + lam * lam + 2.0 * lam * np.cos(phi))
+    def integrand(t):  # (-1)^k times the integrand in t
+        half = math.sin(0.5 * t)
+        return ((a * math.cos(k * t) + 2.0 * lam * half * math.sin((k + 0.5) * t))
+                / math.hypot(a, b * half))
 
-    i1, e1 = quad(
-        lambda phi: math.cos(k * phi) * (1.0 + lam * math.cos(phi)) / eps(phi),
-        0.0, math.pi, epsabs=1e-13, epsrel=1e-12, limit=400,
-    )
-    if k == 0:
-        return i1 / math.pi, e1 / math.pi
-    i2, e2 = quad(
-        lambda phi: math.sin(k * phi) * math.sin(phi) / eps(phi),
-        0.0, math.pi, epsabs=1e-13, epsrel=1e-12, limit=400,
-    )
-    return (i1 - lam * i2) / math.pi, (e1 + abs(lam) * e2) / math.pi
+    value, err, _, *message = quad(integrand, 0.0, math.pi, full_output=1,
+                                   epsabs=1e-13, epsrel=1e-12, limit=400)
+    if message:
+        raise QuadratureError(f"G_{k}: {' '.join(message[0].split())}", err / math.pi)
+    return (-1) ** k * value / math.pi, err / math.pi
 
 
 def toeplitz_correlators(lam: float, s: int) -> CorrelatorSet:
     """Thermodynamic-limit correlators at separation ``s`` for ratio J/B = lam.
 
-    chi_xx and chi_yy are s-by-s Toeplitz determinants over the moments G_k;
-    chi_zz = G_0**2 - G_s G_{-s}.  Quadrature is adaptive with an absolute
-    tolerance of 1e-10 on every moment.
+    chi_xx and chi_yy are s-by-s Toeplitz determinants over the moments
+    G_-s..G_s (``_g_moment``), chi_zz = G_0**2 - G_s G_-s.  Their summed error
+    estimate must stay within 1e-10; for 1e-12 < |1 - lam| < 1e-9, QUADPACK
+    may flag roundoff on the narrow log tail, and that raises QuadratureError.
     """
     if not math.isfinite(lam) or lam <= 0:
         raise ValueError("lam must be finite and positive")
     if s < 1:
         raise ValueError("separation must be >= 1")
-    g, err = {}, 0.0
-    for k in range(-s, s + 1):
-        g[k], e = _g_moment(lam, k)
-        err += e
+    moments, errors = np.array([_g_moment(lam, k) for k in range(-s, s + 1)]).T
+    err = float(errors.sum())
     if err > QUAD_ABS_TOL:
         raise QuadratureError("correlator quadrature above tolerance", err)
 
     # chi_xx and chi_yy: determinants of the Toeplitz matrices with entries
-    # g[offset + i - j], offset -1 and +1; ``moments`` is g shifted by s
-    moments, i = np.array([g[k] for k in range(-s, s + 1)]), np.arange(s)
-    chi_xx, chi_yy = (float(np.linalg.det(moments[s + offset + i[:, None] - i]))
-                      for offset in (-1, 1))
-    chi_zz = g[0] ** 2 - g[s] * g[-s]
-    return CorrelatorSet(chi_xx, chi_yy, chi_zz, g[0], s, lam, err)
+    # G_{d + i - j}, d = -1 and +1; moments[s + m] is G_m
+    toeplitz = s + np.subtract.outer(np.arange(s), np.arange(s))
+    chi_xx, chi_yy = (float(np.linalg.det(moments[toeplitz + d])) for d in (-1, 1))
+    chi_zz = float(moments[s] ** 2 - moments[2 * s] * moments[0])
+    return CorrelatorSet(chi_xx, chi_yy, chi_zz, float(moments[s]), s, lam, err)
 
 
 def x_state_from_correlators(corr: CorrelatorSet) -> XState:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -287,6 +288,85 @@ def test_toeplitz_critical_point_and_limits():
     c1 = toeplitz_correlators(0.5, 1).chi_xx
     c2 = toeplitz_correlators(0.5, 2).chi_xx
     assert c1 > c2 > 0.0
+
+
+def _superfactorial_ratio(s: int) -> float:
+    """2^{2s(s-1)} H(s)^4 / H(2s) with H(n) = prod_{k=1}^{n-1} k^{n-k}, exact."""
+    def h(n):
+        return math.prod(k ** (n - k) for k in range(1, n))
+    return float(Fraction(2 ** (2 * s * (s - 1)) * h(s) ** 4, h(2 * s)))
+
+
+def test_toeplitz_closed_forms_at_criticality(monkeypatch):
+    # Pfeuty, Ann. Phys. 57, 79 (1970): at lam = 1, G_k = (2/pi)(-1)^k/(2k+1),
+    # chi_xx = (2/pi)^s 2^{2s(s-1)} H(s)^4/H(2s), chi_yy = -chi_xx/(4s^2 - 1),
+    # chi_zz = (4/pi^2) 4s^2/(4s^2 - 1) and mz = 2/pi.
+    for k in range(-8, 9):
+        value, _ = pair_measures._g_moment(1.0, k)
+        assert abs(value - (2.0 / math.pi) * (-1) ** k / (2 * k + 1)) < 1e-14
+    calls = []
+    quad = pair_measures.quad
+    monkeypatch.setattr(pair_measures, "quad",
+                        lambda *a, **kw: calls.append(1) or quad(*a, **kw))
+    for s in range(1, 9):
+        calls.clear()
+        corr = toeplitz_correlators(1.0, s)
+        assert len(calls) == 2 * s + 1  # one quadrature per moment G_-s..G_s
+        chi_xx = (2.0 / math.pi) ** s * _superfactorial_ratio(s)
+        assert abs(corr.chi_xx - chi_xx) < 1e-14
+        assert abs(corr.chi_yy + chi_xx / (4 * s * s - 1)) < 1e-14
+        assert abs(corr.chi_zz - 4.0 / math.pi ** 2 * 4 * s * s / (4 * s * s - 1)) < 1e-14
+        assert abs(corr.mz - 2.0 / math.pi) < 1e-14
+
+
+# (chi_xx, chi_yy, chi_zz, mz) next to lam = 1, from the same moments
+# integrated with mpmath at 50 digits (in phi and in t = pi - phi, which agree
+# to 2e-43), then 50-digit Toeplitz determinants.
+NEAR_CRITICAL = {
+    (1 - 1e-5, 1): (6.3657968933776601e-1, -2.122424292916692e-1, 5.4044499093235723e-1, 6.3665985520493883e-1),
+    (1 - 1e-5, 4): (4.5554221269705436e-1, -7.2369092872113091e-3, 4.1176945549633245e-1, 6.3665985520493883e-1),
+    (1 - 1e-5, 8): (3.8326070615331852e-1, -1.5053587848622013e-3, 4.0692525797333019e-1, 6.3665985520493883e-1),
+    (1 + 1e-5, 1): (6.3665985483594458e-1, -2.1217075205712584e-1, 5.403143015522828e-1, 6.3657968970676395e-1),
+    (1 + 1e-5, 4): (4.557519750072586e-1, -7.2280778047413091e-3, 4.1166619678049992e-1, 6.3657968970676395e-1),
+    (1 + 1e-5, 8): (3.8359427303576799e-1, -1.5019156325040841e-3, 4.0682291635096861e-1, 6.3657968970676395e-1),
+    (1 - 1e-7, 1): (6.366192249529319e-1, -2.1220709576247087e-1, 5.4038054839341275e-1, 6.3662031978220421e-1),
+    (1 - 1e-7, 4): (4.5564562606950101e-1, -7.2325577057763913e-3, 4.1171853149098196e-1, 6.3662031978220421e-1),
+    (1 - 1e-7, 8): (3.8342511648125704e-1, -1.5036627432664035e-3, 4.0687478555027333e-1, 6.3662031978220421e-1),
+    (1 + 1e-7, 1): (6.3662031978215322e-1, -2.1220608581588588e-1, 5.4037874379156495e-1, 6.3661922495298289e-1),
+    (1 + 1e-7, 4): (4.5564856302556886e-1, -7.2324294227152441e-3, 4.1171711969769258e-1, 6.3661922495298289e-1),
+    (1 + 1e-7, 8): (3.8342986474915879e-1, -1.503611692930187e-3, 4.0687338738916728e-1, 6.3661922495298289e-1),
+    (1 - 1e-9, 1): (6.3661976542756422e-1, -2.1220659730479773e-1, 5.4037965760401728e-1, 6.3661977930759846e-1),
+    (1 - 1e-9, 4): (4.5564707566619052e-1, -7.2324944055046429e-3, 4.1171783454925829e-1, 6.3661977930759846e-1),
+    (1 - 1e-9, 8): (3.8342745981102764e-1, -1.5036375564451931e-3, 4.0687409533415277e-1, 6.3661977930759846e-1),
+    (1 + 1e-9, 1): (6.3661977930759919e-1, -2.1220658427358914e-1, 5.4037963458091774e-1, 6.3661976542756349e-1),
+    (1 + 1e-9, 4): (4.5564711342908184e-1, -7.2324927229916233e-3, 4.1171781663926362e-1, 6.3661976542756349e-1),
+    (1 + 1e-9, 8): (3.8342752141969904e-1, -1.5036368797536866e-3, 4.0687407760509242e-1, 6.3661976542756349e-1),
+    (1 - 2.0 ** -52, 1): (6.3661977236757872e-1, -2.1220659078919631e-1, 5.4037964609247251e-1, 6.3661977236758397e-1),
+    (1 - 2.0 ** -52, 4): (4.556470945476279e-1, -7.2324935642485121e-3, 4.1171782559426481e-1, 6.3661977236758397e-1),
+    (1 - 2.0 ** -52, 8): (3.8342749061534968e-1, -1.5036372180995943e-3, 4.068740864696264e-1, 6.3661977236758397e-1),
+    (1 + 2.0 ** -52, 1): (6.3661977236758397e-1, -2.1220659078919125e-1, 5.4037964609246372e-1, 6.3661977236757872e-1),
+    (1 + 2.0 ** -52, 4): (4.5564709454764249e-1, -7.2324935642478433e-3, 4.1171782559425803e-1, 6.3661977236757872e-1),
+    (1 + 2.0 ** -52, 8): (3.8342749061537379e-1, -1.5036372180993213e-3, 4.068740864696197e-1, 6.3661977236757872e-1),
+}
+
+
+def test_toeplitz_near_criticality_matches_reference():
+    for (lam, s), expected in NEAR_CRITICAL.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            corr = toeplitz_correlators(lam, s)
+        assert not caught, (lam, s)
+        got = (corr.chi_xx, corr.chi_yy, corr.chi_zz, corr.mz)
+        assert np.max(np.abs(np.subtract(got, expected))) < 1e-12, (lam, s)
+
+
+def test_toeplitz_quadpack_failure_is_one_error():
+    # 1e-12 < |1 - lam| < 1e-9: QUADPACK flags roundoff on the log tail
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(QuadratureError, match="roundoff"):
+            toeplitz_correlators(1 - 1e-10, 1)
+    assert not caught
 
 
 def test_toeplitz_input_validation():
