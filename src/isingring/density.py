@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import entr
 
 # Eigenvalues in [-EIG_CLIP, 0] are treated as numerical zeros; anything more
 # negative marks a genuinely invalid operator.
@@ -103,6 +102,14 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
+# The smallest positive double.  log(max(w, _LOG_FLOOR)) is log(w) for every
+# w > 0, subnormals included, and finite for w <= 0, where the factor
+# max(w, 0) = 0 zeroes the term: -p ln p without evaluating log(0).
+_LOG_FLOOR = 5e-324
+
+_MINUS_LN2 = -math.log(2.0)
+
+
 def _entropy_bits(weights, axis=None):
     """Entropy kernel in bits, summed over ``axis`` (all of it by default):
     negatives clipped to 0, no validation.
@@ -110,13 +117,16 @@ def _entropy_bits(weights, axis=None):
     For spectra that are valid by construction, such as those inside the
     optimizer loops; the public entropies below check their input first.
     """
-    return np.add.reduce(entr(np.maximum(weights, 0.0)), axis=axis) / math.log(2.0)
+    terms = np.maximum(weights, 0.0) * np.log(np.maximum(weights, _LOG_FLOOR))
+    return np.add.reduce(terms, axis=axis) / _MINUS_LN2
 
 
 def _h2(p):
     """Elementwise binary entropy in bits, arguments clipped to [0, 1]."""
     p = np.minimum(np.maximum(p, 0.0), 1.0)
-    return _entropy_bits(np.array([p, 1.0 - p]), axis=0)
+    q = 1.0 - p
+    return (p * np.log(np.maximum(p, _LOG_FLOOR))
+            + q * np.log(np.maximum(q, _LOG_FLOOR))) / _MINUS_LN2
 
 
 def binary_entropy(p: float) -> float:

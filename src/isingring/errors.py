@@ -16,7 +16,7 @@ class EigensolverError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """The correlator quadrature's error estimate exceeds its tolerance."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved tolerance {achieved:.3e})")

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import newton
 from .density import (DensityMatrix, PureState, _angles, _entropy_bits, _h2,
@@ -89,19 +88,18 @@ def pair_mutual_information(mat: np.ndarray) -> float:
 
 
 def _conditional_entropy(bl: np.ndarray, axes: np.ndarray):
-    """sum_b p_b S(rho_{A|b}) for B measured along each unit vector of ``axes``.
+    """sum_b p_b S(rho_{A|b}) for B measured along each row (unit vector) of
+    ``axes``.
 
     Outcome b = +-1 has p_b = (1 + b s.m) / 2 and leaves A with the Bloch
     vector (r + b T m) / (2 p_b); outcomes with p_b <= 1e-14 count as pure.
     """
     r, s, t = bl[1:, 0], bl[0, 1:], bl[1:, 1:]
-    total = 0.0
-    for b in (1.0, -1.0):
-        p = 0.5 * (1.0 + b * (axes @ s))
-        v = np.linalg.norm(r + b * (axes @ t.T), axis=-1)
-        length = np.divide(v, 2.0 * p, out=np.ones_like(p), where=p > 1e-14)
-        total = total + p * _h2(0.5 + 0.5 * length)
-    return total
+    b = np.array([[1.0], [-1.0]])  # both outcomes in one pass, axis 0
+    p = 0.5 * (1.0 + b * (axes @ s))
+    v = np.linalg.norm(r + b[..., None] * (axes @ t.T), axis=-1)
+    length = np.divide(v, 2.0 * p, out=np.ones_like(p), where=p > 1e-14)
+    return np.add.reduce(p * _h2(0.5 + 0.5 * length), axis=0)
 
 
 def _probe_angles(bl: np.ndarray) -> np.ndarray:
@@ -230,38 +228,81 @@ class CorrelatorSet:
                 raise ValueError(f"{name}={val} outside [-1, 1]")
 
 
-def _g_moment(lam: float, k: int) -> tuple[float, float]:
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n (three-term recurrence) from the asymptotic
+    guesses, which converges in four steps; w = 2 / ((1 - x^2) P_n'(x)^2).
+    Both come out within 1.5e-16 of 40-digit values for n = 20 and 30,
+    where ``numpy.polynomial.legendre.leggauss``'s rescaled weights are off
+    by up to 2.4e-15.
+    """
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(5):
+        p_prev, p = np.ones(n), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        slope = n * (p_prev - x * p) / (1.0 - x * x)
+        x = x - p / slope
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+# Composite Gauss-Legendre rules of two orders: the moments are the sums of
+# the higher order, their error estimate the gap between the two.
+_RULES = (_gauss_legendre(20), _gauss_legendre(30))
+
+
+def _panel_edges(lam: float, s: int) -> np.ndarray:
+    """Panel edges on [0, pi] for the moments of order |k| <= s.
+
+    The integrand has a kink of width |1 - lam| / sqrt(lam) at t = 0 (its
+    complex singularities sit that far off the real axis), so the panels grade
+    geometrically, by 4, from that width up to pi; at lam = 1 the kink is gone.
+    A uniform grid of panels at most 12 / (s + 1) wide resolves the factors
+    cos kt and sin (k + 1/2) t over every panel.
+    """
+    edges = [np.linspace(0.0, math.pi, math.ceil(math.pi * (s + 1) / 12.0) + 1)]
+    width = abs(1.0 - lam) / math.sqrt(lam)
+    if 0.0 < width < math.pi:
+        edges.append(width * 4.0 ** np.arange(math.ceil(math.log(math.pi / width, 4))))
+    return np.unique(np.concatenate(edges))
+
+
+def _g_moments(lam: float, s: int) -> tuple[np.ndarray, np.ndarray]:
     """G_k = (1/pi) int_0^pi [cos k phi + lam cos (k+1) phi] / eps(phi) dphi,
-    eps^2 = 1 + lam^2 + 2 lam cos phi, as (value, error estimate) of one
-    quadrature in t = pi - phi, where no term cancels next to lam = 1.  A
-    QUADPACK message (ier != 0) raises :class:`QuadratureError`."""
+    eps^2 = 1 + lam^2 + 2 lam cos phi, for k = -s..s, as (values, error
+    estimates).  All moments share one composite Gauss-Legendre rule in
+    t = pi - phi, where no term cancels next to lam = 1."""
     a, b = 1.0 - lam, 2.0 * math.sqrt(lam)
-
-    def integrand(t):  # (-1)^k times the integrand in t
-        half = math.sin(0.5 * t)
-        return ((a * math.cos(k * t) + 2.0 * lam * half * math.sin((k + 0.5) * t))
-                / math.hypot(a, b * half))
-
-    value, err, _, *message = quad(integrand, 0.0, math.pi, full_output=1,
-                                   epsabs=1e-13, epsrel=1e-12, limit=400)
-    if message:
-        raise QuadratureError(f"G_{k}: {' '.join(message[0].split())}", err / math.pi)
-    return (-1) ** k * value / math.pi, err / math.pi
+    edges = _panel_edges(lam, s)
+    centre = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half_width = 0.5 * np.diff(edges)[:, None]
+    k = np.arange(-s, s + 1)[:, None]
+    sums = []
+    for x, w in _RULES:
+        t = (centre + half_width * x).ravel()
+        half = np.sin(0.5 * t)
+        # (-1)^k times the integrand in t
+        f = ((a * np.cos(k * t) + 2.0 * lam * half * np.sin((k + 0.5) * t))
+             / np.hypot(a, b * half))
+        sums.append(f @ (half_width * w).ravel())
+    low, high = sums
+    return (-1.0) ** k.ravel() * high / math.pi, np.abs(high - low) / math.pi
 
 
 def toeplitz_correlators(lam: float, s: int) -> CorrelatorSet:
     """Thermodynamic-limit correlators at separation ``s`` for ratio J/B = lam.
 
     chi_xx and chi_yy are s-by-s Toeplitz determinants over the moments
-    G_-s..G_s (``_g_moment``), chi_zz = G_0**2 - G_s G_-s.  Their summed error
-    estimate must stay within 1e-10; for 1e-12 < |1 - lam| < 1e-9, QUADPACK
-    may flag roundoff on the narrow log tail, and that raises QuadratureError.
+    G_-s..G_s (``_g_moments``), chi_zz = G_0**2 - G_s G_-s.  Their summed
+    error estimate must stay within ``QUAD_ABS_TOL`` (1e-10), or
+    :class:`QuadratureError` is raised.
     """
     if not math.isfinite(lam) or lam <= 0:
         raise ValueError("lam must be finite and positive")
     if s < 1:
         raise ValueError("separation must be >= 1")
-    moments, errors = np.array([_g_moment(lam, k) for k in range(-s, s + 1)]).T
+    moments, errors = _g_moments(lam, s)
     err = float(errors.sum())
     if err > QUAD_ABS_TOL:
         raise QuadratureError("correlator quadrature above tolerance", err)

@@ -6,8 +6,8 @@ over a grid of field/coupling ratios and collects them in a flat table with
 a fixed column schema.  One measure table, ``_MEASURES``, maps each family
 to the function that computes its record; the columns are a fixed projection
 of those records, and the CLI's ``measures`` prints them whole.  Peaks are
-refined by a bounded Brent search (``scipy.optimize.minimize_scalar``) that
-re-evaluates the underlying measure, not by interpolating the grid.
+refined by a bounded Brent search (``_bounded_brent``) that re-evaluates the
+underlying measure, not by interpolating the grid.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, field
 from multiprocessing import get_context
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .entanglement import entanglement_stats
 from .errors import ConvergenceWarning
@@ -447,6 +446,85 @@ def _make_evaluator(table: SweepTable, column: str):
     return evaluate
 
 
+def _bounded_brent(func, lower: float, upper: float,
+                   xatol: float) -> tuple[float, float, int]:
+    """Minimize ``func`` on [lower, upper] by Brent's bounded search
+    (golden-section steps with parabolic interpolation).
+
+    A step-for-step port of ``_minimize_scalar_bounded`` from SciPy's
+    ``scipy/optimize/_optimize.py`` (BSD 3-Clause licence, copyright the
+    SciPy developers), which ``minimize_scalar(method="bounded")`` runs: the
+    same probes in the same order, so the same result, with SciPy's default
+    cap of 500 evaluations.  Returns the best abscissa, its value and the
+    number of evaluations.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lower, upper
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the last three points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0.0 else -step)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx, num
+
+
 def find_peak(
     table: SweepTable,
     column: str = "gd",
@@ -456,10 +534,10 @@ def find_peak(
 ) -> PeakResult:
     """Locate and refine the maximum of ``column`` along the ratio axis.
 
-    The grid argmax brackets a bounded Brent search (``minimize_scalar``,
-    ``method="bounded"``) between its grid neighbours; every probe
-    re-evaluates the measure, ``n_evals`` is the search's ``nfev`` and
-    ``xtol`` (finite, > 0) the absolute tolerance on the refined ratio.
+    The grid argmax brackets a bounded Brent search (``_bounded_brent``)
+    between its grid neighbours; every probe re-evaluates the measure,
+    ``n_evals`` counts the probes and ``xtol`` (finite, > 0) is the
+    absolute tolerance on the refined ratio.
     The result is never below the grid maximum: if no probe beats it, the
     grid point is returned.  A maximum on the first or last grid point is
     returned unrefined with ``boundary=True`` (no bracket exists).
@@ -481,16 +559,13 @@ def find_peak(
                           boundary=True, n_evals=0)
     if evaluator is None:
         evaluator = _make_evaluator(table, column)
-    res = minimize_scalar(
+    x, fun, n_evals = _bounded_brent(
         lambda r: -float(evaluator(r)),
-        method="bounded",
-        bounds=(float(table.ratios[i - 1]), float(table.ratios[i + 1])),
-        options={"xatol": xtol},
-    )
-    if -res.fun > best_v:
-        best_r, best_v = float(res.x), float(-res.fun)
+        float(table.ratios[i - 1]), float(table.ratios[i + 1]), xtol)
+    if -fun > best_v:
+        best_r, best_v = x, -fun
     return PeakResult(ratio_star=best_r, value=best_v, column=column,
-                      boundary=False, n_evals=int(res.nfev))
+                      boundary=False, n_evals=n_evals)
 
 
 # ------------------------------------------------------------------- fits

@@ -1,12 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import entr
 
 import oracles
 from isingring.density import (
+    EIG_CLIP,
     DensityMatrix,
     PureState,
+    _entropy_bits,
+    _h2,
     as_angles,
     binary_entropy,
     reduced_state,
@@ -63,6 +68,25 @@ def test_entropy_scalars():
     assert shannon_entropy(np.array([1.0, 0.0])) == 0.0
     with pytest.raises(ValueError):
         shannon_entropy(np.array([1.2, -0.2]))
+
+
+def test_entropy_kernel_matches_scipy_entr(rng):
+    p = np.concatenate([
+        [0.0, -0.0, -EIG_CLIP, -1e-12, 5e-324, 1e-310, 2.2250738585072014e-308,
+         1e-300, 1e-20, 0.5, 1.0 - 2.0 ** -53, 1.0],
+        rng.random(20000), rng.random(2000) * 1e-12, -rng.random(100) * EIG_CLIP,
+    ])
+    expected = entr(np.maximum(p, 0.0)) / math.log(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise", under="ignore"):
+            terms = _entropy_bits(p[:, None], axis=1)
+            h2 = _h2(p)
+    assert np.max(np.abs(terms - expected)) <= 2.3e-16
+    q = np.clip(p, 0.0, 1.0)
+    h2_expected = (entr(q) + entr(1.0 - q)) / math.log(2.0)
+    assert np.max(np.abs(h2 - h2_expected)) <= 4.5e-16
+    assert _h2(0.0) == _h2(1.0) == 0.0 and _h2(0.5) == 1.0
 
 
 def test_density_matrix_validation():

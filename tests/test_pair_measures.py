@@ -301,17 +301,22 @@ def test_toeplitz_closed_forms_at_criticality(monkeypatch):
     # Pfeuty, Ann. Phys. 57, 79 (1970): at lam = 1, G_k = (2/pi)(-1)^k/(2k+1),
     # chi_xx = (2/pi)^s 2^{2s(s-1)} H(s)^4/H(2s), chi_yy = -chi_xx/(4s^2 - 1),
     # chi_zz = (4/pi^2) 4s^2/(4s^2 - 1) and mz = 2/pi.
-    for k in range(-8, 9):
-        value, _ = pair_measures._g_moment(1.0, k)
+    values, _ = pair_measures._g_moments(1.0, 8)
+    for k, value in zip(range(-8, 9), values):
         assert abs(value - (2.0 / math.pi) * (-1) ** k / (2 * k + 1)) < 1e-14
-    calls = []
-    quad = pair_measures.quad
-    monkeypatch.setattr(pair_measures, "quad",
-                        lambda *a, **kw: calls.append(1) or quad(*a, **kw))
+    counts = []
+    kernel = pair_measures._g_moments
+
+    def counting(lam, s):
+        moments, errors = kernel(lam, s)
+        counts.append(len(moments))
+        return moments, errors
+
+    monkeypatch.setattr(pair_measures, "_g_moments", counting)
     for s in range(1, 9):
-        calls.clear()
+        counts.clear()
         corr = toeplitz_correlators(1.0, s)
-        assert len(calls) == 2 * s + 1  # one quadrature per moment G_-s..G_s
+        assert counts == [2 * s + 1]  # one kernel call, moments G_-s..G_s
         chi_xx = (2.0 / math.pi) ** s * _superfactorial_ratio(s)
         assert abs(corr.chi_xx - chi_xx) < 1e-14
         assert abs(corr.chi_yy + chi_xx / (4 * s * s - 1)) < 1e-14
@@ -321,7 +326,9 @@ def test_toeplitz_closed_forms_at_criticality(monkeypatch):
 
 # (chi_xx, chi_yy, chi_zz, mz) next to lam = 1, from the same moments
 # integrated with mpmath at 50 digits (in phi and in t = pi - phi, which agree
-# to 2e-43), then 50-digit Toeplitz determinants.
+# to 2e-43), then 50-digit Toeplitz determinants.  The lam = 1 +- 1e-10 and
+# 1 +- 1e-11 rows lie where an adaptive QUADPACK rule flags roundoff or
+# misses the kink at t = 0 by up to 1e-10.
 NEAR_CRITICAL = {
     (1 - 1e-5, 1): (6.3657968933776601e-1, -2.122424292916692e-1, 5.4044499093235723e-1, 6.3665985520493883e-1),
     (1 - 1e-5, 4): (4.5554221269705436e-1, -7.2369092872113091e-3, 4.1176945549633245e-1, 6.3665985520493883e-1),
@@ -347,6 +354,18 @@ NEAR_CRITICAL = {
     (1 + 2.0 ** -52, 1): (6.3661977236758397e-1, -2.1220659078919125e-1, 5.4037964609246372e-1, 6.3661977236757872e-1),
     (1 + 2.0 ** -52, 4): (4.5564709454764249e-1, -7.2324935642478433e-3, 4.1171782559425803e-1, 6.3661977236757872e-1),
     (1 + 2.0 ** -52, 8): (3.8342749061537379e-1, -1.5036372180993213e-3, 4.068740864696197e-1, 6.3661977236757872e-1),
+    (1 - 1e-10, 1): (6.366197716002860e-1, -2.122065915140478e-1, 5.403796473680502e-1, 6.366197731348767e-1),
+    (1 - 1e-10, 4): (4.556470924496573e-1, -7.232493658365893e-3, 4.1171782658456274e-1, 6.366197731348767e-1),
+    (1 - 1e-10, 8): (3.834274871817782e-1, -1.5036372560887385e-3, 4.0687408744976233e-1, 6.366197731348767e-1),
+    (1 + 1e-10, 1): (6.366197731348767e-1, -2.1220659006433976e-1, 5.403796448168860e-1, 6.366197716002860e-1),
+    (1 + 1e-10, 4): (4.556470966456131e-1, -7.232493470130462e-3, 4.117178246039601e-1, 6.366197716002860e-1),
+    (1 + 1e-10, 8): (3.8342749404894527e-1, -1.5036371801101771e-3, 4.068740854894838e-1, 6.366197716002860e-1),
+    (1 - 1e-11, 1): (6.366197722835224e-1, -2.1220659086900853e-1, 5.403796462324690e-1, 6.366197724516403e-1),
+    (1 - 1e-11, 4): (4.556470943168541e-1, -7.232493574659155e-3, 4.117178257027717e-1, 6.366197724516403e-1),
+    (1 - 1e-11, 8): (3.8342749023668843e-1, -1.5036372223138563e-3, 4.068740865770056e-1, 6.366197724516403e-1),
+    (1 + 1e-11, 1): (6.366197724516403e-1, -2.1220659070937903e-1, 5.403796459524672e-1, 6.366197722835224e-1),
+    (1 + 1e-11, 4): (4.556470947784163e-1, -7.2324935538372005e-3, 4.1171782548575114e-1, 6.366197722835224e-1),
+    (1 + 1e-11, 8): (3.8342749099403506e-1, -1.5036372138850593e-3, 4.068740863622405e-1, 6.366197722835224e-1),
 }
 
 
@@ -360,13 +379,32 @@ def test_toeplitz_near_criticality_matches_reference():
         assert np.max(np.abs(np.subtract(got, expected))) < 1e-12, (lam, s)
 
 
-def test_toeplitz_quadpack_failure_is_one_error():
-    # 1e-12 < |1 - lam| < 1e-9: QUADPACK flags roundoff on the log tail
+def test_toeplitz_estimate_above_tolerance_is_one_error(monkeypatch):
+    # 4- and 6-node rules: the estimate bounds each moment's true error at
+    # lam = 1 and lies far above QUAD_ABS_TOL
+    rules = (pair_measures._gauss_legendre(4), pair_measures._gauss_legendre(6))
+    monkeypatch.setattr(pair_measures, "_RULES", rules)
+    values, errors = pair_measures._g_moments(1.0, 8)
+    exact = [(2.0 / math.pi) * (-1) ** k / (2 * k + 1) for k in range(-8, 9)]
+    assert np.all(np.abs(values - exact) <= errors)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(QuadratureError, match="roundoff"):
-            toeplitz_correlators(1 - 1e-10, 1)
+        with pytest.raises(QuadratureError, match="above tolerance") as info:
+            toeplitz_correlators(1.0, 8)
     assert not caught
+    assert info.value.achieved == errors.sum() > pair_measures.QUAD_ABS_TOL
+
+
+def test_gauss_legendre_rule_integrates_polynomials_exactly():
+    for n in (2, 20, 30):
+        x, w = pair_measures._gauss_legendre(n)
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        np.testing.assert_allclose(x, np.polynomial.legendre.leggauss(n)[0],
+                                   rtol=0, atol=1e-15)
+        # exact up to degree 2n - 1 (leggauss's own weights miss by 5e-15)
+        for j in range(n):
+            assert abs(w @ x ** (2 * j) - 2.0 / (2 * j + 1)) < 2e-15
+            assert abs(w @ x ** (2 * j + 1)) < 2e-15
 
 
 def test_toeplitz_input_validation():

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from isingring.global_discord import OptimizerConfig
 from isingring.sweep import (
@@ -274,6 +275,30 @@ def test_find_peak_refines_with_injected_evaluator(shape):
         # Brent's parabolic steps land on a parabola's vertex at once; a
         # golden-section loop takes 25 probes to this tolerance
         assert peak.n_evals <= 10
+
+
+#: Functions to minimize on (lower, upper): smooth unimodal ones, a flat
+#: one, and ones falling toward a bracket edge (a maximum at the edge).
+BRENT_PANEL = {
+    "parabola": (lambda x: (x - 0.9876) ** 2, 0.5, 1.5),
+    "quartic": (lambda x: (x - 1.3) ** 4 - 0.1 * x, 0.75, 1.75),
+    "skewed": (lambda x: -(x ** 3) * math.exp(-2.8 * x), 0.5, 2.0),
+    "cosine": (lambda x: math.cos(3.0 * x), 0.2, 1.9),
+    "flat": (lambda x: 0.5, 0.5, 1.5),
+    "edge_low": (lambda x: x * x, 1.0, 2.0),
+    "edge_high": (lambda x: -math.exp(x), 0.1, 0.6),
+}
+
+
+@pytest.mark.parametrize("xtol", [1e-4, 1e-2])
+@pytest.mark.parametrize("name", sorted(BRENT_PANEL))
+def test_bounded_brent_matches_scipy(name, xtol):
+    f, lower, upper = BRENT_PANEL[name]
+    ref = minimize_scalar(f, method="bounded", bounds=(lower, upper),
+                          options={"xatol": xtol})
+    x, fun, n_evals = sweep_module._bounded_brent(f, lower, upper, xtol)
+    assert (float(x).hex(), float(fun).hex(), n_evals) == (
+        float(ref.x).hex(), float(ref.fun).hex(), int(ref.nfev))
 
 
 def test_find_peak_keeps_the_grid_point_when_no_probe_beats_it():
