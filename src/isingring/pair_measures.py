@@ -297,6 +297,10 @@ def toeplitz_correlators(lam: float, s: int) -> CorrelatorSet:
     G_-s..G_s (``_g_moments``), chi_zz = G_0**2 - G_s G_-s.  Their summed
     error estimate must stay within ``QUAD_ABS_TOL`` (1e-10), or
     :class:`QuadratureError` is raised.
+
+    Against 50-digit values the fields are within 1.7e-15 for every tested
+    s <= 8.  At large lam and s rounding in the node sums costs digits:
+    3.1e-15 at lam = 5, s = 15 and 5.7e-15 at lam = 25, s = 15.
     """
     if not math.isfinite(lam) or lam <= 0:
         raise ValueError("lam must be finite and positive")

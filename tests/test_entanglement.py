@@ -98,14 +98,20 @@ def _plain_stats(state):
     return values.mean(), values.var()
 
 
-def _dense_stats(state):
-    """Mean and variance from the oracle's dense partial traces."""
+def _dense_values(state):
+    """E of every cut from the oracle's dense partial traces."""
     n, psi = state.n_sites, state.amplitudes
     rho_mat = np.outer(psi, psi.conj())
     values = []
     for cut in bipartitions(n):
         red = oracles.partial_trace_dense(rho_mat, n, cut)
         values.append(-math.log2(float(np.trace(red @ red).real)))
+    return values
+
+
+def _dense_stats(state):
+    """Mean and variance from the oracle's dense partial traces."""
+    values = _dense_values(state)
     return np.mean(values), np.var(values)
 
 
@@ -139,22 +145,69 @@ def _cut_orbit_count(n):
     return len(seen)
 
 
-def _counting_cuts(monkeypatch):
-    calls = []
-    kernel = entanglement._cut_entanglement
+def _half_side_orbit_count(n):
+    """Orbits of the floor(N/2)-site sides under rotations and reflections
+    alone, by brute force over the sides holding site 0 (every orbit has
+    one)."""
+    seen = set()
+    for cut in bipartitions(n):
+        if len(cut) == n // 2:
+            seen.add(min(tuple(sorted((sign * s + shift) % n for s in cut))
+                         for shift in range(n) for sign in (1, -1)))
+    return len(seen)
 
-    def counted(tensor, sites):
-        calls.append(sites)
-        return kernel(tensor, sites)
 
-    monkeypatch.setattr(entanglement, "_cut_entanglement", counted)
-    return calls
+def _root_count(n):
+    """Sides of floor(N/2) sites: those holding site 0 at even N, all at odd N."""
+    return math.comb(n - 1, n // 2 - 1) if n % 2 == 0 else math.comb(n, n // 2)
+
+
+def _counting(monkeypatch):
+    """Wrap the Gram product and the purity kernel: the first list gets
+    the side of every Gram product (the descent's roots), the second the
+    E of every cut key visited."""
+    roots, values = [], []
+    gram, kernel = entanglement._gram, entanglement._entanglement
+
+    def counted_gram(tensor, side):
+        roots.append(side)
+        return gram(tensor, side)
+
+    def counted_kernel(rho):
+        values.append(kernel(rho))
+        return values[-1]
+
+    monkeypatch.setattr(entanglement, "_gram", counted_gram)
+    monkeypatch.setattr(entanglement, "_entanglement", counted_kernel)
+    return roots, values
+
+
+def _dihedral_symmetrized(rng, n):
+    """A random state summed over every rotation and reflection of the ring."""
+    tensor = oracles.random_pure(rng, n).reshape((2,) * n)
+    images = []
+    for image in (tensor, tensor.T):
+        for _ in range(n):
+            images.append(image)
+            image = np.moveaxis(image, 0, -1)
+    total = sum(images).ravel()
+    return PureState(total / np.linalg.norm(total), n)
+
+
+def test_one_site_state_has_no_bipartition():
+    state = PureState(np.array([1.0, 0.0]), 1)
+    with pytest.raises(ValueError, match="no bipartition"):
+        entanglement_stats(state)
+    with pytest.raises(ValueError, match="bipartition"):
+        bipartition_entanglement(state, (0,))
 
 
 def test_states_without_dihedral_symmetry_take_every_cut(rng, monkeypatch):
-    """A random state, a chiral state (rotation-symmetrized, not mirror
-    symmetric) and a ground state with one amplitude moved by 1e-9 each
-    evaluate all 2^(N-1) - 1 cuts and reproduce the plain loop exactly."""
+    """A chiral state (rotation-symmetrized, not mirror symmetric), a ground
+    state with one amplitude moved by 1e-9 and random states each visit all
+    2^(N-1) - 1 cuts, from one Gram product per side of floor(N/2) sites
+    (those holding site 0 at even N), and reproduce the plain loop within
+    1e-13."""
     seed = oracles.random_pure(rng, 6).reshape((2,) * 6)
     tensor = sum(seed.transpose(np.roll(range(6), k)) for k in range(6))
     tensor /= np.linalg.norm(tensor)
@@ -163,22 +216,69 @@ def test_states_without_dihedral_symmetry_take_every_cut(rng, monkeypatch):
     assert np.linalg.norm(tensor.T - tensor) > 1e-3
     moved = ground_state(RingConfig(8, 1.0, 1.0))[0].amplitudes.copy()
     moved[37] += 1e-9
-    states = [PureState(oracles.random_pure(rng, 7), 7), PureState(chiral, 6),
-              PureState(moved / np.linalg.norm(moved), 8)]
+    states = [PureState(chiral, 6), PureState(moved / np.linalg.norm(moved), 8)]
+    states += [PureState(oracles.random_pure(rng, n), n) for n in (7, 10, 11, 12)]
     for state in states:
+        n = state.n_sites
         mean, var = _plain_stats(state)
-        calls = _counting_cuts(monkeypatch)
+        roots, values = _counting(monkeypatch)
         stats = entanglement_stats(state)
         monkeypatch.undo()
-        assert len(calls) == stats.n_bipartitions == 2 ** (state.n_sites - 1) - 1
-        assert (stats.mean, stats.variance) == (mean, var)
+        assert len(roots) == len(set(roots)) == _root_count(n), n
+        assert all(len(root) == n // 2 for root in roots)
+        assert len(values) == stats.n_bipartitions == 2 ** (n - 1) - 1
+        assert abs(stats.mean - mean) < 1e-13 and abs(stats.variance - var) < 1e-13
+    assert [_root_count(n) for n in (6, 7, 8, 10, 11, 12)] == [10, 35, 35, 126, 462, 462]
 
 
 def test_ground_states_take_one_cut_per_orbit(monkeypatch):
-    for n, orbits in ((10, 43), (11, 62), (12, 121)):
+    """A ring ground state visits one cut key per orbit of cuts (43 / 62 /
+    121 at N = 10 / 11 / 12), from one Gram product per dihedral orbit of
+    the floor(N/2)-site sides (16 / 26 / 50)."""
+    for n, orbits, n_roots in ((10, 43, 16), (11, 62, 26), (12, 121, 50)):
         assert _cut_orbit_count(n) == orbits
+        assert _half_side_orbit_count(n) == n_roots
         gs, _ = ground_state(RingConfig(n, 1.0, 0.9))
-        calls = _counting_cuts(monkeypatch)
+        roots, values = _counting(monkeypatch)
         stats = entanglement_stats(gs)
         monkeypatch.undo()
-        assert len(calls) == orbits and stats.n_bipartitions == 2 ** (n - 1) - 1
+        assert len(roots) == len(set(roots)) == n_roots
+        assert len(values) == orbits and stats.n_bipartitions == 2 ** (n - 1) - 1
+
+
+def test_every_visited_cut_matches_the_dense_oracle(rng, monkeypatch):
+    """Without symmetry each cut is visited once, so the E values the
+    descent takes are, as a multiset, the dense oracle's E of every cut."""
+    for n in range(2, 9):
+        state = PureState(oracles.random_pure(rng, n), n)
+        dense = _dense_values(state)
+        _, values = _counting(monkeypatch)
+        entanglement_stats(state)
+        monkeypatch.undo()
+        assert len(values) == len(dense)
+        assert np.max(np.abs(np.sort(values) - np.sort(dense))) < 1e-13, n
+
+
+def test_roots_cover_every_cut_at_every_size(rng, monkeypatch):
+    """Random states and random states made invariant under the whole
+    dihedral group, at N = 2..12.  Each root must be a side of floor(N/2)
+    sites, one per side holding site 0 at even N, every side at odd N, one
+    per dihedral orbit of sides for invariant states.  Roots picked by the
+    complement-merged cut key are too few (35 of 50 at N = 12), and which of
+    a half side and its complement is kept decides whether every cut is
+    reached: keeping the last one misses an orbit of 12 cuts at N = 12.
+    Dropping the odd-N roots without site 0 misses cuts at every odd N."""
+    for n in range(2, 13):
+        symmetric = _dihedral_symmetrized(rng, n)
+        assert entanglement._dihedral_invariant(symmetric.as_tensor())
+        free = PureState(oracles.random_pure(rng, n), n)
+        for state, n_roots in ((free, _root_count(n)),
+                               (symmetric, _half_side_orbit_count(n))):
+            mean, var = _plain_stats(state)
+            roots, _ = _counting(monkeypatch)
+            stats = entanglement_stats(state)
+            monkeypatch.undo()
+            assert len(roots) == n_roots, n
+            assert stats.n_bipartitions == 2 ** (n - 1) - 1, n
+            assert abs(stats.mean - mean) < 1e-13, n
+            assert abs(stats.variance - var) < 1e-13, n

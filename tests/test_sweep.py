@@ -278,7 +278,13 @@ def test_find_peak_refines_with_injected_evaluator(shape):
 
 
 #: Functions to minimize on (lower, upper): smooth unimodal ones, a flat
-#: one, and ones falling toward a bracket edge (a maximum at the edge).
+#: one, ones falling toward a bracket edge (a maximum at the edge), and two
+#: with a flat floor that reach the search's tie branches.  On the centred
+#: floor the parabola through the midpoint and two probes mirrored about it
+#: has its vertex on the midpoint, a step of exactly 0 that must count as a
+#: step up.  On the off-centre floor (at xtol 1e-2) a parabola through two
+#: probes on the floor and one above it asks for exactly half the step
+#: before last, which must fall back to a golden step.
 BRENT_PANEL = {
     "parabola": (lambda x: (x - 0.9876) ** 2, 0.5, 1.5),
     "quartic": (lambda x: (x - 1.3) ** 4 - 0.1 * x, 0.75, 1.75),
@@ -287,6 +293,9 @@ BRENT_PANEL = {
     "flat": (lambda x: 0.5, 0.5, 1.5),
     "edge_low": (lambda x: x * x, 1.0, 2.0),
     "edge_high": (lambda x: -math.exp(x), 0.1, 0.6),
+    "floor_centred": (lambda x: max(abs(x - 1.0) - 0.05, 0.0), 0.5, 1.5),
+    "floor_offcentre": (lambda x: max(0.88 - 0.013 - x, 2.0 * (x - 0.88 - 0.013), 0.0),
+                        0.5, 1.5),
 }
 
 
