@@ -116,10 +116,10 @@ def _cut_table(n_sites: int, invariant: bool) -> tuple[tuple, tuple, tuple]:
     ``weights[key]`` counts the unordered cuts with that key, so the weights
     of the distinct keys sum to 2^(N-1) - 1.  The roots are the sides of
     floor(N/2) sites (at even N those holding site 0) as (mask, sorted site
-    tuple) pairs; with invariance, one per dihedral orbit of sides.  Complements are not
-    merged there: at even N a half side and its complement share a key but
-    have different subsets, and keeping only one of them per key can leave
-    cuts unreached (an orbit of 12 cuts at N = 12).
+    tuple) pairs; with invariance, one per dihedral orbit of sides.
+    Complements are not merged there: at even N a half side and its
+    complement share a key but have different subsets, and keeping only one
+    of them per key can leave cuts unreached (an orbit of 12 cuts at N = 12).
     """
     n, full = n_sites, 2 ** n_sites - 1
     sides = np.arange(2 ** n)

@@ -228,7 +228,8 @@ def test_states_without_dihedral_symmetry_take_every_cut(rng, monkeypatch):
         assert all(len(root) == n // 2 for root in roots)
         assert len(values) == stats.n_bipartitions == 2 ** (n - 1) - 1
         assert abs(stats.mean - mean) < 1e-13 and abs(stats.variance - var) < 1e-13
-    assert [_root_count(n) for n in (6, 7, 8, 10, 11, 12)] == [10, 35, 35, 126, 462, 462]
+    assert [_root_count(n) for n in (6, 7, 8, 10, 11, 12)] == [
+        10, 35, 35, 126, 462, 462]
 
 
 def test_ground_states_take_one_cut_per_orbit(monkeypatch):
