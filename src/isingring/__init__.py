@@ -22,7 +22,6 @@ from .density import (
 from .entanglement import (
     EntanglementStats,
     bipartition_entanglement,
-    bipartitions,
     entanglement_stats,
 )
 from .errors import (
@@ -54,7 +53,6 @@ from .ring import (
     RingConfig,
     ghz_state,
     ground_state,
-    ground_state_ratio,
     parity_expectation,
     product_state_down,
 )
@@ -82,7 +80,6 @@ __all__ = [
     # entanglement
     "EntanglementStats",
     "bipartition_entanglement",
-    "bipartitions",
     "entanglement_stats",
     # errors
     "CapacityError",
@@ -110,7 +107,6 @@ __all__ = [
     "RingConfig",
     "ghz_state",
     "ground_state",
-    "ground_state_ratio",
     "parity_expectation",
     "product_state_down",
     # sweep

@@ -173,6 +173,16 @@ class PureState:
         return self.amplitudes.reshape((2,) * self.n_sites)
 
 
+def _gram(tensor: np.ndarray, side: tuple) -> np.ndarray:
+    """Reduced state on the sites ``side`` (in that register order) of an
+    amplitude tensor with one axis per site: one Gram product of the
+    reshaped tensor, unvalidated.  Every partial trace of a pure state in
+    the package is this kernel."""
+    other = tuple(s for s in range(tensor.ndim) if s not in side)
+    m = tensor.transpose(side + other).reshape(2 ** len(side), -1)
+    return m @ m.conj().T
+
+
 def reduced_state(state: PureState, keep) -> DensityMatrix:
     """Reduced density matrix of a pure state on the ``keep`` sites (given order)."""
     keep = tuple(int(s) for s in keep)
@@ -180,7 +190,4 @@ def reduced_state(state: PureState, keep) -> DensityMatrix:
         raise ValueError("keep must be a nonempty set of distinct sites")
     if any(s < 0 or s >= state.n_sites for s in keep):
         raise ValueError(f"sites {keep} outside ring of {state.n_sites}")
-    rest = [s for s in range(state.n_sites) if s not in keep]
-    perm = list(keep) + rest
-    mat = state.as_tensor().transpose(perm).reshape(2 ** len(keep), 2 ** len(rest))
-    return DensityMatrix(mat @ mat.conj().T, keep)
+    return DensityMatrix(_gram(state.as_tensor(), keep), keep)

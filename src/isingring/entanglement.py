@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import PureState
+from .density import PureState, _gram
 from .ring import _dihedral_orbits
 
 #: A state is treated as dihedral-invariant when one rotation and one
@@ -60,14 +60,6 @@ def _normalize_subset(subset, n_sites: int) -> tuple:
     return sites
 
 
-def _gram(tensor: np.ndarray, side: tuple) -> np.ndarray:
-    """Reduced state on the sorted sites ``side`` of an amplitude tensor with
-    one axis per site: one Gram product of the reshaped tensor."""
-    other = tuple(s for s in range(tensor.ndim) if s not in side)
-    m = tensor.transpose(side + other).reshape(2 ** len(side), -1)
-    return m @ m.conj().T
-
-
 def _entanglement(rho: np.ndarray) -> float:
     """E = -log2 Tr rho^2 of a reduced state, the purity clipped to its
     range [1/d, 1]."""
@@ -88,15 +80,13 @@ def bipartition_entanglement(gs: PureState, subset) -> float:
     return _entanglement(_gram(gs.as_tensor(), sites))
 
 
-def bipartitions(n_sites: int):
-    """All unordered bipartitions as subsets containing site 0.
-
-    Excluding complements halves the count; purity is complement-symmetric
-    for pure global states, so nothing is lost.  Yields 2^(N-1) - 1 subsets.
-    """
-    rest = list(range(1, n_sites))
-    for mask in range(2 ** (n_sites - 1) - 1):
-        yield (0,) + tuple(rest[i] for i in range(n_sites - 1) if mask >> i & 1)
+def _trace_site(rho: np.ndarray, j: int) -> np.ndarray:
+    """A reduced state on k sites with its j-th site traced out: a reshape
+    and a sum of two slices."""
+    a = 2 ** j
+    b = rho.shape[0] // (2 * a)
+    r = rho.reshape(a, 2, b, a, 2, b)
+    return (r[:, 0, :, :, 0] + r[:, 1, :, :, 1]).reshape(a * b, a * b)
 
 
 def _dihedral_invariant(tensor: np.ndarray) -> bool:
@@ -166,17 +156,13 @@ def entanglement_stats(gs: PureState) -> EntanglementStats:
             descend(rho, sites, mask)
 
     def descend(rho, sites, mask):
-        k = len(sites)
         for j, s in enumerate(sites):
             child = mask ^ (1 << (n - 1 - s))
             if keys[child] in seen:
                 # Its key was visited, and with it every smaller side of
                 # the same site set or of one of its dihedral images.
                 continue
-            a, b = 2 ** j, 2 ** (k - 1 - j)
-            r = rho.reshape(a, 2, b, a, 2, b)
-            visit((r[:, 0, :, :, 0] + r[:, 1, :, :, 1]).reshape(a * b, a * b),
-                  sites[:j] + sites[j + 1:], child)
+            visit(_trace_site(rho, j), sites[:j] + sites[j + 1:], child)
 
     for mask, sites in roots:
         visit(_gram(tensor, sites), sites, mask)

@@ -6,17 +6,18 @@ spectrum, from a cascade of one 2 x 2 rotation per site in O(2^N * N), minus
 one local term per site from its Bloch vector.  The tests check it against
 the definition, evaluated with explicit projector sums.
 
-A ring ground state is first tried on a certified path: the better of the
-all-sigma^x and all-sigma^z bases, accepted when a finite-difference
-gradient and a Hessian of two scalar circulants (O(N) evaluations) show a
-strict local minimum there.  The certificate is local; that this minimum is
-also the global one rests on the tests, where no search over ring ground
-states beats it.  Other states with the ring's symmetry need not share
-this (the tests hold ones whose minimum lies in a tilted basis), so every
-state that is not a ring ground state, and every failed certificate, goes
-to the multi-start search: one Newton polish (:mod:`newton`) per start, on
-an objective that scores a whole batch of angle rows per call.  The budget
-``max_evals`` counts objective rows.
+A state that ``ring.ground_state`` returned is first tried on a certified
+path: the better of the all-sigma^x and all-sigma^z bases, accepted when a
+finite-difference gradient and a Hessian of two scalar circulants (O(N)
+evaluations) show a strict local minimum there.  The certificate is local;
+that this minimum is also the global one rests on the tests, where no
+search over ring ground states beats it.  Other states with the ring's
+symmetry need not share this (the tests hold ones whose minimum lies in a
+tilted basis), so every other state, a copy of a ground state's amplitudes
+included, and every failed certificate, goes to the multi-start search:
+one Newton polish (:mod:`newton`) per start, on an objective that scores a
+whole batch of angle rows per call.  The budget ``max_evals`` counts
+objective rows.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (PureState, _angles, _entropy_bits, _h2, _unit,
+from .density import (PureState, _angles, _entropy_bits, _gram, _h2, _unit,
                       as_angles, rotation_matrix)
 from .newton import _polish
-from .ring import ground_state_ratio
+from .ring import _GroundState
 
 DEFAULT_MAX_EVALS = 50_000
 
@@ -76,8 +77,8 @@ class GDResult:
         )
         if self.value < -1e-9:
             raise ValueError("global discord cannot be negative")
-        # rounding below zero, as on the product state, reads as 0
-        if self.value < 0.0:
+        # rounding below zero, as on the product state, and -0.0 read as 0.0
+        if self.value <= 0.0:
             object.__setattr__(self, "value", 0.0)
 
 
@@ -132,8 +133,8 @@ def _objective_factory(gs: PureState):
     h((1 + n_j.r_j) / 2) - h((1 + |r_j|) / 2); the r_j are computed once.
     Angles come from the optimizer already shaped, so nothing is validated.
     """
-    halves = [np.moveaxis(gs.as_tensor(), j, 0).reshape(2, -1) for j in range(gs.n_sites)]
-    rho1 = np.array([m @ m.conj().T for m in halves])  # unvalidated partial traces
+    tensor = gs.as_tensor()
+    rho1 = np.array([_gram(tensor, (j,)) for j in range(gs.n_sites)])
     bloch = np.stack([2.0 * rho1[:, 1, 0].real, 2.0 * rho1[:, 1, 0].imag,
                       (rho1[:, 0, 0] - rho1[:, 1, 1]).real], axis=1)
     base = _h2(0.5 + 0.5 * np.linalg.norm(bloch, axis=1))
@@ -254,20 +255,21 @@ def _certify(tracker: _BudgetTracker, n: int) -> GDResult | None:
 def global_discord(gs: PureState, opt: OptimizerConfig | None = None) -> GDResult:
     """Minimize the objective over all multi-local projective bases.
 
-    A ring ground state (``ring.ground_state_ratio``) first takes the
-    certified path (``_certify``):
-    it is converged when, at the better of the all-sigma^x and all-sigma^z
-    bases, the finite-difference gradient has norm <= ``_GRAD_TOL`` (1e-6)
-    and the smallest tilt-Hessian eigenvalue, ``hessian_margin``, is >=
+    A state that ``ring.ground_state`` returned (a ``ring._GroundState``)
+    first takes the certified path (``_certify``): it is converged when, at
+    the better of the all-sigma^x and all-sigma^z bases, the
+    finite-difference gradient has norm <= ``_GRAD_TOL`` (1e-6) and the
+    smallest tilt-Hessian eigenvalue, ``hessian_margin``, is >=
     ``_MARGIN_TOL`` (1e-6), both with step ``_STEP`` (1e-3).  That shows a
     strict local minimum; the tests show that no search beats it on ring
-    ground states.  A failed certificate, or any other state, falls back to
-    the multi-start search, which shares the evaluation budget ``max_evals``.
+    ground states.  A failed certificate (at J = 0 the objective is flat and
+    the margin 0), or any other state, falls back to the multi-start search,
+    which shares the evaluation budget ``max_evals``.
     """
     if opt is None:
         opt = OptimizerConfig()
     tracker = _BudgetTracker(_objective_factory(gs), opt.max_evals)
-    if ground_state_ratio(gs) is not None:
+    if isinstance(gs, _GroundState):
         try:
             result = _certify(tracker, gs.n_sites)
         except _BudgetExhausted:

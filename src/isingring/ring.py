@@ -8,6 +8,9 @@ of each parity sector of ``prod_n sz_n`` is nondegenerate with positive
 amplitudes, hence invariant under the rotations and reflections of the ring.
 Only the block of H spanned by the dihedral orbit states of configurations is
 diagonalized (224 orbits instead of 4096 states at N = 12).
+
+``ground_state`` returns its state as a ``_GroundState``, a ``PureState``
+that global discord may certify; no state built any other way is one.
 """
 
 from __future__ import annotations
@@ -29,10 +32,6 @@ MAX_SITES = 12
 #: The odd-parity sector wins only if its energy is lower by more than this,
 #: so a degenerate doublet (e.g. at B = 0) resolves to the even-parity state.
 DEGENERACY_TOL = 1e-10
-
-#: ``ground_state_ratio`` accepts a state whose overlap with the ground state
-#: is at least 1 - _OVERLAP_TOL; ground states at N <= 12 miss 1 by < 2e-15.
-_OVERLAP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -142,6 +141,11 @@ def _bond_hop(basis: _SymmetricBasis, vec: np.ndarray) -> np.ndarray:
     return sum(vec[idx ^ flip] for flip in basis.flips)
 
 
+class _GroundState(PureState):
+    """A state that ``ground_state`` returned: the marker by which global
+    discord recognizes ring ground states, so amplitudes alone never do."""
+
+
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
     k = int(np.argmax(np.abs(vec)))
     phase = vec[k] / abs(vec[k])
@@ -155,7 +159,7 @@ def ground_state(config: RingConfig) -> tuple[PureState, float]:
     only if it is lower by more than ``DEGENERACY_TOL``, so a degenerate
     ground doublet (e.g. at B = 0) resolves to the state with parity +1 under
     ``prod_n sigma^z_n``.  The global phase is fixed so the largest-magnitude
-    amplitude is real positive.
+    amplitude is real positive.  The state is a ``_GroundState``.
     """
     basis = _symmetric_basis(config.n_sites)
     j, b = config.coupling_j, config.field_b
@@ -174,30 +178,7 @@ def ground_state(config: RingConfig) -> tuple[PureState, float]:
     if residual > 1e-8 * max(1.0, abs(energy)):
         raise EigensolverError("ground-state eigenpair failed residual check", residual)
     vec = _fix_phase(vec.astype(complex))
-    return PureState(vec, config.n_sites), energy
-
-
-def ground_state_ratio(state: PureState) -> float | None:
-    """The B/J >= 0 at which ``state`` is, up to a phase, the ring ground
-    state (J = 1), or None if it is not a ring ground state.
-
-    B/J is the least-squares ratio r that makes ``state`` an eigenvector of
-    ``r sum_n sz_n - sum_n sx_n sx_{n+1}``; the state qualifies when its
-    overlap with ``ground_state`` at that ratio is at least
-    ``1 - _OVERLAP_TOL``.
-    """
-    basis = _symmetric_basis(state.n_sites)
-    psi = state.amplitudes
-    hop = _bond_hop(basis, psi)
-    field = (state.n_sites - 2 * basis.popcount) * psi
-    hop -= np.vdot(psi, hop) * psi
-    field -= np.vdot(psi, field) * psi
-    weight = float(np.vdot(field, field).real)
-    if weight < _OVERLAP_TOL:
-        return None
-    ratio = max(float(np.vdot(field, hop).real) / weight, 0.0)
-    ref, _ = ground_state(RingConfig(state.n_sites, 1.0, ratio))
-    return ratio if abs(np.vdot(ref.amplitudes, psi)) >= 1.0 - _OVERLAP_TOL else None
+    return _GroundState(vec, config.n_sites), energy
 
 
 def ghz_state(n_sites: int) -> PureState:

@@ -7,6 +7,8 @@ a tautology.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize
@@ -122,6 +124,13 @@ def partial_trace_dense(rho: np.ndarray, n: int, keep) -> np.ndarray:
         t = np.trace(t, axis1=axis, axis2=ndim_half + axis)
     dim = 2 ** len(keep)
     return t.reshape(dim, dim)
+
+
+def bipartitions(n: int) -> list[tuple[int, ...]]:
+    """Every unordered cut of an n-site ring once, as its side holding site
+    0: the 2^(n-1) - 1 proper subsets of range(n) that contain 0."""
+    return [(0,) + rest for size in range(n - 1)
+            for rest in itertools.combinations(range(1, n), size)]
 
 
 def pair_information(mat: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 import csv
 import importlib
 import json
+import math
 import os
 import warnings
 
@@ -117,13 +118,15 @@ def test_measures_csv_keys_do_not_depend_on_the_gd_path(capsys):
 
 
 def test_measures_global_on_product_state_reads_zero(capsys):
-    """Every basis gives the product state a zero objective; the search's
-    rounding below zero is reported as 0.0, not as a negative discord."""
-    code, out, _ = run_cli(
-        capsys, "measures", "--n", "4", "--state", "product", "--global"
-    )
-    assert code == 0
-    assert json.loads(out)["global_discord"]["value"] == 0.0
+    """Every basis gives the product state, which is also the J = 0 ground
+    state, a zero objective; the search's rounding below zero, and a
+    negative zero, are printed as 0.0."""
+    for state in (("--state", "product"), ("--j", "0", "--b", "0.3")):
+        code, out, _ = run_cli(capsys, "measures", "--n", "4", *state, "--global")
+        assert code == 0, state
+        value = json.loads(out)["global_discord"]["value"]
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0, state
+        assert '"value": 0.0,' in out and "-0.0" not in out, state
 
 
 def test_measures_global_rounds_the_hessian_margin(capsys):

@@ -6,11 +6,7 @@ import pytest
 import oracles
 from isingring import entanglement
 from isingring.density import PureState
-from isingring.entanglement import (
-    bipartition_entanglement,
-    bipartitions,
-    entanglement_stats,
-)
+from isingring.entanglement import bipartition_entanglement, entanglement_stats
 from isingring.ring import RingConfig, ghz_state, ground_state, product_state_down
 
 
@@ -28,7 +24,7 @@ def test_product_state_anchor():
 
 
 def test_bipartition_enumeration():
-    subsets = list(bipartitions(4))
+    subsets = oracles.bipartitions(4)
     assert len(subsets) == 7
     assert all(0 in s for s in subsets)
     assert len(set(subsets)) == len(subsets)
@@ -73,7 +69,8 @@ def test_subset_validation():
 def test_population_variance_definition():
     gs, _ = ground_state(RingConfig(n_sites=5, coupling_j=1.0, field_b=1.0))
     stats = entanglement_stats(gs)
-    values = np.array([bipartition_entanglement(gs, cut) for cut in bipartitions(5)])
+    values = np.array([bipartition_entanglement(gs, cut)
+                       for cut in oracles.bipartitions(5)])
     assert stats.n_bipartitions == values.size == 15
     assert abs(stats.mean - values.mean()) < 1e-14
     assert abs(stats.variance - ((values - values.mean()) ** 2).mean()) < 1e-14
@@ -94,7 +91,7 @@ RATIOS = (0.0, 0.01, 0.05, 0.5, 1.0, 1.3, 6.0)
 def _plain_stats(state):
     """Mean and variance from a plain loop over every cut."""
     values = np.array([bipartition_entanglement(state, cut)
-                       for cut in bipartitions(state.n_sites)])
+                       for cut in oracles.bipartitions(state.n_sites)])
     return values.mean(), values.var()
 
 
@@ -103,7 +100,7 @@ def _dense_values(state):
     n, psi = state.n_sites, state.amplitudes
     rho_mat = np.outer(psi, psi.conj())
     values = []
-    for cut in bipartitions(n):
+    for cut in oracles.bipartitions(n):
         red = oracles.partial_trace_dense(rho_mat, n, cut)
         values.append(-math.log2(float(np.trace(red @ red).real)))
     return values
@@ -135,7 +132,7 @@ def _cut_orbit_count(n):
     """Orbits of unordered cuts under rotations, reflections and
     complement, by brute force over the cuts as site sets."""
     seen = set()
-    for cut in bipartitions(n):
+    for cut in oracles.bipartitions(n):
         images = []
         for side in (set(cut), set(range(n)) - set(cut)):
             for shift in range(n):
@@ -150,7 +147,7 @@ def _half_side_orbit_count(n):
     alone, by brute force over the sides holding site 0 (every orbit has
     one)."""
     seen = set()
-    for cut in bipartitions(n):
+    for cut in oracles.bipartitions(n):
         if len(cut) == n // 2:
             seen.add(min(tuple(sorted((sign * s + shift) % n for s in cut))
                          for shift in range(n) for sign in (1, -1)))
@@ -163,11 +160,13 @@ def _root_count(n):
 
 
 def _counting(monkeypatch):
-    """Wrap the Gram product and the purity kernel: the first list gets
-    the side of every Gram product (the descent's roots), the second the
-    E of every cut key visited."""
-    roots, values = [], []
-    gram, kernel = entanglement._gram, entanglement._entanglement
+    """Wrap the Gram product, the purity kernel and the one-site partial
+    trace: the first list gets the side of every Gram product (the
+    descent's roots), the second the E of every cut key visited, the third
+    the size of every reduced state a site is traced out of."""
+    roots, values, traces = [], [], []
+    gram, kernel, trace = (entanglement._gram, entanglement._entanglement,
+                           entanglement._trace_site)
 
     def counted_gram(tensor, side):
         roots.append(side)
@@ -177,9 +176,14 @@ def _counting(monkeypatch):
         values.append(kernel(rho))
         return values[-1]
 
+    def counted_trace(rho, j):
+        traces.append(rho.shape[0])
+        return trace(rho, j)
+
     monkeypatch.setattr(entanglement, "_gram", counted_gram)
     monkeypatch.setattr(entanglement, "_entanglement", counted_kernel)
-    return roots, values
+    monkeypatch.setattr(entanglement, "_trace_site", counted_trace)
+    return roots, values, traces
 
 
 def _dihedral_symmetrized(rng, n):
@@ -221,7 +225,7 @@ def test_states_without_dihedral_symmetry_take_every_cut(rng, monkeypatch):
     for state in states:
         n = state.n_sites
         mean, var = _plain_stats(state)
-        roots, values = _counting(monkeypatch)
+        roots, values, _ = _counting(monkeypatch)
         stats = entanglement_stats(state)
         monkeypatch.undo()
         assert len(roots) == len(set(roots)) == _root_count(n), n
@@ -240,7 +244,7 @@ def test_ground_states_take_one_cut_per_orbit(monkeypatch):
         assert _cut_orbit_count(n) == orbits
         assert _half_side_orbit_count(n) == n_roots
         gs, _ = ground_state(RingConfig(n, 1.0, 0.9))
-        roots, values = _counting(monkeypatch)
+        roots, values, _ = _counting(monkeypatch)
         stats = entanglement_stats(gs)
         monkeypatch.undo()
         assert len(roots) == len(set(roots)) == n_roots
@@ -253,7 +257,7 @@ def test_every_visited_cut_matches_the_dense_oracle(rng, monkeypatch):
     for n in range(2, 9):
         state = PureState(oracles.random_pure(rng, n), n)
         dense = _dense_values(state)
-        _, values = _counting(monkeypatch)
+        _, values, _ = _counting(monkeypatch)
         entanglement_stats(state)
         monkeypatch.undo()
         assert len(values) == len(dense)
@@ -276,10 +280,28 @@ def test_roots_cover_every_cut_at_every_size(rng, monkeypatch):
         for state, n_roots in ((free, _root_count(n)),
                                (symmetric, _half_side_orbit_count(n))):
             mean, var = _plain_stats(state)
-            roots, _ = _counting(monkeypatch)
+            roots, _, _ = _counting(monkeypatch)
             stats = entanglement_stats(state)
             monkeypatch.undo()
             assert len(roots) == n_roots, n
             assert stats.n_bipartitions == 2 ** (n - 1) - 1, n
             assert abs(stats.mean - mean) < 1e-13, n
             assert abs(stats.variance - var) < 1e-13, n
+
+
+def test_descent_skips_the_subtrees_of_visited_cuts(rng, monkeypatch):
+    """Every one-site partial trace gives a cut key not visited before: a
+    child whose key was seen is skipped with its whole subtree.  So one call
+    takes (cut keys visited) - (distinct root keys) traces, on ring ground
+    states (one key per orbit) and on a random state (one per cut)."""
+    states = [ground_state(RingConfig(n, 1.0, 0.9))[0] for n in (10, 11, 12)]
+    states.append(PureState(oracles.random_pure(rng, 12), 12))
+    for state in states:
+        n = state.n_sites
+        keys, _, roots = entanglement._cut_table(
+            n, entanglement._dihedral_invariant(state.as_tensor()))
+        root_keys = {keys[mask] for mask, _ in roots}
+        _, values, traces = _counting(monkeypatch)
+        entanglement_stats(state)
+        monkeypatch.undo()
+        assert len(traces) == len(values) - len(root_keys), (n, len(traces))

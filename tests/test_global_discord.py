@@ -76,6 +76,11 @@ def test_gd_result_validation():
             value=-0.5, argmin_angles=np.zeros((2, 2)), n_restarts=1,
             converged=True, n_evals=10,
         )
+    # rounding below zero, and a negative zero, read as +0.0
+    for value in (-1e-12, -0.0):
+        res = GDResult(value=value, argmin_angles=np.zeros((2, 2)),
+                       n_restarts=1, converged=True, n_evals=10)
+        assert math.copysign(1.0, res.value) == 1.0 and res.value == 0.0, value
 
 
 def test_objective_matches_reference_definition(rng):
@@ -242,6 +247,53 @@ def test_other_states_fall_back_to_the_search(rng):
         assert res.basis is None and res.hessian_margin is None
     res = global_discord(ghz_state(4), OptimizerConfig(seed=0, restarts=4))
     assert res.n_restarts == 4 and abs(res.value - 1.0) < 1e-6
+
+
+def test_only_states_from_ground_state_take_the_certified_path():
+    """The certificate is tried on what ``ground_state`` returned, at any J,
+    and on nothing else.  A copy rebuilt from a ground state's amplitudes,
+    excited eigenstates, GHZ, the product state and random ring-symmetric
+    states all take the search; the copies land within 1e-9 of the
+    certified value (the largest gap seen is 2.8e-15)."""
+    opt = OptimizerConfig(seed=0, restarts=4)
+    for n in range(2, 9):
+        for b in (0.0, 0.5, 1.3, 6.0):
+            gs, _ = ground_state(RingConfig(n_sites=n, coupling_j=2.0, field_b=2.0 * b))
+            cert = global_discord(gs, opt)
+            assert cert.basis is not None and cert.n_restarts == 0, (n, b)
+            if n <= 5 and b > 0.0:
+                copy = global_discord(PureState(gs.amplitudes, n), opt)
+                assert copy.basis is None and copy.n_restarts > 0, (n, b)
+                assert abs(copy.value - cert.value) <= 1e-9, (n, b)
+    evecs = np.linalg.eigh(oracles.sparse_tfim(4, 1.0, 0.5).toarray())[1]
+    others = [PureState(evecs[:, k], 4) for k in (1, 2, 15)] + [ghz_state(4)]
+    rng = np.random.default_rng(3)
+    others += [symmetric_state(rng, n, p) for n in (3, 4) for p in (1, -1)]
+    for state in others:
+        res = global_discord(state, opt)
+        assert res.basis is None and res.hessian_margin is None
+        assert res.n_restarts > 0 and res.converged
+    # the certificate would score two bases first: one evaluation means that
+    # the search's first row, a zero, ended the call
+    res = global_discord(product_state_down(4), opt)
+    assert res.basis is None and res.n_evals == 1 and res.value == 0.0
+
+
+def test_zero_coupling_fails_the_certificate_then_stops_at_the_first_row():
+    """At J = 0 the ground state is all spins down and the objective is 0 in
+    every basis: the certificate's margin is 0, so it fails after its
+    6 + 4 (N // 2) evaluations, and the search stops, converged, at its
+    first row.  A budget below the certificate's stencil reports not
+    converged, as on every other ring ground state."""
+    for n in (2, 3, 4, 7):
+        gs, _ = ground_state(RingConfig(n_sites=n, coupling_j=0.0, field_b=0.3))
+        stencil = 6 + 4 * (n // 2)
+        res = global_discord(gs)
+        assert res.converged and res.n_evals == stencil + 1, (n, res.n_evals)
+        assert res.value == 0.0 and math.copysign(1.0, res.value) == 1.0
+        assert res.basis is None and res.hessian_margin is None
+        res = global_discord(gs, OptimizerConfig(max_evals=stencil - 1))
+        assert not res.converged and res.n_evals == stencil - 1, n
 
 
 def test_ring_symmetry_alone_does_not_take_the_certified_path():

@@ -21,12 +21,12 @@ CLI = PACKAGE / "cli.py"
 PERFBENCH = README.parent / "perfbench"
 
 
-def _python_blocks():
-    return re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+def _python_blocks(text: str) -> list:
+    return re.findall(r"```python\n(.*?)```", text, re.DOTALL)
 
 
 def test_readme_python_example_runs(monkeypatch, tmp_path):
-    blocks = _python_blocks()
+    blocks = _python_blocks(README.read_text())
     assert blocks, "README has no Python example"
     monkeypatch.chdir(tmp_path)
     for block in blocks:
@@ -60,7 +60,7 @@ def test_all_names_resolve():
 def test_readme_imports_only_exported_names():
     imported = {
         alias.name
-        for block in _python_blocks()
+        for block in _python_blocks(README.read_text())
         for node in ast.walk(ast.parse(block))
         if isinstance(node, ast.ImportFrom) and node.module == "isingring"
         for alias in node.names
@@ -96,10 +96,10 @@ def test_cli_reaches_the_measures_through_the_measure_table():
     assert {n for m, n in imported if m == "global_discord"} == {"OptimizerConfig"}
 
 
-def _referenced_names(path: Path) -> set:
-    """Names a module loads, reads as attributes or imports."""
+def _referenced_names(source: str) -> set:
+    """Names a module's source loads, reads as attributes or imports."""
     used = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -125,22 +125,38 @@ def test_every_private_name_is_used_in_the_package():
     dead code left behind by a refactor; a use in the tests does not count."""
     modules = sorted(PACKAGE.glob("*.py"))
     defined = set().union(*map(_module_level_definitions, modules))
-    used = set().union(*map(_referenced_names, modules))
+    used = set().union(*(_referenced_names(p.read_text()) for p in modules))
     private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
     assert private <= used, sorted(private - used)
+
+
+def _code_names(markdown: str) -> set:
+    """Identifiers a Markdown text uses as code: the words of its inline
+    code spans and the names its Python blocks reference.  Prose, fenced
+    blocks of other kinds and comments do not count."""
+    outside_blocks = re.sub(r"```.*?```", "", markdown, flags=re.DOTALL)
+    names = {word for span in re.findall(r"`([^`]+)`", outside_blocks)
+             for word in re.findall(r"\w+", span)}
+    return names.union(*map(_referenced_names, _python_blocks(markdown)))
+
+
+def test_code_names_skip_prose_and_comments():
+    text = ("alpha `beta.gamma()` delta\n```python\nimport epsilon  # zeta\n"
+            "eta(theta=1)\n```\n```sh\niota `kappa`\n```\n")
+    assert _code_names(text) == {"beta", "gamma", "epsilon", "eta"}
 
 
 def test_every_public_name_is_reachable_without_the_tests():
     """A public module-level name (function, class or constant) must be
     referenced by a package module other than ``__init__`` (whose re-exports
-    reach everything), by the benchmark in ``perfbench/`` or by the README;
-    a name that only the tests use is dead code."""
+    reach everything), by the benchmark in ``perfbench/`` or by the README's
+    code (``_code_names``: not its prose or comments); a name that only the
+    tests use is dead code."""
     modules = sorted(PACKAGE.glob("*.py"))
     defined = set().union(*map(_module_level_definitions, modules))
     public = {n for n in defined if not n.startswith("_")}
     callers = [p for p in modules if p.name != "__init__.py"]
     callers += sorted(PERFBENCH.glob("*.py"))
-    used = set().union(*map(_referenced_names, callers))
-    readme = README.read_text()
-    unreached = {n for n in public - used if not re.search(rf"\b{n}\b", readme)}
+    used = set().union(*(_referenced_names(p.read_text()) for p in callers))
+    unreached = public - used - _code_names(README.read_text())
     assert not unreached, sorted(unreached)
