@@ -344,14 +344,14 @@ def _cmd_fit(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         output, converged = args.func(args)
         echo = {k: [float(x) for x in v] if isinstance(v, np.ndarray) else v
                 for k, v in sorted(vars(args).items()) if k not in ("func", "command")}
         manifest = {"command": args.command, "arguments": echo,
                     "seed": getattr(args, "seed", None), "version": __version__,
-                    "wall_time_s": round(time.time() - t0, 3)}
+                    "wall_time_s": round(time.perf_counter() - t0, 3)}
         if isinstance(output, SweepTable):
             output.metadata["manifest"] = manifest
             fmt = args.fmt or ("json" if _is_json(args.out) else "csv")

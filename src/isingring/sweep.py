@@ -17,10 +17,8 @@ import math
 import os
 import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -118,7 +116,9 @@ def default_ratio_grid(
     pts = np.geomspace(start, stop, count)
     if start <= 1.0 <= stop:
         pts = np.append(pts, 1.0)
-    return np.unique([_q12(p) for p in pts])
+    # np.unique, without the numpy.ma import it makes
+    pts = np.sort([_q12(p) for p in pts])
+    return pts[np.append(True, pts[1:] != pts[:-1])]
 
 
 @dataclass(frozen=True)
@@ -286,7 +286,11 @@ def _worker_pool(n_workers: int):
     """Pool of ``n_workers`` spawned processes with one BLAS thread each, as
     rows already run in parallel (a forked worker keeps the parent's pool).
     A spawn pool starts workers on demand as work is submitted, so the
-    thread variables stay set for the whole block, then are restored."""
+    thread variables stay set for the whole block, then are restored.  The
+    process machinery is imported here, so a one-worker run never loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
     saved = {name: os.environ.pop(name, None) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:

@@ -1,8 +1,10 @@
 import csv
 import importlib
+import itertools
 import json
 import math
 import os
+import time
 import warnings
 
 import numpy as np
@@ -38,6 +40,16 @@ def test_ground_state_record(capsys):
     assert record["manifest"]["command"] == "ground-state"
     assert record["manifest"]["version"]
     assert record["manifest"]["arguments"]["n"] == 4
+
+
+def test_wall_time_stays_nonnegative_when_the_clock_steps_back(capsys, monkeypatch):
+    """The system clock may step back mid-command (a clock adjustment); the
+    manifest's wall time comes from a monotonic clock, so it stays >= 0."""
+    readings = itertools.count(1e9, -3600.0)
+    monkeypatch.setattr(time, "time", lambda: next(readings))
+    code, out, _ = run_cli(capsys, "ground-state", "--n", "4", "--b", "1.0")
+    assert code == 0
+    assert json.loads(out)["manifest"]["wall_time_s"] >= 0.0
 
 
 def test_ground_state_csv_format(capsys):

@@ -254,6 +254,38 @@ def test_amid_deterministic_and_zero_for_classical(rng):
     assert amid(classical) < 1e-9
 
 
+#: AMID, as hex, of the 379th Ginibre state drawn from rng 20240817, by
+#: n_starts, at seeds 0-3, as computed when every call built its generator.
+#: Its best candidate depends on the random draws (seeds 1 and 2 at
+#: n_starts >= 8), so the table pins their values and order.
+_AMID_HEX = {
+    1: ["0x1.eceef668cad60p-5"] * 4,
+    4: ["0x1.eceef668cad60p-5"] * 4,
+    8: ["0x1.eceef668cad60p-5", "0x1.eceef668cad20p-5",
+        "0x1.eceef668cad40p-5", "0x1.eceef668cad60p-5"],
+    12: ["0x1.eceef668cad60p-5", "0x1.eceef668cad20p-5",
+         "0x1.eceef668cad40p-5", "0x1.eceef668cad60p-5"],
+}
+
+
+def test_amid_random_candidates_are_unchanged():
+    draws = np.random.default_rng(20240817)
+    rho = [oracles.random_density(draws, 2) for _ in range(379)][-1]
+    got = {n: [amid(rho, n_starts=n, seed=seed).hex() for seed in range(4)]
+           for n in _AMID_HEX}
+    assert got == _AMID_HEX
+
+
+def test_amid_rejects_a_bad_seed_even_without_random_candidates():
+    """n_starts <= 4 draws nothing, yet a bad seed fails as on a call that
+    draws: numpy's ValueError for a negative one, TypeError for a float."""
+    for n_starts in (1, 4, 8):
+        with pytest.raises(ValueError, match="non-negative"):
+            amid(BELL_RHO, n_starts=n_starts, seed=-1)
+        with pytest.raises(TypeError):
+            amid(BELL_RHO, n_starts=n_starts, seed=1.5)
+
+
 def test_translation_and_reflection_symmetry_of_pair_measures():
     gs, _ = ground_state(RingConfig(n_sites=6, coupling_j=1.0, field_b=0.9))
     pairs = [(0, 1), (2, 3), (5, 0)]
@@ -393,6 +425,21 @@ def test_toeplitz_estimate_above_tolerance_is_one_error(monkeypatch):
             toeplitz_correlators(1.0, 8)
     assert not caught
     assert info.value.achieved == errors.sum() > pair_measures.QUAD_ABS_TOL
+
+
+def test_panel_edges_equal_np_unique_bit_for_bit():
+    """The sorted, deduplicated edges are np.unique's array of the same raw
+    edges: the uniform grid and the geometric grading."""
+    for lam in np.geomspace(1e-4, 1e4, 23):
+        width = abs(1.0 - lam) / math.sqrt(lam)
+        for s in (1, 3, 8, 15, 30):
+            raw = [np.linspace(0.0, math.pi, math.ceil(math.pi * (s + 1) / 12.0) + 1)]
+            if 0.0 < width < math.pi:
+                raw.append(width * 4.0 ** np.arange(math.ceil(math.log(math.pi / width, 4))))
+            expected = np.unique(np.concatenate(raw))
+            got = pair_measures._panel_edges(float(lam), s)
+            assert got.dtype == expected.dtype, (lam, s)
+            assert got.tobytes() == expected.tobytes(), (lam, s)
 
 
 def test_gauss_legendre_rule_integrates_polynomials_exactly():

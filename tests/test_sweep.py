@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib
 import json
 import math
@@ -51,6 +52,21 @@ def test_default_grid_properties():
         default_ratio_grid(start=-1.0)
     with pytest.raises(ValueError):
         default_ratio_grid(count=1)
+
+
+def test_default_grid_equals_np_unique_bit_for_bit():
+    """The grid is np.unique's array of the quantized points, also where the
+    appended 1.0 is already a point (0.5:2:3, 0.5:2:5 and 1:3:7)."""
+    for start, stop, count in ((1e-2, 6.0, 100), (0.5, 2.0, 3), (0.5, 2.0, 5),
+                               (2.0, 5.0, 4), (1.0, 3.0, 7)):
+        pts = np.geomspace(start, stop, count)
+        if start <= 1.0 <= stop:
+            pts = np.append(pts, 1.0)
+        expected = np.unique([_q12(p) for p in pts])
+        got = default_ratio_grid(start, stop, count)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes(), (start, stop, count)
+    assert default_ratio_grid(0.5, 2.0, 3).tolist() == [0.5, 1.0, 2.0]
 
 
 def test_table_validation(tmp_path):
@@ -196,7 +212,8 @@ def test_sweep_pool_is_no_larger_than_the_grid(monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", SerialPool)
+    # _worker_pool imports the pool class from concurrent.futures per call
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     grid = [0.5, 1.0, 2.0]
     table = sweep(3, ratios=grid, measures=("estats",), n_workers=64)
     assert sizes == [3]
