@@ -31,7 +31,7 @@ import numpy as np
 
 from .density import (PureState, _angles, _entropy_bits, _gram, _h2, _unit,
                       as_angles, rotation_matrix)
-from .newton import _polish, _rng
+from .newton import _polish
 from .ring import _GroundState
 
 DEFAULT_MAX_EVALS = 50_000
@@ -294,7 +294,7 @@ def _search(tracker: _BudgetTracker, n: int, opt: OptimizerConfig) -> GDResult:
     at the first row <= ``_ZERO_TOL``.
     """
     k = 1 if opt.uniform_angles else n
-    rng = _rng(opt.seed, opt.n_restarts(n) > 3)  # random starts follow 3 fixed ones
+    rng = np.random.default_rng(opt.seed)
 
     def polish(x0: np.ndarray, stop: int) -> bool:
         """One polish from ``x0`` that ends before evaluation ``stop``; True

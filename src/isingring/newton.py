@@ -1,10 +1,8 @@
 """Safeguarded Newton polish of a cost that scores a batch of angle rows per
 call: the one local optimizer of the package, used by discord, AMID and the
-global-discord search, and the generator of their random starts."""
+global-discord search."""
 
 from __future__ import annotations
-
-import numbers
 
 import numpy as np
 
@@ -74,13 +72,3 @@ def _polish(cost, candidates: np.ndarray) -> tuple[float, bool]:
             return min(best, float(values[k])), True
         x, best = rows[k], float(values[k])
     return best, False
-
-
-def _rng(seed, draws: bool):
-    """``np.random.default_rng(seed)`` for a caller that ``draws`` random
-    starts, else None, so a call without random starts leaves numpy.random
-    unloaded.  A seed other than a non-negative integer still goes to numpy,
-    so a bad seed raises as it would on a call that draws."""
-    if draws or not (isinstance(seed, numbers.Integral) and seed >= 0):
-        return np.random.default_rng(seed)
-    return None

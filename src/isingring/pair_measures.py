@@ -188,7 +188,7 @@ def amid(rho: DensityMatrix, n_starts: int = 8, seed: int = 0) -> float:
     mat, bl = _pair_form(rho)
     a, b = _probe_angles(bl.T), _probe_angles(bl)
     candidates = [np.hstack([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))])]
-    rng = newton._rng(seed, n_starts > 4)
+    rng = np.random.default_rng(seed)
     for _ in range(max(n_starts, 4) - 4):
         th, ph = rng.uniform(0.0, math.pi, 2), rng.uniform(0.0, 2.0 * math.pi, 2)
         candidates.append([[th[0], ph[0], th[1], ph[1]]])
@@ -252,6 +252,13 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _RULES = (_gauss_legendre(20), _gauss_legendre(30))
 
 
+def _sorted_unique(x) -> np.ndarray:
+    """``np.unique(x)`` for floats, bit for bit, without the numpy.ma import
+    that np.unique makes (numpy 2.4)."""
+    x = np.sort(x)
+    return x[np.append(True, x[1:] != x[:-1])]
+
+
 def _panel_edges(lam: float, s: int) -> np.ndarray:
     """Panel edges on [0, pi] for the moments of order |k| <= s.
 
@@ -265,9 +272,7 @@ def _panel_edges(lam: float, s: int) -> np.ndarray:
     width = abs(1.0 - lam) / math.sqrt(lam)
     if 0.0 < width < math.pi:
         edges.append(width * 4.0 ** np.arange(math.ceil(math.log(math.pi / width, 4))))
-    # sorted and deduplicated as np.unique would, which also loads numpy.ma
-    edges = np.sort(np.concatenate(edges))
-    return edges[np.append(True, edges[1:] != edges[:-1])]
+    return _sorted_unique(np.concatenate(edges))
 
 
 def _g_moments(lam: float, s: int) -> tuple[np.ndarray, np.ndarray]:

@@ -25,8 +25,8 @@ import numpy as np
 from .entanglement import entanglement_stats
 from .errors import ConvergenceWarning
 from .global_discord import OptimizerConfig, global_discord
-from .pair_measures import (amid, discord, mid, pair_mutual_information,
-                            reduced_two_spin)
+from .pair_measures import (_sorted_unique, amid, discord, mid,
+                            pair_mutual_information, reduced_two_spin)
 from .ring import RingConfig, ground_state
 
 COLUMNS = (
@@ -116,9 +116,7 @@ def default_ratio_grid(
     pts = np.geomspace(start, stop, count)
     if start <= 1.0 <= stop:
         pts = np.append(pts, 1.0)
-    # np.unique, without the numpy.ma import it makes
-    pts = np.sort([_q12(p) for p in pts])
-    return pts[np.append(True, pts[1:] != pts[:-1])]
+    return _sorted_unique([_q12(p) for p in pts])
 
 
 @dataclass(frozen=True)

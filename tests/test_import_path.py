@@ -1,8 +1,8 @@
 """The package runs on numpy alone: no scipy module loads on import or on a
-call into any layer.  A one-worker run also leaves numpy.random, numpy.ma
-and the process machinery unloaded: the random starts, np.unique's masked
-check and the worker pool are the only users.  Checked in a fresh
-interpreter, since this test process has loaded scipy for the oracles."""
+call into any layer.  A one-worker run also leaves numpy.ma and the
+process machinery unloaded: np.unique's masked check and the worker pool
+are their only users.  Checked in a fresh interpreter, since this test
+process has loaded scipy for the oracles."""
 
 import json
 import os
@@ -17,7 +17,7 @@ import isingring
 SRC = pathlib.Path(isingring.__file__).resolve().parents[1]
 
 #: Modules that load only on the calls that use them.
-LAZY = ("numpy.random", "numpy.ma", "multiprocessing", "concurrent.futures")
+LAZY = ("numpy.ma", "multiprocessing", "concurrent.futures")
 
 SCRIPT = """
 import json, pathlib, sys, tempfile
@@ -30,7 +30,6 @@ ir.x_state_from_correlators(ir.toeplitz_correlators(0.5, 2))
 ir.entanglement_stats(gs)
 opt = ir.OptimizerConfig(uniform_angles=True, restarts=2, max_evals=200)
 ir.global_discord(gs, opt)
-ir.global_discord(ir.PureState(gs.amplitudes, 4), opt)
 table = ir.sweep(3, [0.5, 0.7, 1.0], measures=("gd",), opt=opt)
 ir.find_peak(table, "gd", xtol=0.1)
 ir.default_ratio_grid()
