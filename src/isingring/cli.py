@@ -92,7 +92,6 @@ def _add_common(parser: argparse.ArgumentParser, *, needs_field: bool) -> None:
     if needs_field:
         parser.add_argument("--j", type=float, default=1.0, help="coupling J")
         parser.add_argument("--b", type=float, default=0.0, help="field B")
-    parser.add_argument("--seed", type=int, default=0)
     _add_output(parser)
 
 
@@ -118,6 +117,8 @@ def _add_optimizer(parser: argparse.ArgumentParser) -> None:
         help="restrict the fallback search to one shared angle pair for "
         "all sites",
     )
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the random search starts and AMID candidates")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,12 +213,9 @@ def _record_text(record: dict, fmt: str) -> str:
 
 
 def _optimizer_from(args) -> OptimizerConfig:
-    kwargs = {"seed": args.seed, "uniform_angles": args.uniform_angles}
-    if args.restarts is not None:
-        kwargs["restarts"] = args.restarts
-    if args.max_evals is not None:
-        kwargs["max_evals"] = args.max_evals
-    return OptimizerConfig(**kwargs)
+    budget = {} if args.max_evals is None else {"max_evals": args.max_evals}
+    return OptimizerConfig(restarts=args.restarts, seed=args.seed,
+                           uniform_angles=args.uniform_angles, **budget)
 
 
 def _state_for(args):
@@ -269,14 +267,13 @@ def _cmd_measures(args):
     }
     if energy is not None:
         record["energy"] = energy
-    # only --global uses it, so only --global rejects a bad budget
-    opt = _optimizer_from(args) if args.global_measure else None
+    opt = _optimizer_from(args)
     # the pair polishes warn ConvergenceWarning when they reach their step
     # cap; a sweep collects the same warnings per row, as row errors
     with _stalls() as stalls:
         for group in groups:
             key, record_of, _ = _MEASURES[group]
-            record[key] = record_of(state, opt, args.seed, args.pair)
+            record[key] = record_of(state, opt, args.pair)
     return record, not stalls and record.get("global_discord", {}).get(
         "converged", True)
 
@@ -287,7 +284,6 @@ def _cmd_sweep(args):
         ratios=args.ratio_grid,
         measures=args.measures,
         opt=_optimizer_from(args),
-        seed=args.seed,
         n_workers=args.threads,
     )
     gd_ok = "gd" not in args.measures or np.all(table.columns["gd_converged"] == 1.0)

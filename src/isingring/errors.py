@@ -1,4 +1,15 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the integer
+check its API boundaries share."""
+
+import operator
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is a Python or numpy integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class CapacityError(ValueError):

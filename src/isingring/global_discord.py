@@ -31,6 +31,7 @@ import numpy as np
 
 from .density import (PureState, _angles, _entropy_bits, _gram, _h2, _unit,
                       as_angles, rotation_matrix)
+from .errors import _check_integer
 from .newton import _polish
 from .ring import _GroundState
 
@@ -90,7 +91,15 @@ class OptimizerConfig:
     search to a single angle pair shared by every site, which the
     translation invariance of the ring ground state motivates; the
     unconstrained search remains the default.  Only ``max_evals`` bounds the
-    certified path too; the other knobs steer the search alone.
+    certified path too; the other knobs steer the search alone, and ``seed``
+    also seeds AMID's random candidates in sweeps and the CLI.
+
+    More restarts are not always better: they split one budget, about
+    three quarters of it shared among the starts.  Under the default
+    budget, ``restarts=64`` leaves each start about two Newton steps at
+    N = 5 in free mode, and the three random N = 5 states of the rng-7
+    fallback panel in the tests end 0.027, 0.068 and 0.042 bit above their
+    best-known minima (``restarts=4`` reaches them).
     """
 
     restarts: int | None = None
@@ -99,9 +108,9 @@ class OptimizerConfig:
     uniform_angles: bool = False
 
     def __post_init__(self):
-        if self.restarts is not None and self.restarts < 1:
+        if self.restarts is not None and _check_integer("restarts", self.restarts) < 1:
             raise ValueError(f"restarts must be None or >= 1, got {self.restarts}")
-        if self.max_evals < 1:
+        if _check_integer("max_evals", self.max_evals) < 1:
             raise ValueError(f"max_evals must be >= 1, got {self.max_evals}")
 
     def n_restarts(self, n_sites: int) -> int:

@@ -25,7 +25,8 @@ import numpy as np
 from . import newton
 from .density import (DensityMatrix, PureState, _angles, _entropy_bits, _h2,
                       _unit, reduced_state)
-from .errors import ConvergenceWarning, NonXStateWarning, QuadratureError
+from .errors import (ConvergenceWarning, NonXStateWarning, QuadratureError,
+                     _check_integer)
 
 X_PATTERN_TOL = 1e-10
 
@@ -311,7 +312,7 @@ def toeplitz_correlators(lam: float, s: int) -> CorrelatorSet:
     """
     if not math.isfinite(lam) or lam <= 0:
         raise ValueError("lam must be finite and positive")
-    if s < 1:
+    if _check_integer("separation", s) < 1:
         raise ValueError("separation must be >= 1")
     moments, errors = _g_moments(lam, s)
     err = float(errors.sum())

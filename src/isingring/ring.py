@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import PureState
-from .errors import CapacityError, EigensolverError
+from .errors import CapacityError, EigensolverError, _check_integer
 
 #: Largest ring accepted.  Ground states are stored as full 2**N amplitude
 #: vectors and every measure works on them, so the measures, not the
@@ -43,7 +43,7 @@ class RingConfig:
     field_b: float = 0.0
 
     def __post_init__(self):
-        if self.n_sites < 2:
+        if _check_integer("n_sites", self.n_sites) < 2:
             raise ValueError("ring needs at least 2 sites")
         if self.n_sites > MAX_SITES:
             raise CapacityError(

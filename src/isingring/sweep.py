@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .entanglement import entanglement_stats
-from .errors import ConvergenceWarning
+from .errors import ConvergenceWarning, _check_integer
 from .global_discord import OptimizerConfig, global_discord
 from .pair_measures import (_sorted_unique, amid, discord, mid,
                             pair_mutual_information, reduced_two_spin)
@@ -46,7 +46,7 @@ COLUMNS = (
 _NN_SITES = (0, 1)
 
 
-def _gd_record(gs, opt, seed, sites):
+def _gd_record(gs, opt, sites):
     res = global_discord(gs, opt)
     # ~9 digits of the margin are stable: its central differences scale
     # rounding by 1e6
@@ -56,25 +56,25 @@ def _gd_record(gs, opt, seed, sites):
             "basis": res.basis, "hessian_margin": margin}
 
 
-def _pair_record(gs, opt, seed, sites):
+def _pair_record(gs, opt, sites):
     pair = reduced_two_spin(gs, *sites)
     d_a, d_b = discord(pair, direction="a->b"), discord(pair, direction="b->a")
     return {"sites": list(sites), "discord": max(d_a, d_b),
             "discord_a_measured": d_a, "discord_b_measured": d_b,
-            "mid": mid(pair), "amid": amid(pair, seed=seed),
+            "mid": mid(pair), "amid": amid(pair, seed=opt.seed),
             "mutual_information": pair_mutual_information(pair)}
 
 
-def _estats_record(gs, opt, seed, sites):
+def _estats_record(gs, opt, sites):
     return asdict(entanglement_stats(gs))
 
 
 #: Measure group -> (its key in a ``measures`` record, the function of
-#: (PureState, OptimizerConfig, seed, pair sites) returning the group's
-#: record, {table column: the record field it holds}).  The CLI's
-#: ``measures``, sweep rows and find_peak all read it.  The functions look
-#: the measures up by their module-global names at call time, so wrapping or
-#: monkeypatching those names reaches every call in this process.
+#: (PureState, OptimizerConfig, pair sites) returning the group's record,
+#: {table column: the record field it holds}); ``OptimizerConfig.seed`` seeds
+#: the search and AMID alike.  The CLI's ``measures``, sweep rows and
+#: find_peak all read it.  Its functions look the measures up by their
+#: module-global names at call time, so patching those names reaches them.
 _MEASURES = {
     "gd": ("global_discord", _gd_record,
            {"gd": "value", "gd_converged": "converged"}),
@@ -325,14 +325,14 @@ def _row_values(args):
     :class:`ConvergenceWarning` keeps its cells and reports the warning as a
     row error.
     """
-    n_sites, ratio, measures, opt, seed = args
+    n_sites, ratio, measures, opt = args
     gs = _state_at(n_sites, ratio)
     out, errors = {}, []
     for group in measures:
         _, record_of, columns = _MEASURES[group]
         try:
             with _stalls() as stalls:
-                record = record_of(gs, opt, seed, _NN_SITES)
+                record = record_of(gs, opt, _NN_SITES)
             out.update((c, record[f]) for c, f in columns.items())
             errors.extend(f"{group}@ratio={ratio:.6g}: {m}" for m in stalls)
         except Exception as exc:
@@ -361,16 +361,18 @@ def sweep(
     ``metadata['row_errors']``, and the sweep continues.  A pair polish that
     stops on its step cap (``ConvergenceWarning``) is recorded there too,
     with its cells kept, so the CLI exits 1 as ``measures --pair`` does.
+    ``opt.seed``, stored as ``metadata['seed']``, seeds the search and AMID;
+    ``seed`` only seeds the default ``opt`` and is ignored when one is given.
     """
     if ratios is None:
         ratios = default_ratio_grid()
     ratios = _checked_ratios([_q12(r) for r in np.asarray(ratios, dtype=float).ravel()])
-    workers = 1 if n_workers is None else n_workers
+    workers = 1 if n_workers is None else _check_integer("n_workers", n_workers)
     if workers < 1:
         raise ValueError(f"n_workers must be None or >= 1, got {n_workers}")
     measures = _normalize_measures(measures)
     opt = opt if opt is not None else OptimizerConfig(seed=seed)
-    args = [(n_sites, float(r), measures, opt, seed) for r in ratios]
+    args = [(n_sites, float(r), measures, opt) for r in ratios]
     if workers > 1 and len(args) > 1:
         with _worker_pool(min(workers, len(args))) as pool:
             results = list(pool.map(_row_values, args))
@@ -387,7 +389,7 @@ def sweep(
     columns["gd_diff"] = _first_difference(ratios, columns["gd"])
     metadata = {
         "n_sites": n_sites,
-        "seed": seed,
+        "seed": opt.seed,
         "measures": list(measures),
         "grid": {
             "count": int(len(ratios)),
@@ -433,7 +435,6 @@ def _make_evaluator(table: SweepTable, column: str):
     """
     meta = table.metadata
     n_sites = meta["n_sites"]
-    seed = meta.get("seed", 0)
     # older tables carry xatol and fatol as optimizer fields, and some a
     # coupling_j, ignored since every measure depends on B/J alone
     opt_fields = {k: v for k, v in (meta.get("optimizer") or {}).items()
@@ -442,8 +443,7 @@ def _make_evaluator(table: SweepTable, column: str):
     _, record_of, columns = _MEASURES[_REFINABLE[column]]
 
     def evaluate(ratio: float) -> float:
-        return record_of(_state_at(n_sites, ratio), opt, seed,
-                         _NN_SITES)[columns[column]]
+        return record_of(_state_at(n_sites, ratio), opt, _NN_SITES)[columns[column]]
 
     return evaluate
 
@@ -591,7 +591,7 @@ def fit_scaling(points) -> ScalingFit:
     Minimizing sum_i (y_i - 1 - m (N_i - 2))^2 gives
     m = sum (N-2)(y-1) / sum (N-2)^2 in closed form.
     """
-    pts = tuple((int(n), float(y)) for n, y in points)
+    pts = tuple((_check_integer("N", n), float(y)) for n, y in points)
     if not pts:
         raise ValueError("fit requires at least one point")
     if not all(math.isfinite(y) for _, y in pts):

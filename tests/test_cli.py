@@ -12,7 +12,7 @@ import pytest
 
 from isingring.cli import _parse_ratio_grid, build_parser, main
 from isingring.errors import ConvergenceWarning
-from isingring.global_discord import global_discord
+from isingring.global_discord import OptimizerConfig, global_discord
 from isingring.ring import RingConfig, ground_state
 from isingring.sweep import SweepTable, _q12, sweep
 
@@ -40,6 +40,18 @@ def test_ground_state_record(capsys):
     assert record["manifest"]["command"] == "ground-state"
     assert record["manifest"]["version"]
     assert record["manifest"]["arguments"]["n"] == 4
+
+
+def test_ground_state_takes_no_seed(capsys):
+    """ground-state draws no random number: --seed is a usage error there,
+    and its manifest records no seed."""
+    with pytest.raises(SystemExit) as exc:
+        main(["ground-state", "--n", "3", "--seed", "1"])
+    assert exc.value.code == 2
+    code, out, _ = run_cli(capsys, "ground-state", "--n", "3")
+    manifest = json.loads(out)["manifest"]
+    assert code == 0
+    assert manifest["seed"] is None and "seed" not in manifest["arguments"]
 
 
 def test_wall_time_stays_nonnegative_when_the_clock_steps_back(capsys, monkeypatch):
@@ -212,6 +224,38 @@ def test_measures_rejects_empty_optimizer_budget(capsys, flag, value):
     )
     assert code == 3 and out == ""
     assert flag[2:].replace("-", "_") in err
+
+
+@pytest.mark.parametrize("flag", ["--max-evals", "--restarts"])
+def test_measures_checks_optimizer_flags_for_every_group(capsys, flag):
+    """``measures`` builds one optimizer config, whose seed AMID reads, for
+    every group: a bad budget fails also without --global."""
+    code, out, err = run_cli(
+        capsys, "measures", "--n", "4", "--pair", "0", "1", flag, "0"
+    )
+    assert code == 3 and out == ""
+    assert flag[2:].replace("-", "_") in err
+
+
+def test_one_seed_reaches_every_amid_call(capsys, monkeypatch):
+    """``OptimizerConfig.seed`` is a run's one seed: a sweep given an ``opt``
+    and another ``seed``, its AMID re-evaluator and ``measures --pair`` all
+    hand AMID the optimizer's seed, and the table records it."""
+    seeds, real = [], sweep_module.amid
+
+    def recording_amid(rho, n_starts=8, seed=0):
+        seeds.append(seed)
+        return real(rho, n_starts=n_starts, seed=seed)
+
+    monkeypatch.setattr(sweep_module, "amid", recording_amid)
+    table = sweep(4, [0.9, 1.1], measures=("pair",), opt=OptimizerConfig(seed=5),
+                  seed=9)
+    assert table.metadata["seed"] == 5
+    sweep_module._make_evaluator(table, "nn_amid")(1.0)
+    code, _, _ = run_cli(capsys, "measures", "--n", "4", "--b", "1",
+                         "--pair", "0", "1", "--seed", "5")
+    assert code == 0
+    assert seeds == [5, 5, 5, 5]
 
 
 def test_measures_pair_discord_directions(capsys, monkeypatch):

@@ -9,6 +9,8 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from isingring.global_discord import OptimizerConfig
+from isingring.pair_measures import toeplitz_correlators
+from isingring.ring import RingConfig
 from isingring.sweep import (
     COLUMNS,
     SweepTable,
@@ -191,6 +193,26 @@ def test_sweep_input_validation(monkeypatch):
     for workers in (0, -5):
         with pytest.raises(ValueError, match="n_workers"):
             sweep(3, ratios=[1.0], measures=("estats",), n_workers=workers)
+
+
+@pytest.mark.parametrize("build, bad, name", [
+    (RingConfig, 3.0, "n_sites"),
+    (RingConfig, 3.5, "n_sites"),
+    (lambda v: OptimizerConfig(max_evals=v), 100.5, "max_evals"),
+    (lambda v: OptimizerConfig(max_evals=v), math.nan, "max_evals"),
+    (lambda v: OptimizerConfig(restarts=v), 2.5, "restarts"),
+    (lambda v: toeplitz_correlators(0.5, v), 2.5, "separation"),
+    (lambda v: fit_scaling([(v, 1.2), (3, 1.3)]), 2.5, "N"),
+    (lambda v: sweep(3, [1.0], measures=("estats",), n_workers=v), 1.5, "n_workers"),
+], ids=["n_sites-3.0", "n_sites-3.5", "max_evals-100.5", "max_evals-nan",
+        "restarts-2.5", "separation-2.5", "fit-N-2.5", "n_workers-1.5"])
+def test_integer_arguments_are_checked_where_they_enter(build, bad, name):
+    """A non-integer size or count fails with ValueError where it enters the
+    package, not deep inside a solver (nor is a fit size truncated); a numpy
+    integer is accepted."""
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        build(bad)
+    build(np.int64(3))
 
 
 def test_sweep_pool_is_no_larger_than_the_grid(monkeypatch):
