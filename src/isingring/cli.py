@@ -351,18 +351,14 @@ def main(argv=None) -> int:
         if isinstance(output, SweepTable):
             output.metadata["manifest"] = manifest
             fmt = args.fmt or ("json" if _is_json(args.out) else "csv")
-            if args.out:
-                (output.to_json if fmt == "json" else output.to_csv)(args.out)
-            else:
-                sys.stdout.write(output._json_text() if fmt == "json"
-                                 else output._csv_text())
+            text = output._json_text() if fmt == "json" else output._csv_text()
         else:
             output.update(converged=converged, manifest=manifest)
             text = _record_text(output, args.fmt or "json")
-            if args.out:
-                _atomic_write(args.out, text)
-            else:
-                sys.stdout.write(text)
+        if args.out:
+            _atomic_write(args.out, text)
+        else:
+            sys.stdout.write(text)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE

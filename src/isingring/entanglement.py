@@ -101,8 +101,9 @@ def _cut_table(n_sites: int, invariant: bool) -> tuple[tuple, tuple, tuple]:
     """Keys, weights and descent roots for the cuts of an N-site ring.
 
     A side is a site mask (bit N-1-s for site s).  ``keys[side]`` names the
-    cut the side makes: the mask of its side that holds site 0, or with
-    invariance min(label[side], label[complement]) of its dihedral orbits.
+    cut the side makes: min(labels[side], labels[complement]), with the
+    dihedral orbit labels of ``_dihedral_orbits`` under invariance and
+    ``labels[side] = side`` otherwise.
     ``weights[key]`` counts the unordered cuts with that key, so the weights
     of the distinct keys sum to 2^(N-1) - 1.  The roots are the sides of
     floor(N/2) sites (at even N those holding site 0) as (mask, sorted site
@@ -113,19 +114,15 @@ def _cut_table(n_sites: int, invariant: bool) -> tuple[tuple, tuple, tuple]:
     """
     n, full = n_sites, 2 ** n_sites - 1
     sides = np.arange(2 ** n)
-    if invariant:
-        _, labels = _dihedral_orbits(n)
-        keys = np.minimum(labels, labels[sides ^ full])
-    else:
-        keys = np.where(sides >> (n - 1) & 1, sides, sides ^ full)
+    _, orbit_labels, popcount, _ = _dihedral_orbits(n)
+    labels = orbit_labels if invariant else sides
+    keys = np.minimum(labels, labels[sides ^ full])
     # The cuts, once each: masks that hold site 0 and are not the full ring.
     weights = np.bincount(keys[2 ** (n - 1):full], minlength=keys.max() + 1)
-    popcount = sum((sides >> k) & 1 for k in range(n))
     roots = sides[popcount == n // 2]
     if n % 2 == 0:
         roots = roots[roots >> (n - 1) & 1 == 1]
-    if invariant:
-        roots = roots[np.unique(labels[roots], return_index=True)[1]]
+    roots = roots[np.unique(labels[roots], return_index=True)[1]]
     roots = tuple((root, tuple(s for s in range(n) if root >> (n - 1 - s) & 1))
                   for root in roots.tolist())
     # Every caller shares the cached table, so it is made of tuples.
@@ -152,17 +149,13 @@ def entanglement_stats(gs: PureState) -> EntanglementStats:
             seen.add(key)
             values.append(_entanglement(rho))
             counts.append(weights[key])
-        if len(sites) > 1:
-            descend(rho, sites, mask)
-
-    def descend(rho, sites, mask):
         for j, s in enumerate(sites):
             child = mask ^ (1 << (n - 1 - s))
-            if keys[child] in seen:
-                # Its key was visited, and with it every smaller side of
-                # the same site set or of one of its dihedral images.
-                continue
-            visit(_trace_site(rho, j), sites[:j] + sites[j + 1:], child)
+            if child and keys[child] not in seen:
+                # Else it is the empty side, or its key was visited, and with
+                # it every smaller side of the same site set or of one of its
+                # dihedral images.
+                visit(_trace_site(rho, j), sites[:j] + sites[j + 1:], child)
 
     for mask, sites in roots:
         visit(_gram(tensor, sites), sites, mask)

@@ -92,7 +92,11 @@ class OptimizerConfig:
     translation invariance of the ring ground state motivates; the
     unconstrained search remains the default.  Only ``max_evals`` bounds the
     certified path too; the other knobs steer the search alone, and ``seed``
-    also seeds AMID's random candidates in sweeps and the CLI.
+    also seeds AMID's random candidates in sweeps and the CLI.  Every knob
+    is checked here, whether or not a run reads it: ``restarts`` (unless
+    None) and ``max_evals`` must be integers >= 1 and ``seed`` an integer
+    >= 0, else ValueError.  Numpy integers are stored as Python ints, so
+    the config writes to JSON.
 
     More restarts are not always better: they split one budget, about
     three quarters of it shared among the starts.  Under the default
@@ -108,10 +112,15 @@ class OptimizerConfig:
     uniform_angles: bool = False
 
     def __post_init__(self):
-        if self.restarts is not None and _check_integer("restarts", self.restarts) < 1:
-            raise ValueError(f"restarts must be None or >= 1, got {self.restarts}")
-        if _check_integer("max_evals", self.max_evals) < 1:
-            raise ValueError(f"max_evals must be >= 1, got {self.max_evals}")
+        for name, least in (("restarts", 1), ("max_evals", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if name == "restarts" and value is None:
+                continue
+            value = _check_integer(name, value)
+            if value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+            # a numpy integer is stored as an int, so the config writes to JSON
+            object.__setattr__(self, name, value)
 
     def n_restarts(self, n_sites: int) -> int:
         if self.restarts is not None:

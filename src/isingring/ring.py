@@ -59,33 +59,19 @@ class RingConfig:
             raise ValueError("field_b must be non-negative")
 
 
-@dataclass(frozen=True)
-class _SymmetricBasis:
-    """Dihedral-orbit tables of one ring size (depend on N only).
+@functools.lru_cache(maxsize=None)
+def _dihedral_orbits(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Configuration tables of one ring size (depend on N only).
 
     Bit ``n`` of a configuration index (most significant first) encodes site
-    ``n``, with bit 0 meaning spin-up.  ``x ^ flips[b]`` is ``x`` with the
-    two spins of bond ``b`` flipped; for N = 2 both bonds flip the same pair,
-    so that coupling enters with weight 2J.  ``labels[x]`` is the orbit of
-    ``x`` and ``norm[x]`` the amplitude of ``x`` in the normalized orbit
-    state.  ``sectors`` holds, even parity first, the orbit indices, the
-    bond-flip block and the summed sigma^z of each parity's orbit states.
+    ``n``, with bit 0 meaning spin-up.  Under the rotations and reflections
+    of the ring, ``reps[labels[x]]`` is the smallest index among all
+    rotations of ``x`` and of its mirror image, and ``reps`` is sorted, so
+    comparing labels compares representatives.  ``popcount[x]`` counts the
+    down spins of ``x``.  ``x ^ flips[b]`` is ``x`` with the two spins of
+    bond ``b`` flipped; for N = 2 both bonds flip the same pair, so that
+    coupling enters with weight 2J.
     """
-
-    popcount: np.ndarray
-    flips: np.ndarray
-    labels: np.ndarray
-    norm: np.ndarray
-    n_orbits: int
-    sectors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-
-
-@functools.lru_cache(maxsize=None)
-def _dihedral_orbits(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits of the N-bit configurations under the rotations and
-    reflections of the ring: ``reps[labels[x]]`` is the smallest index among
-    all rotations of ``x`` and of its mirror image, and ``reps`` is sorted,
-    so comparing labels compares representatives."""
     n = n_sites
     idx = np.arange(2 ** n)
     reversed_idx = sum(((idx >> k) & 1) << (n - 1 - k) for k in range(n))
@@ -94,51 +80,48 @@ def _dihedral_orbits(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
         for k in range(n):
             np.minimum(rep, ((word << k) | (word >> (n - k))) & (2 ** n - 1), out=rep)
     reps, labels = np.unique(rep, return_inverse=True)
+    popcount = sum((idx >> k) & 1 for k in range(n))
+    flips = np.array([(1 << (n - 1 - s)) | (1 << (n - 1 - (s + 1) % n)) for s in range(n)])
     # Every caller shares the cached tables, so none may write to them.
-    reps.setflags(write=False)
-    labels.setflags(write=False)
-    return reps, labels
+    for table in (reps, labels, popcount, flips):
+        table.setflags(write=False)
+    return reps, labels, popcount, flips
 
 
 @functools.lru_cache(maxsize=None)
-def _symmetric_basis(n_sites: int) -> _SymmetricBasis:
-    n = n_sites
-    idx = np.arange(2 ** n)
-    popcount = sum((idx >> k) & 1 for k in range(n))
-    reps, labels = _dihedral_orbits(n)
+def _symmetric_basis(n_sites: int) -> tuple[np.ndarray, tuple]:
+    """Orbit-state tables of one ring size (depend on N only).
+
+    ``norm[x]`` is the amplitude of ``x`` in the normalized state of its
+    orbit.  ``sectors`` holds, even parity first, the orbit indices, the
+    bond-flip block and the summed sigma^z of each parity's orbit states.
+    """
+    reps, labels, popcount, flips = _dihedral_orbits(n_sites)
     norm = 1.0 / np.sqrt(np.bincount(labels))[labels]
-    flips = np.array([(1 << (n - 1 - s)) | (1 << (n - 1 - (s + 1) % n)) for s in range(n)])
-    partners = idx[None, :] ^ flips[:, None]
+    partners = np.arange(2 ** n_sites)[None, :] ^ flips[:, None]
     # <O|sum_b X_b X_{b+1}|P> accumulated over every configuration and bond.
     hop = np.zeros((reps.size, reps.size))
     np.add.at(hop, (np.broadcast_to(labels, partners.shape), labels[partners]),
               norm[None, :] * norm[partners])
-    sz_total = n - 2 * popcount[reps]
+    sz_total = n_sites - 2 * popcount[reps]
     sectors = []
     for parity in (0, 1):
         orbits = np.flatnonzero(popcount[reps] % 2 == parity)
         sectors.append((orbits, hop[np.ix_(orbits, orbits)], sz_total[orbits]))
-    basis = _SymmetricBasis(popcount, flips, labels, norm, reps.size, tuple(sectors))
     # Every caller shares the cached tables, so none may write to them.
-    for table in (popcount, flips, norm, *(a for sec in sectors for a in sec)):
+    for table in (norm, *(a for sec in sectors for a in sec)):
         table.setflags(write=False)
-    return basis
+    return norm, tuple(sectors)
 
 
 def parity_diagonal(n_sites: int) -> np.ndarray:
     """Diagonal of the parity operator ``prod_n sigma^z_n``."""
-    return np.where(_symmetric_basis(n_sites).popcount % 2 == 0, 1.0, -1.0)
+    return np.where(_dihedral_orbits(n_sites)[2] % 2 == 0, 1.0, -1.0)
 
 
 def parity_expectation(state: PureState) -> float:
     """Expectation of ``prod_n sigma^z_n`` in the given state."""
     return float(parity_diagonal(state.n_sites) @ np.abs(state.amplitudes) ** 2)
-
-
-def _bond_hop(basis: _SymmetricBasis, vec: np.ndarray) -> np.ndarray:
-    """``sum_n sx_n sx_{n+1}`` applied to ``vec``, one bond flip at a time."""
-    idx = np.arange(vec.size)
-    return sum(vec[idx ^ flip] for flip in basis.flips)
 
 
 class _GroundState(PureState):
@@ -161,24 +144,28 @@ def ground_state(config: RingConfig) -> tuple[PureState, float]:
     ``prod_n sigma^z_n``.  The global phase is fixed so the largest-magnitude
     amplitude is real positive.  The state is a ``_GroundState``.
     """
-    basis = _symmetric_basis(config.n_sites)
+    n = config.n_sites
+    reps, labels, popcount, flips = _dihedral_orbits(n)
+    norm, sectors = _symmetric_basis(n)
     j, b = config.coupling_j, config.field_b
     best = None
-    for orbits, hop, sz_total in basis.sectors:
+    for orbits, hop, sz_total in sectors:
         evals, evecs = np.linalg.eigh(np.diag(b * sz_total) - j * hop)
         if best is None or evals[0] < best[0] - DEGENERACY_TOL:
             best = (float(evals[0]), orbits, evecs[:, 0])
     energy, orbits, coef = best
-    coef_all = np.zeros(basis.n_orbits)
+    coef_all = np.zeros(reps.size)
     coef_all[orbits] = coef
-    vec = coef_all[basis.labels] * basis.norm
-    sz_sum = config.n_sites - 2 * basis.popcount
-    ham_vec = b * sz_sum * vec - j * _bond_hop(basis, vec)
+    vec = coef_all[labels] * norm
+    # sum_n sx_n sx_{n+1} applied to vec, one bond flip at a time
+    idx = np.arange(vec.size)
+    bond_hop = sum(vec[idx ^ flip] for flip in flips)
+    ham_vec = b * (n - 2 * popcount) * vec - j * bond_hop
     residual = float(np.linalg.norm(ham_vec - energy * vec))
     if residual > 1e-8 * max(1.0, abs(energy)):
         raise EigensolverError("ground-state eigenpair failed residual check", residual)
     vec = _fix_phase(vec.astype(complex))
-    return _GroundState(vec, config.n_sites), energy
+    return _GroundState(vec, n), energy
 
 
 def ghz_state(n_sites: int) -> PureState:

@@ -364,6 +364,7 @@ def sweep(
     ``opt.seed``, stored as ``metadata['seed']``, seeds the search and AMID;
     ``seed`` only seeds the default ``opt`` and is ignored when one is given.
     """
+    n_sites = _check_integer("n_sites", n_sites)
     if ratios is None:
         ratios = default_ratio_grid()
     ratios = _checked_ratios([_q12(r) for r in np.asarray(ratios, dtype=float).ravel()])

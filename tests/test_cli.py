@@ -237,6 +237,20 @@ def test_measures_checks_optimizer_flags_for_every_group(capsys, flag):
     assert flag[2:].replace("-", "_") in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("measures", "--n", "4", "--b", "1", "--global"),
+    ("measures", "--n", "4", "--b", "1", "--pair", "0", "1"),
+    ("measures", "--n", "4", "--b", "1", "--estats"),
+    ("sweep", "--n", "3", "--ratio-grid", "1.0", "--measures", "estats"),
+], ids=["global", "pair", "estats", "sweep"])
+def test_negative_seed_exits_with_error_on_every_run(capsys, argv):
+    """``--seed`` is checked by the optimizer config, which every
+    ``measures`` and ``sweep`` run builds, whichever groups it computes."""
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 3 and out == ""
+    assert "seed must be an integer >= 0" in err
+
+
 def test_one_seed_reaches_every_amid_call(capsys, monkeypatch):
     """``OptimizerConfig.seed`` is a run's one seed: a sweep given an ``opt``
     and another ``seed``, its AMID re-evaluator and ``measures --pair`` all

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from isingring.errors import CapacityError
+from isingring.cli import main
+from isingring.errors import CapacityError, EigensolverError
 from isingring.ring import (
     MAX_SITES,
     RingConfig,
@@ -122,3 +123,23 @@ def test_large_field_ground_state_is_polarized():
     gs, _ = ground_state(RingConfig(n_sites=5, coupling_j=1.0, field_b=50.0))
     overlap = abs(np.vdot(product_state_down(5).amplitudes, gs.amplitudes))
     assert overlap > 1.0 - 1e-3
+
+
+def test_residual_check_rejects_a_perturbed_eigenvector(monkeypatch, capsys):
+    """An eigenvector that misses H v = E v by more than 1e-8 |E| raises
+    EigensolverError with its residual norm, and the CLI exits 3."""
+    real_eigh = np.linalg.eigh
+
+    def perturbed_eigh(matrix):
+        evals, evecs = real_eigh(matrix)
+        evecs = evecs.copy()
+        evecs[0, 0] += 1e-3
+        return evals, evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
+    with pytest.raises(EigensolverError, match="residual norm") as caught:
+        ground_state(RingConfig(n_sites=4, coupling_j=1.0, field_b=0.7))
+    assert caught.value.residual > 1e-8
+    assert main(["ground-state", "--n", "4", "--b", "0.7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "residual check" in captured.err

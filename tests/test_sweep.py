@@ -215,6 +215,41 @@ def test_integer_arguments_are_checked_where_they_enter(build, bad, name):
     build(np.int64(3))
 
 
+@pytest.mark.parametrize("n_sites, knobs, error", [
+    (np.int64(3), {}, None),
+    (3, {"restarts": np.int32(2), "max_evals": np.int64(500), "seed": np.uint8(4)}, None),
+    (3, {"seed": -1}, "seed must be an integer >= 0"),
+    (3, {"seed": np.int64(-1)}, "seed must be an integer >= 0"),
+    (3, {"seed": 1.5}, "seed must be an integer, got 1.5"),
+], ids=["numpy-n_sites", "numpy-knobs", "seed--1", "numpy-seed--1", "seed-1.5"])
+def test_numpy_integers_write_and_bad_seeds_fail_at_the_config(
+        tmp_path, n_sites, knobs, error):
+    """A table built from numpy-integer sizes and counts stores them as ints,
+    so both writers take it and both readers give it back; a seed that is
+    not an integer >= 0 fails where it enters, not at the first draw."""
+    if error is not None:
+        with pytest.raises(ValueError, match=error):
+            OptimizerConfig(**knobs)
+        return
+    table = sweep(n_sites, [0.5, 1.0], measures=("gd",), opt=OptimizerConfig(**knobs))
+    stored = [table.metadata["n_sites"], table.metadata["seed"],
+              *table.metadata["optimizer"].values()]
+    assert all(type(v) in (int, bool) or v is None for v in stored)
+    for write, read, suffix in ((table.to_csv, SweepTable.from_csv, "csv"),
+                                (table.to_json, SweepTable.from_json, "json")):
+        path = str(tmp_path / f"t.{suffix}")
+        write(path)
+        assert read(path).same_as(table)
+
+
+def test_default_grid_sweep():
+    """``ratios=None`` sweeps ``default_ratio_grid()``, all 101 rows."""
+    table = sweep(2, measures=("estats",))
+    assert table.n_rows == 101 == table.metadata["grid"]["count"]
+    assert np.array_equal(table.ratios, [_q12(r) for r in default_ratio_grid()])
+    assert np.all(np.isfinite(table.columns["mean_E"]))
+
+
 def test_sweep_pool_is_no_larger_than_the_grid(monkeypatch):
     sizes = []
 
