@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _check_integer
+
 # Eigenvalues in [-EIG_CLIP, 0] are treated as numerical zeros; anything more
 # negative marks a genuinely invalid operator.
 EIG_CLIP = 1e-10
@@ -75,7 +77,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        labels = tuple(int(s) for s in self.site_labels)
+        labels = tuple(_check_integer("site label", s) for s in self.site_labels)
         dim = 2 ** len(labels)
         if m.shape != (dim, dim):
             raise ValueError(
@@ -160,14 +162,14 @@ class PureState:
 
     def __post_init__(self):
         v = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if v.size != 2 ** self.n_sites:
-            raise ValueError(
-                f"amplitude vector of length {v.size} does not match {self.n_sites} sites"
-            )
+        n = _check_integer("n_sites", self.n_sites)
+        if v.size != 2 ** n:
+            raise ValueError(f"amplitude vector of length {v.size} does not match {n} sites")
         norm = np.linalg.norm(v)
         if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"state norm {norm} differs from 1 beyond tolerance")
         object.__setattr__(self, "amplitudes", v)
+        object.__setattr__(self, "n_sites", n)
 
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape((2,) * self.n_sites)
@@ -185,7 +187,7 @@ def _gram(tensor: np.ndarray, side: tuple) -> np.ndarray:
 
 def reduced_state(state: PureState, keep) -> DensityMatrix:
     """Reduced density matrix of a pure state on the ``keep`` sites (given order)."""
-    keep = tuple(int(s) for s in keep)
+    keep = tuple(_check_integer("site", s) for s in keep)
     if not keep or len(set(keep)) != len(keep):
         raise ValueError("keep must be a nonempty set of distinct sites")
     if any(s < 0 or s >= state.n_sites for s in keep):

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import PureState, _gram
+from .errors import _check_integer
 from .ring import _dihedral_orbits
 
 #: A state is treated as dihedral-invariant when one rotation and one
@@ -52,7 +53,7 @@ class EntanglementStats:
 
 
 def _normalize_subset(subset, n_sites: int) -> tuple:
-    sites = tuple(sorted(set(int(s) for s in subset)))
+    sites = tuple(sorted(set(_check_integer("site", s) for s in subset)))
     if any(s < 0 or s >= n_sites for s in sites):
         raise ValueError("subset contains sites outside the ring")
     if len(sites) == 0 or len(sites) == n_sites:

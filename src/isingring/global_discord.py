@@ -94,9 +94,10 @@ class OptimizerConfig:
     certified path too; the other knobs steer the search alone, and ``seed``
     also seeds AMID's random candidates in sweeps and the CLI.  Every knob
     is checked here, whether or not a run reads it: ``restarts`` (unless
-    None) and ``max_evals`` must be integers >= 1 and ``seed`` an integer
-    >= 0, else ValueError.  Numpy integers are stored as Python ints, so
-    the config writes to JSON.
+    None) and ``max_evals`` must be integers >= 1, ``seed`` an integer
+    >= 0 and ``uniform_angles`` True or False, else ValueError.  Numpy
+    integers and bools are stored as Python ints and bools, so the config
+    writes to JSON.
 
     More restarts are not always better: they split one budget, about
     three quarters of it shared among the starts.  Under the default
@@ -121,6 +122,10 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value}")
             # a numpy integer is stored as an int, so the config writes to JSON
             object.__setattr__(self, name, value)
+        flag = self.uniform_angles
+        if not isinstance(flag, (bool, np.bool_)):
+            raise ValueError(f"uniform_angles must be True or False, got {flag!r}")
+        object.__setattr__(self, "uniform_angles", bool(flag))
 
     def n_restarts(self, n_sites: int) -> int:
         if self.restarts is not None:
@@ -333,8 +338,8 @@ def _search(tracker: _BudgetTracker, n: int, opt: OptimizerConfig) -> GDResult:
                                                np.linspace(0.0, math.pi, 8))))
         with contextlib.suppress(_BudgetExhausted):
             tracker(np.tile(grid[:, None], (1, n, 1)), _ZERO_TOL)
-        starts = [np.zeros(2 * k), np.tile([math.pi / 2.0, 0.0], k),
-                  tracker.best_angles[:k].ravel()]
+        starts = [np.tile(_angles(frame[0]), k) for frame in _FRAMES.values()]
+        starts.append(tracker.best_angles[:k].ravel())
         while len(starts) < opt.n_restarts(n):
             starts.append(np.column_stack([
                 rng.uniform(0.0, math.pi, k),

@@ -52,8 +52,6 @@ class XState(DensityMatrix):
 
 def reduced_two_spin(gs: PureState, i: int, j: int) -> XState:
     """Reduced state of sites (i, j) of the ring ground state, site i first."""
-    if i == j:
-        raise ValueError("need two distinct sites")
     rho = reduced_state(gs, (i, j))
     return XState(rho.matrix, rho.site_labels)
 
@@ -190,7 +188,7 @@ def amid(rho: DensityMatrix, n_starts: int = 8, seed: int = 0) -> float:
     a, b = _probe_angles(bl.T), _probe_angles(bl)
     candidates = [np.hstack([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))])]
     rng = np.random.default_rng(seed)
-    for _ in range(max(n_starts, 4) - 4):
+    for _ in range(max(_check_integer("n_starts", n_starts), 4) - 4):
         th, ph = rng.uniform(0.0, math.pi, 2), rng.uniform(0.0, 2.0 * math.pi, 2)
         candidates.append([[th[0], ph[0], th[1], ph[1]]])
     loss = _minimum(lambda x: -_dephased_information(bl, x), np.vstack(candidates))

@@ -170,13 +170,13 @@ def ground_state(config: RingConfig) -> tuple[PureState, float]:
 
 def ghz_state(n_sites: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2) in the sigma^z basis."""
-    v = np.zeros(2 ** n_sites, dtype=complex)
+    v = np.zeros(2 ** _check_integer("n_sites", n_sites), dtype=complex)
     v[0] = v[-1] = 1.0 / math.sqrt(2.0)
     return PureState(v, n_sites)
 
 
 def product_state_down(n_sites: int) -> PureState:
     """All spins down: the fully separable B >> J ground state."""
-    v = np.zeros(2 ** n_sites, dtype=complex)
+    v = np.zeros(2 ** _check_integer("n_sites", n_sites), dtype=complex)
     v[-1] = 1.0
     return PureState(v, n_sites)

@@ -100,7 +100,8 @@ def _q12(x: float) -> float:
     """Quantize to 12 significant digits: the table's storage precision.
 
     Applied at computation time so the in-memory table, the CSV text, and
-    the JSON text all carry bit-identical values.
+    the JSON text all carry bit-identical values.  NaN and +-inf map to
+    themselves, so every cell is stored through it.
     """
     return float(f"{float(x):.12g}")
 
@@ -111,7 +112,7 @@ def default_ratio_grid(
     """Logarithmic B/J grid with the critical point 1.0 always included."""
     if not (0 < start < stop < math.inf):
         raise ValueError("grid requires 0 < start < stop, both finite")
-    if count < 2:
+    if _check_integer("count", count) < 2:
         raise ValueError("grid requires at least 2 points")
     pts = np.geomspace(start, stop, count)
     if start <= 1.0 <= stop:
@@ -145,8 +146,9 @@ class SweepTable:
             if col.shape != ratios.shape:
                 raise ValueError(f"column {name!r} length mismatch")
             object.__setattr__(self, "columns", {**self.columns, name: col})
+        measures = self.metadata.get("measures")
+        measures = () if measures is None else _normalize_measures(measures)
         if not self.metadata.get("row_errors"):
-            measures = self.metadata.get("measures", ())
             checked = [c for g in measures for c in _MEASURES[g][2]]
             if "gd" in measures:
                 checked.append("gd_diff")
@@ -262,6 +264,10 @@ def _checked_ratios(ratios) -> np.ndarray:
 
 
 def _normalize_measures(measures) -> tuple:
+    """The requested groups in ``MEASURE_GROUPS`` order; ValueError on a bare
+    string, on no group or on an unknown one."""
+    if isinstance(measures, str):
+        raise ValueError(f"measure groups must be a collection, not the string {measures!r}")
     requested = set(measures)
     if not requested:
         raise ValueError("no measure group selected")
@@ -386,8 +392,10 @@ def sweep(
     for i, (values, errors) in enumerate(results):
         row_errors.extend(errors)
         for name, value in values.items():
-            columns[name][i] = _q12(value) if math.isfinite(value) else value
-    columns["gd_diff"] = _first_difference(ratios, columns["gd"])
+            columns[name][i] = _q12(value)
+    # d(gd)/d(ratio) by first differences, zero-padded at the left edge
+    columns["gd_diff"] = np.array(
+        [_q12(d) for d in np.append(0.0, np.diff(columns["gd"]) / np.diff(ratios))])
     metadata = {
         "n_sites": n_sites,
         "seed": opt.seed,
@@ -401,17 +409,6 @@ def sweep(
         "row_errors": row_errors,
     }
     return SweepTable(columns=columns, metadata=metadata)
-
-
-def _first_difference(ratios: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """d(value)/d(ratio) by first differences, zero-padded at the left edge."""
-    diff = np.full(len(ratios), math.nan)
-    diff[0] = 0.0
-    if len(ratios) > 1:
-        diff[1:] = (values[1:] - values[:-1]) / (ratios[1:] - ratios[:-1])
-    return np.array(
-        [_q12(d) if math.isfinite(d) else d for d in diff]
-    )
 
 
 # ------------------------------------------------------------------ peaks
@@ -552,6 +549,8 @@ def find_peak(
             f"column {column!r} is not a refinable measure; "
             "supply an evaluator to refine it"
         )
+    if column not in table.columns:
+        raise ValueError(f"table has no column {column!r}")
     values = table.columns[column]
     if np.any(~np.isfinite(values)):
         raise ValueError(f"column {column!r} has non-finite entries")

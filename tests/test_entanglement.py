@@ -66,6 +66,12 @@ def test_subset_validation():
     assert bipartition_entanglement(gs, (0, 0)) == bipartition_entanglement(gs, (0,))
 
 
+def test_stats_reject_a_negative_variance():
+    with pytest.raises(ValueError, match="variance cannot be negative"):
+        entanglement.EntanglementStats(mean=0.5, variance=-1e-9, n_bipartitions=3)
+    entanglement.EntanglementStats(mean=0.5, variance=-1e-13, n_bipartitions=3)
+
+
 def test_population_variance_definition():
     gs, _ = ground_state(RingConfig(n_sites=5, coupling_j=1.0, field_b=1.0))
     stats = entanglement_stats(gs)

@@ -8,6 +8,7 @@ import pytest
 import oracles
 import isingring.newton as newton
 import isingring.pair_measures as pair_measures
+from isingring.density import DensityMatrix
 from isingring.errors import ConvergenceWarning, NonXStateWarning, QuadratureError
 from isingring.pair_measures import (
     CorrelatorSet,
@@ -206,6 +207,11 @@ _NON_HERMITIAN[0, 1] = 0.1
 def test_pair_measures_reject_invalid_raw_arrays(measure, bad):
     with pytest.raises(ValueError):
         measure(bad)
+
+
+def test_pair_measures_reject_a_one_qubit_state():
+    with pytest.raises(ValueError, match="defined for two-qubit states"):
+        discord(DensityMatrix(np.eye(2) / 2.0, (0,)))
 
 
 def test_amid_matches_brute_force_scan(rng):

@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,55 @@ def test_table_validation(tmp_path):
         path.write_text(json.dumps(broken))
         with pytest.raises(ValueError, match=f"broken.json: {message}"):
             SweepTable.from_json(os.fspath(path))
+
+
+def test_table_checks_reach_headers_ratio_shape_and_metadata(tmp_path):
+    """An unexpected CSV header, an empty or 2-d ratio column, and two tables
+    that differ in their metadata alone."""
+    text = small_table()._csv_text().replace("nn_amid", "nn_xyz")
+    path = tmp_path / "renamed.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="renamed.csv: unexpected column header"):
+        SweepTable.from_csv(os.fspath(path))
+    for ratios in (np.array([]), np.ones((2, 2))):
+        columns = {c: np.zeros(ratios.shape) for c in COLUMNS} | {"ratio": ratios}
+        with pytest.raises(ValueError, match="nonempty 1-d array"):
+            SweepTable(columns=columns)
+    table = small_table()
+    other = SweepTable(columns=table.columns, metadata={**table.metadata, "seed": 1})
+    assert table.same_as(small_table()) and not table.same_as(other)
+
+
+def test_atomic_write_leaves_no_temp_file_when_the_rename_fails(monkeypatch, tmp_path):
+    target = tmp_path / "t.csv"
+    target.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        small_table().to_csv(os.fspath(target))
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_row_passes_other_warnings_on_and_keeps_its_cells(monkeypatch):
+    """A warning that is not a ConvergenceWarning reaches the caller; the row
+    keeps its cells and records no row error."""
+    real = sweep_module.entanglement_stats
+
+    def noisy(gs):
+        warnings.warn("unrelated", UserWarning)
+        return real(gs)
+
+    monkeypatch.setattr(sweep_module, "entanglement_stats", noisy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values, errors = sweep_module._row_values((3, 1.0, ("estats",), OptimizerConfig()))
+    assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, "unrelated")]
+    assert errors == [] and set(values) == {"mean_E", "var_E"}
+    assert all(math.isfinite(v) for v in values.values())
 
 
 def test_zero_field_row_reproduces_cat_state_values():
