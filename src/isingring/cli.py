@@ -65,8 +65,6 @@ def _parse_ratio_grid(spec: str) -> np.ndarray:
             grid = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
         else:
             raise ValueError("expected start:stop:count[:log|lin] with count >= 2")
-        if len(grid) == 0:
-            raise ValueError("empty ratio grid")
         return _checked_ratios(grid)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {spec!r}: {exc}") from None

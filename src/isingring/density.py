@@ -154,14 +154,17 @@ class PureState:
     """Normalized state vector over the sigma^z product basis of a ring.
 
     Site ``n`` maps to bit ``n`` of the basis index counted from the most
-    significant side; bit value 0 is spin-up (sigma^z = +1).
+    significant side; bit value 0 is spin-up (sigma^z = +1).  Real input is
+    stored as float64 and complex input as complex128, so the Gram products
+    of a real state, such as a ring ground state, run in real arithmetic.
     """
 
     amplitudes: np.ndarray
     n_sites: int
 
     def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex).ravel()
+        v = np.asarray(self.amplitudes)
+        v = np.asarray(v, dtype=complex if np.iscomplexobj(v) else float).ravel()
         n = _check_integer("n_sites", self.n_sites)
         if v.size != 2 ** n:
             raise ValueError(f"amplitude vector of length {v.size} does not match {n} sites")

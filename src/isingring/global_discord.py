@@ -137,14 +137,17 @@ def _outcome_probs(amps: np.ndarray, ang: np.ndarray) -> np.ndarray:
     """Probabilities of all 2^N outcomes of the product measurement, one row
     per basis of the (rows, N, 2) angles.
 
-    Applies each site's R_j^dagger to the middle axis of the amplitudes
-    viewed as (rows, 2^j, 2, rest): O(2^N * N) per row, not a 2^N x 2^N
-    transform; no checks.
+    Each site in turn leads the amplitudes viewed as (rows, 2, 2^(N-1)),
+    takes its R_j^dagger in one (2 x 2) @ (2 x 2^(N-1)) product per row, and
+    then moves to the last axis in one transpose-copy; after N sites the
+    outcomes are back in order.  O(2^N * N) per row in N products, not a
+    2^N x 2^N transform; at most two rows x 2^N arrays are alive; no checks.
     """
     rdag = rotation_matrix(ang[..., 0], ang[..., 1]).conj().swapaxes(-1, -2)
-    out = amps.reshape(1, -1)  # the first site's product broadcasts it to every row
+    out = amps.reshape(1, 2, -1)  # the first site's product broadcasts it to every row
     for j in range(ang.shape[1]):
-        out = rdag[:, j, None] @ out.reshape(len(out), 2 ** j, 2, -1)
+        out = rdag[:, j] @ out
+        out = out.swapaxes(1, 2).reshape(len(ang), 2, -1)
     return np.abs(out.reshape(len(ang), -1)) ** 2
 
 
@@ -234,18 +237,15 @@ def _certify(tracker: _BudgetTracker, n: int) -> GDResult | None:
     circulants with spectra sum_j C_{d,j} cos(2 pi m j / N).  Each coupling
     C_{d,j} = C_{d,N-j} of site 0 takes two probes,
     [f(h e_0d + h e_jd) - f(h e_0d - h e_jd)] / (2 h^2): 6 + 4 (N // 2)
-    evaluations in all, scored in three calls: one per basis, then the
+    evaluations in all, scored in two calls: both bases' centres, then the
     rest.  The gradient's four probes spot-check the evenness.  Where an
     outcome has probability zero (sigma^z on a parity eigenstate) the
     objective grows like t^2 log(1/t) and the margin measures the stencil,
     not a finite curvature.  Raises ``_BudgetExhausted`` when the budget
     runs out.
     """
-    def probe(frame, tilts):
-        v = frame[0] + tilts @ frame[1:]
-        return tracker(_angles(v / np.linalg.norm(v, axis=-1, keepdims=True)))
-
-    values = {b: probe(f, np.zeros((1, n, 2)))[0] for b, f in _FRAMES.items()}
+    centres = np.array([np.tile(f[0], (n, 1)) for f in _FRAMES.values()])
+    values = dict(zip(_FRAMES, tracker(_angles(centres))))
     basis = min(values, key=values.get)
     frame, f0, h = _FRAMES[basis], values[basis], _STEP
 
@@ -259,7 +259,8 @@ def _certify(tracker: _BudgetTracker, n: int) -> GDResult | None:
     stencil = [tilt(d, (0, step)) for step in (h, -h) for d in (0, 1)]
     stencil += [tilt(d, (0, h), (j, step)) for d in (0, 1)
                 for j in range(1, n // 2 + 1) for step in (h, -h)]
-    values = probe(frame, np.array(stencil))
+    v = frame[0] + np.array(stencil) @ frame[1:]
+    values = tracker(_angles(v / np.linalg.norm(v, axis=-1, keepdims=True)))
     plus, minus = values[:4].reshape(2, 2)
     pairs = values[4:].reshape(2, n // 2, 2)
     grad = math.sqrt(n) * math.hypot(plus[0] - minus[0], plus[1] - minus[1]) / (2 * h)
@@ -317,7 +318,6 @@ def _search(tracker: _BudgetTracker, n: int, opt: OptimizerConfig) -> GDResult:
     at the first row <= ``_ZERO_TOL``.
     """
     k = 1 if opt.uniform_angles else n
-    rng = np.random.default_rng(opt.seed)
 
     def polish(x0: np.ndarray, stop: int) -> bool:
         """One polish from ``x0`` that ends before evaluation ``stop``; True
@@ -340,11 +340,14 @@ def _search(tracker: _BudgetTracker, n: int, opt: OptimizerConfig) -> GDResult:
             tracker(np.tile(grid[:, None], (1, n, 1)), _ZERO_TOL)
         starts = [np.tile(_angles(frame[0]), k) for frame in _FRAMES.values()]
         starts.append(tracker.best_angles[:k].ravel())
-        while len(starts) < opt.n_restarts(n):
-            starts.append(np.column_stack([
-                rng.uniform(0.0, math.pi, k),
-                rng.uniform(0.0, 2.0 * math.pi, k),
-            ]).ravel())
+        if len(starts) < opt.n_restarts(n):
+            # only random starts load numpy.random
+            rng = np.random.default_rng(opt.seed)
+            while len(starts) < opt.n_restarts(n):
+                starts.append(np.column_stack([
+                    rng.uniform(0.0, math.pi, k),
+                    rng.uniform(0.0, 2.0 * math.pi, k),
+                ]).ravel())
 
         share = (tracker.max_evals - tracker.n_evals) * 3 // 4 // len(starts)
         for x0 in starts:

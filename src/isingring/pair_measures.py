@@ -17,6 +17,7 @@ the ring) the probes hold the semi-closed Ali-Rau-Alber discord minimum
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -183,14 +184,21 @@ def amid(rho: DensityMatrix, n_starts: int = 8, seed: int = 0) -> float:
     ``max(n_starts, 4) - 4`` random angle pairs drawn from ``seed``; one
     Newton polish (``newton._polish``) starts from the best of them; it warns
     :class:`ConvergenceWarning` when the polish reaches its step cap.
+    ``seed`` must be None or an integer >= 0 (else TypeError or ValueError,
+    as numpy's generator has it) on every call; only a call that draws
+    loads ``numpy.random``.
     """
     mat, bl = _pair_form(rho)
     a, b = _probe_angles(bl.T), _probe_angles(bl)
     candidates = [np.hstack([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))])]
-    rng = np.random.default_rng(seed)
-    for _ in range(max(_check_integer("n_starts", n_starts), 4) - 4):
-        th, ph = rng.uniform(0.0, math.pi, 2), rng.uniform(0.0, 2.0 * math.pi, 2)
-        candidates.append([[th[0], ph[0], th[1], ph[1]]])
+    if seed is not None and operator.index(seed) < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    n_random = max(_check_integer("n_starts", n_starts), 4) - 4
+    if n_random > 0:
+        rng = np.random.default_rng(seed)
+        for _ in range(n_random):
+            th, ph = rng.uniform(0.0, math.pi, 2), rng.uniform(0.0, 2.0 * math.pi, 2)
+            candidates.append([[th[0], ph[0], th[1], ph[1]]])
     loss = _minimum(lambda x: -_dephased_information(bl, x), np.vstack(candidates))
     return max(_mutual_information(bl, mat) + loss, 0.0)
 

@@ -129,10 +129,9 @@ class _GroundState(PureState):
     discord recognizes ring ground states, so amplitudes alone never do."""
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(vec)))
-    phase = vec[k] / abs(vec[k])
-    return vec * phase.conjugate()
+def _fix_sign(vec: np.ndarray) -> np.ndarray:
+    """The real ``vec`` with its largest-magnitude entry made positive."""
+    return -vec if vec[np.argmax(np.abs(vec))] < 0.0 else vec
 
 
 def ground_state(config: RingConfig) -> tuple[PureState, float]:
@@ -141,8 +140,9 @@ def ground_state(config: RingConfig) -> tuple[PureState, float]:
     Each parity sector's symmetric block is diagonalized; the odd sector wins
     only if it is lower by more than ``DEGENERACY_TOL``, so a degenerate
     ground doublet (e.g. at B = 0) resolves to the state with parity +1 under
-    ``prod_n sigma^z_n``.  The global phase is fixed so the largest-magnitude
-    amplitude is real positive.  The state is a ``_GroundState``.
+    ``prod_n sigma^z_n``.  The amplitudes are real (float64), with the sign
+    fixed so the largest-magnitude one is positive.  The state is a
+    ``_GroundState``.
     """
     n = config.n_sites
     reps, labels, popcount, flips = _dihedral_orbits(n)
@@ -164,19 +164,26 @@ def ground_state(config: RingConfig) -> tuple[PureState, float]:
     residual = float(np.linalg.norm(ham_vec - energy * vec))
     if residual > 1e-8 * max(1.0, abs(energy)):
         raise EigensolverError("ground-state eigenpair failed residual check", residual)
-    vec = _fix_phase(vec.astype(complex))
-    return _GroundState(vec, n), energy
+    return _GroundState(_fix_sign(vec), n), energy
+
+
+def _reference_size(n_sites) -> int:
+    """The site count of a reference state; ValueError unless an integer >= 1."""
+    n = _check_integer("n_sites", n_sites)
+    if n < 1:
+        raise ValueError(f"n_sites must be an integer >= 1, got {n}")
+    return n
 
 
 def ghz_state(n_sites: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2) in the sigma^z basis."""
-    v = np.zeros(2 ** _check_integer("n_sites", n_sites), dtype=complex)
+    v = np.zeros(2 ** _reference_size(n_sites), dtype=complex)
     v[0] = v[-1] = 1.0 / math.sqrt(2.0)
     return PureState(v, n_sites)
 
 
 def product_state_down(n_sites: int) -> PureState:
     """All spins down: the fully separable B >> J ground state."""
-    v = np.zeros(2 ** _check_integer("n_sites", n_sites), dtype=complex)
+    v = np.zeros(2 ** _reference_size(n_sites), dtype=complex)
     v[-1] = 1.0
     return PureState(v, n_sites)

@@ -137,10 +137,7 @@ class SweepTable:
         missing = [c for c in COLUMNS if c not in self.columns]
         if missing:
             raise ValueError(f"table missing columns {missing}")
-        ratios = np.asarray(self.columns["ratio"], dtype=float)
-        if ratios.ndim != 1 or len(ratios) == 0:
-            raise ValueError("ratio column must be a nonempty 1-d array")
-        _checked_ratios(ratios)
+        ratios = _checked_ratios(self.columns["ratio"])
         for name in COLUMNS:
             col = np.asarray(self.columns[name], dtype=float)
             if col.shape != ratios.shape:
@@ -252,8 +249,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _checked_ratios(ratios) -> np.ndarray:
-    """``ratios`` as floats; ValueError unless finite, increasing and >= 0."""
+    """``ratios`` as floats; ValueError unless a nonempty 1-d array, finite,
+    increasing and >= 0."""
     ratios = np.asarray(ratios, dtype=float)
+    if ratios.ndim != 1 or len(ratios) == 0:
+        raise ValueError("ratios must be a nonempty 1-d array")
     if not np.all(np.isfinite(ratios)):
         raise ValueError("ratios must be finite")
     if np.any(np.diff(ratios) <= 0):
@@ -265,10 +265,13 @@ def _checked_ratios(ratios) -> np.ndarray:
 
 def _normalize_measures(measures) -> tuple:
     """The requested groups in ``MEASURE_GROUPS`` order; ValueError on a bare
-    string, on no group or on an unknown one."""
+    string, a non-collection, no group or an unknown one."""
     if isinstance(measures, str):
         raise ValueError(f"measure groups must be a collection, not the string {measures!r}")
-    requested = set(measures)
+    try:
+        requested = set(measures)
+    except TypeError:
+        raise ValueError(f"measure groups must be a collection of names, got {measures!r}") from None
     if not requested:
         raise ValueError("no measure group selected")
     unknown = requested - set(MEASURE_GROUPS)

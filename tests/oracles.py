@@ -87,6 +87,17 @@ def basis_vector(theta: float, phi: float, outcome: int) -> np.ndarray:
     return np.array([-s * np.conj(ph), c])
 
 
+def product_probabilities(psi: np.ndarray, angle_pairs) -> np.ndarray:
+    """Outcome probabilities <psi|P_k|psi> of a multi-site product
+    measurement, from the explicit Kronecker product of every site's basis
+    vectors (column k is the measurement vector of outcome k)."""
+    vectors = np.ones((1, 1), dtype=complex)
+    for theta, phi in angle_pairs:
+        site = np.column_stack([basis_vector(theta, phi, b) for b in (0, 1)])
+        vectors = np.kron(vectors, site)
+    return np.abs(vectors.conj().T @ psi) ** 2
+
+
 def product_projectors(angle_pairs) -> list[np.ndarray]:
     """Rank-one projectors of a multi-site product measurement."""
     n = len(angle_pairs)

@@ -5,8 +5,9 @@ import pytest
 from scipy.optimize import minimize
 
 import oracles
-from isingring.density import PureState, reduced_state, von_neumann_entropy
+from isingring.density import PureState, _angles, reduced_state, von_neumann_entropy
 from isingring.global_discord import (
+    _FRAMES,
     GDResult,
     OptimizerConfig,
     _objective_factory,
@@ -60,14 +61,24 @@ def test_measured_spectrum_anchors():
 
 
 def test_measured_spectrum_matches_explicit_projectors(rng):
-    # N = 5 puts a rotated site at every position of the (2^j, 2, rest) cascade
-    for n in (3, 5):
-        psi = oracles.random_pure(rng, n)
-        pairs = rng.uniform(0.0, math.pi, size=(n, 2))
-        lam = _outcome_probs(psi.reshape((2,) * n), pairs[None])[0]
-        projectors = oracles.product_projectors(pairs)
-        expected = np.array([(psi.conj() @ p @ psi).real for p in projectors])
-        assert np.allclose(lam, expected, atol=1e-12)
+    """The cascade against explicit Kronecker-product projectors, on random
+    complex states and real ring ground states, for 1, 2 and 26 rows of
+    random angles and for both certificate centres.  On the all-z rows the
+    probabilities are the squared amplitudes exactly."""
+    centres = np.array([[_angles(f[0])] for f in _FRAMES.values()])
+    for n in range(2, 11):
+        states = (oracles.random_pure(rng, n), ring(n, 0.9).amplitudes)
+        for psi in states:
+            for rows in (1, 2, 26):
+                ang = np.stack([rng.uniform(0.0, math.pi, size=(rows, n)),
+                                rng.uniform(0.0, 2.0 * math.pi, size=(rows, n))], axis=-1)
+                ang = np.concatenate([ang, np.tile(centres, (1, n, 1))])
+                lam = _outcome_probs(psi, ang)
+                for row, pairs in zip(lam, ang):
+                    expected = oracles.product_probabilities(psi, pairs)
+                    assert np.abs(row - expected).max() <= 1e-14, (n, rows)
+                # the z centre, second to last, rotates nothing
+                assert np.array_equal(lam[-2], np.abs(psi) ** 2), n
 
 
 def test_gd_result_validation():
@@ -204,6 +215,39 @@ def test_certificate_budget_below_its_stencil_reports_not_converged():
     assert res.n_evals <= 13
     assert res.basis is None and res.hessian_margin is None
     assert abs(res.value - gd_objective(gs, np.tile([math.pi / 2.0, 0.0], (4, 1)))) < 1e-12
+
+
+#: (N, B/J, max_evals): value, n_evals, basis and converged under budgets
+#: below the certificate's, as scoring the two centre rows in separate calls
+#: gave them.
+BUDGET_PINS = {
+    (4, 0.5, 1): (2.757490566815693, 1, None, False),
+    (4, 0.5, 2): (1.3286919909624437, 2, None, False),
+    (4, 0.5, 3): (1.3286919909624437, 3, None, False),
+    (6, 2.0, 1): (0.7921183793106663, 1, None, False),
+    (6, 2.0, 2): (0.7921183793106663, 2, None, False),
+    (6, 2.0, 3): (0.7921183793106663, 3, None, False),
+    (8, 1.0, 1): (4.255499619828898, 1, None, False),
+    (8, 1.0, 2): (2.6897328781849783, 2, None, False),
+    (8, 1.0, 3): (2.6897328781849783, 3, None, False),
+}
+
+
+@pytest.mark.parametrize("n, ratio, max_evals", sorted(BUDGET_PINS))
+def test_budgets_below_the_certificate_keep_their_results(n, ratio, max_evals):
+    """One call scores both centres: max_evals = 1 still fits only the z row
+    (f_z), 2 fits both and keeps the lower, and 3 adds one stencil row."""
+    value, n_evals, basis, converged = BUDGET_PINS[n, ratio, max_evals]
+    res = global_discord(ring(n, ratio), OptimizerConfig(max_evals=max_evals))
+    assert abs(res.value - value) <= 1e-14
+    assert (res.n_evals, res.basis, res.converged) == (n_evals, basis, converged)
+
+
+def test_ghz8_fallback_search_keeps_its_path():
+    """The default search on GHZ at N = 8 scores 36,093 rows (pins the
+    search path, not its time)."""
+    res = global_discord(ghz_state(8))
+    assert res.n_evals == 36093 and abs(res.value - 1.0) <= 1e-15
 
 
 def test_certified_path_takes_every_ring_ground_state():

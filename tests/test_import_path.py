@@ -1,8 +1,10 @@
 """The package runs on numpy alone: no scipy module loads on import or on a
-call into any layer.  A one-worker run also leaves numpy.ma and the
-process machinery unloaded: np.unique's masked check and the worker pool
-are their only users.  Checked in a fresh interpreter, since this test
-process has loaded scipy for the oracles."""
+call into any layer.  A one-worker run also leaves numpy.ma, numpy.random
+and the process machinery unloaded: np.unique's masked check, random
+search starts and AMID candidates, and the worker pool are their only
+users, and the script below draws no random start or candidate.  Checked
+in a fresh interpreter, since this test process has loaded scipy for the
+oracles."""
 
 import json
 import os
@@ -17,7 +19,7 @@ import isingring
 SRC = pathlib.Path(isingring.__file__).resolve().parents[1]
 
 #: Modules that load only on the calls that use them.
-LAZY = ("numpy.ma", "multiprocessing", "concurrent.futures")
+LAZY = ("numpy.ma", "numpy.random", "multiprocessing", "concurrent.futures")
 
 SCRIPT = """
 import json, pathlib, sys, tempfile

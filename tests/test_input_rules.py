@@ -90,6 +90,19 @@ CASES = {
     "product_state_down-2.5": (
         lambda: product_state_down(2.5), "n_sites must be an integer",
         lambda: _ints((product_state_down(np.int64(3)).n_sites,))),
+    "ghz_state-0": (
+        lambda: ghz_state(0), "n_sites must be an integer >= 1, got 0",
+        lambda: ghz_state(1)),
+    "ghz_state--1": (
+        lambda: ghz_state(-1), "n_sites must be an integer >= 1, got -1",
+        lambda: ghz_state(np.int64(1))),
+    "product_state_down-0": (
+        lambda: product_state_down(0), "n_sites must be an integer >= 1, got 0",
+        lambda: product_state_down(1)),
+    # ratio grids
+    "sweep-empty-grid": (
+        lambda: sweep(3, [], measures=("estats",)), "ratios must be a nonempty 1-d array",
+        lambda: sweep(3, [1.0], measures=("estats",))),
     # counts
     "default_ratio_grid-3.0": (
         lambda: default_ratio_grid(0.5, 2.0, 3.0), "count must be an integer",
@@ -114,6 +127,15 @@ CASES = {
     "sweep-string": (
         lambda: sweep(3, [1.0], measures="gd"), "not the string 'gd'",
         lambda: sweep(3, [1.0], measures=["gd"])),
+    "sweep-measures-None": (
+        lambda: sweep(3, [1.0], measures=None), "collection of names, got None",
+        lambda: sweep(3, [1.0], measures=("estats",))),
+    "sweep-measures-5": (
+        lambda: sweep(3, [1.0], measures=5), "collection of names, got 5",
+        lambda: sweep(3, [1.0], measures={"estats"})),
+    "SweepTable-measures-5": (
+        lambda: _table(5), "collection of names, got 5",
+        lambda: _table(("gd",))),
     # columns
     "find_peak-missing-column": (
         lambda: find_peak(_table(["gd"]), "nope", evaluator=abs),

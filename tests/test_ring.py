@@ -5,10 +5,13 @@ import pytest
 
 import oracles
 from isingring.cli import main
+from isingring.density import PureState, reduced_state
+from isingring.entanglement import entanglement_stats
 from isingring.errors import CapacityError, EigensolverError
 from isingring.ring import (
     MAX_SITES,
     RingConfig,
+    _fix_sign,
     ghz_state,
     ground_state,
     parity_diagonal,
@@ -98,6 +101,27 @@ def test_ground_state_phase_fix_deterministic():
     assert np.array_equal(a, b)
     k = int(np.argmax(np.abs(a)))
     assert abs(a[k].imag) < 1e-14 and a[k].real > 0.0
+
+
+def test_ground_state_amplitudes_are_real():
+    """Ground states carry float64 amplitudes, largest entry positive;
+    PureState keeps complex input complex, and the real state and its
+    complex copy give the same reduced states and entanglement statistics."""
+    for n, ratio in ((2, 0.0), (5, 0.8), (8, 1.0), (9, 0.0), (12, 1.3)):
+        gs = ground_state(RingConfig(n_sites=n, coupling_j=1.0, field_b=ratio))[0]
+        amps = gs.amplitudes
+        assert amps.dtype == np.float64
+        assert amps[np.argmax(np.abs(amps))] > 0.0
+        assert np.array_equal(_fix_sign(-amps), amps)
+        copy = PureState(amps.astype(complex), n)
+        assert copy.amplitudes.dtype == np.complex128
+        assert PureState(amps, n).amplitudes.dtype == np.float64
+        for keep in ((0,), (0, 1), (1, 0, n - 1)[:n]):
+            real, cplx = reduced_state(gs, keep).matrix, reduced_state(copy, keep).matrix
+            assert np.abs(real - cplx).max() <= 1e-15, (n, ratio, keep)
+        real, cplx = entanglement_stats(gs), entanglement_stats(copy)
+        assert abs(real.mean - cplx.mean) <= 1e-15, (n, ratio)
+        assert abs(real.variance - cplx.variance) <= 1e-15, (n, ratio)
 
 
 def test_free_fermion_energy_matches_dense_even_sizes():
