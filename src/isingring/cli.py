@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -336,8 +337,18 @@ def _cmd_fit(args):
     return record, True
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call in a process.
+
+    Building one costs more than most commands it parses; parsing leaves no
+    state in it, since every call fills a fresh namespace.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         output, converged = args.func(args)

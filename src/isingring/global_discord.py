@@ -9,20 +9,22 @@ the definition, evaluated with explicit projector sums.
 A state that ``ring.ground_state`` returned is first tried on a certified
 path: the better of the all-sigma^x and all-sigma^z bases, accepted when a
 finite-difference gradient and a Hessian of two scalar circulants (O(N)
-evaluations) show a strict local minimum there.  The certificate is local;
-that this minimum is also the global one rests on the tests, where no
-search over ring ground states beats it.  Other states with the ring's
-symmetry need not share this (the tests hold ones whose minimum lies in a
-tilted basis), so every other state, a copy of a ground state's amplitudes
-included, and every failed certificate, goes to the multi-start search:
-one Newton polish (:mod:`newton`) per start, on an objective that scores a
-whole batch of angle rows per call.  The budget ``max_evals`` counts
-objective rows.
+evaluations) show a strict local minimum there.  Its angle rows and
+circulant tables depend on N only and are built once per ring size.  The
+certificate is local; that this minimum is also the global one rests on
+the tests, where no search over ring ground states beats it.  Other states
+with the ring's symmetry need not share this (the tests hold ones whose
+minimum lies in a tilted basis), so every other state, a copy of a ground
+state's amplitudes included, and every failed certificate, goes to the
+multi-start search: one Newton polish (:mod:`newton`) per start, on an
+objective that scores a whole batch of angle rows per call.  The budget
+``max_evals`` counts objective rows.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -225,6 +227,42 @@ class _ZeroReached(Exception):
     """A row reached the objective's lower bound 0: no basis does better."""
 
 
+@functools.lru_cache(maxsize=None)
+def _certificate_rows(n: int) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray]:
+    """Angle rows and circulant tables of the certificate (depend on N only).
+
+    ``centres[k]`` is the uniform row of the k-th basis of ``_FRAMES``, and
+    ``stencils[k]`` its probes: the gradient's four, site 0 at +h then -h
+    along tilt direction d = 0, 1, then the couplings' two per (d, j), site 0
+    at +h and site j at +h then -h along d, j = 1..N // 2.
+    ``rows[:, index] @ phases`` is the circulant spectrum of the coupling
+    rows.
+    """
+    centres = _angles(np.array([np.tile(f[0], (n, 1)) for f in _FRAMES.values()]))
+
+    def tilt(d, *steps):
+        t = np.zeros((n, 2))
+        for site, step in steps:
+            t[site, d] += step
+        return t
+
+    h = _STEP
+    steps = [tilt(d, (0, step)) for step in (h, -h) for d in (0, 1)]
+    steps += [tilt(d, (0, h), (j, step)) for d in (0, 1)
+              for j in range(1, n // 2 + 1) for step in (h, -h)]
+    steps = np.array(steps)
+    axes = (f[0] + steps @ f[1:] for f in _FRAMES.values())
+    stencils = tuple(_angles(v / np.linalg.norm(v, axis=-1, keepdims=True)) for v in axes)
+    sites = np.arange(n)
+    index = np.minimum(sites, n - sites)
+    phases = np.cos(2.0 * math.pi * np.outer(sites, sites) / n)
+    # Every certificate of this ring size shares the cached rows, so none may
+    # write to them.
+    for table in (centres, *stencils, index, phases):
+        table.setflags(write=False)
+    return centres, stencils, index, phases
+
+
 def _certify(tracker: _BudgetTracker, n: int) -> GDResult | None:
     """The better uniform basis, if it is a strict local minimum; else None.
 
@@ -238,40 +276,27 @@ def _certify(tracker: _BudgetTracker, n: int) -> GDResult | None:
     C_{d,j} = C_{d,N-j} of site 0 takes two probes,
     [f(h e_0d + h e_jd) - f(h e_0d - h e_jd)] / (2 h^2): 6 + 4 (N // 2)
     evaluations in all, scored in two calls: both bases' centres, then the
-    rest.  The gradient's four probes spot-check the evenness.  Where an
-    outcome has probability zero (sigma^z on a parity eigenstate) the
-    objective grows like t^2 log(1/t) and the margin measures the stencil,
-    not a finite curvature.  Raises ``_BudgetExhausted`` when the budget
-    runs out.
+    rest.  These rows depend on N only and are built once per ring size
+    (``_certificate_rows``).  The gradient's four probes spot-check the
+    evenness.  Where an outcome has probability zero (sigma^z on a parity
+    eigenstate) the objective grows like t^2 log(1/t) and the margin
+    measures the stencil, not a finite curvature.  Raises
+    ``_BudgetExhausted`` when the budget runs out.
     """
-    centres = np.array([np.tile(f[0], (n, 1)) for f in _FRAMES.values()])
-    values = dict(zip(_FRAMES, tracker(_angles(centres))))
+    centres, stencils, index, phases = _certificate_rows(n)
+    values = dict(zip(_FRAMES, tracker(centres)))
     basis = min(values, key=values.get)
-    frame, f0, h = _FRAMES[basis], values[basis], _STEP
-
-    def tilt(d, *steps):
-        t = np.zeros((n, 2))
-        for site, step in steps:
-            t[site, d] += step
-        return t
-
-    # the gradient's four probes, then the couplings' two per (d, j), in one call
-    stencil = [tilt(d, (0, step)) for step in (h, -h) for d in (0, 1)]
-    stencil += [tilt(d, (0, h), (j, step)) for d in (0, 1)
-                for j in range(1, n // 2 + 1) for step in (h, -h)]
-    v = frame[0] + np.array(stencil) @ frame[1:]
-    values = tracker(_angles(v / np.linalg.norm(v, axis=-1, keepdims=True)))
+    k, f0, h = list(_FRAMES).index(basis), values[basis], _STEP
+    values = tracker(stencils[k])
     plus, minus = values[:4].reshape(2, 2)
     pairs = values[4:].reshape(2, n // 2, 2)
     grad = math.sqrt(n) * math.hypot(plus[0] - minus[0], plus[1] - minus[1]) / (2 * h)
     rows = np.column_stack([(plus + minus - 2.0 * f0) / h ** 2,
                             (pairs[..., 0] - pairs[..., 1]) / (2 * h * h)])
-    sites = np.arange(n)
-    phases = np.cos(2.0 * math.pi * np.outer(sites, sites) / n)
-    margin = float((rows[:, np.minimum(sites, n - sites)] @ phases).min())
+    margin = float((rows[:, index] @ phases).min())
     if not (grad <= _GRAD_TOL and margin >= _MARGIN_TOL):
         return None
-    return GDResult(value=float(f0), argmin_angles=_angles(np.tile(frame[0], (n, 1))),
+    return GDResult(value=float(f0), argmin_angles=centres[k].copy(),
                     n_restarts=0, converged=True, n_evals=tracker.n_evals,
                     basis=basis, hessian_margin=margin)
 

@@ -180,6 +180,14 @@ _TILT_FRAMES = {
 }
 
 
+def tilted_axes(basis: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unit axes n_j = normalize(n0 + a_j e1 + b_j e2) of the tilt chart at
+    ``basis``, one row per site."""
+    n0, e1, e2 = (np.array(v) for v in _TILT_FRAMES[basis])
+    axes = n0 + np.outer(a, e1) + np.outer(b, e2)
+    return axes / np.linalg.norm(axes, axis=1, keepdims=True)
+
+
 def tilt_hessian(psi: np.ndarray, n: int, basis: str, h: float = 1e-3) -> np.ndarray:
     """Full 2N x 2N central-difference Hessian of ``reference_objective`` at
     a uniform basis, in tilt coordinates n_j = normalize(n0 + a_j e1 + b_j e2).
@@ -187,11 +195,8 @@ def tilt_hessian(psi: np.ndarray, n: int, basis: str, h: float = 1e-3) -> np.nda
     Diagonal entries use (f(+h) + f(-h) - 2 f(0)) / h^2 and every
     off-diagonal entry the four corners (+-h, +-h) / (4 h^2).
     """
-    n0, e1, e2 = (np.array(v) for v in _TILT_FRAMES[basis])
-
     def f(tilt):
-        axes = n0 + np.outer(tilt[0::2], e1) + np.outer(tilt[1::2], e2)
-        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        axes = tilted_axes(basis, tilt[0::2], tilt[1::2])
         theta = np.arccos(np.clip(axes[:, 2], -1.0, 1.0))
         phi = np.arctan2(axes[:, 1], axes[:, 0])
         return reference_objective(psi, n, np.column_stack([theta, phi]))

@@ -4,12 +4,17 @@ import itertools
 import json
 import math
 import os
+import pathlib
+import re
+import subprocess
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+import isingring
 from isingring.cli import _parse_ratio_grid, build_parser, main
 from isingring.errors import ConvergenceWarning
 from isingring.global_discord import OptimizerConfig, global_discord
@@ -570,3 +575,33 @@ def test_parser_rejects_unknown_subcommand(capsys):
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["frobnicate"])
+
+
+def _without_wall_time(text):
+    return re.sub(r'wall_time_s"*: [0-9.e+-]+', "wall_time_s", text)
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys):
+    """main parses through one parser per process.  After a usage error and
+    a failed run in this process, two valid commands print what they print
+    as the first command of a fresh process, apart from the wall time."""
+    valid = (["measures", "--n", "4", "--b", "0.9", "--global"],
+             ["sweep", "--n", "3", "--ratio-grid", "0.5,1.0",
+              "--measures", "gd,estats"])
+    src = pathlib.Path(isingring.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    script = "import sys; from isingring.cli import main; sys.exit(main(sys.argv[1:]))"
+    fresh = [subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                            text=True, env=env, timeout=120, check=False)
+             for argv in valid]
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--n", "3", "--ratio-grid", "0.5,1.0", "--measures", "bogus"])
+    assert exc.value.code == 2
+    assert run_cli(capsys, "measures", "--n", "3", "--global", "--seed", "-1")[0] == 3
+    for argv, proc in zip(valid, fresh):
+        code, out, _ = run_cli(capsys, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert code == 0 and "wall_time_s" in out
+        assert _without_wall_time(out) == _without_wall_time(proc.stdout)
+    assert build_parser() is not build_parser()

@@ -5,11 +5,13 @@ import pytest
 from scipy.optimize import minimize
 
 import oracles
-from isingring.density import PureState, _angles, reduced_state, von_neumann_entropy
+from isingring.density import PureState, _angles, _unit, reduced_state, von_neumann_entropy
 from isingring.global_discord import (
     _FRAMES,
+    _STEP,
     GDResult,
     OptimizerConfig,
+    _certificate_rows,
     _objective_factory,
     _outcome_probs,
     gd_objective,
@@ -423,6 +425,59 @@ def test_hessian_margin_matches_full_oracle_hessian():
             assert np.abs(hess[0::2, 1::2]).max() <= 1e-8, (n, ratio)
             lam = np.linalg.eigvalsh(hess)[0]
             assert abs(res.hessian_margin - lam) <= 1e-4 * abs(lam), (n, ratio)
+
+
+def test_certificate_rows_are_built_once_per_ring_size_and_read_only():
+    """A second certificate at the same N builds nothing, no caller can
+    write into the shared rows, each result owns its argmin, and a rebuilt
+    cache gives the same bits."""
+    gs = ring(5, 0.9)
+    _certificate_rows.cache_clear()
+    first = global_discord(gs)
+    second = global_discord(gs)
+    info = _certificate_rows.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    centres, stencils, index, phases = _certificate_rows(5)
+    for table in (centres, *stencils, index, phases):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
+    kept = second.argmin_angles.copy()
+    first.argmin_angles[:] = -1.0
+    second.argmin_angles[:] = -1.0
+    third = global_discord(gs)
+    assert np.array_equal(third.argmin_angles, kept)
+    assert third.argmin_angles.flags.writeable
+    _certificate_rows.cache_clear()
+    rebuilt = global_discord(gs)
+    for res in (third, rebuilt):
+        assert res.basis == "x" and res.n_evals == 14
+    assert rebuilt.value.hex() == third.value.hex()
+    assert rebuilt.hessian_margin.hex() == third.hessian_margin.hex()
+    assert np.array_equal(rebuilt.argmin_angles, kept)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_certificate_rows_match_the_tilt_chart(n):
+    """Each cached row, as unit axes, is the oracle's normalize(n0 + a e1 +
+    b e2) at the probe ``_certificate_rows`` lists: both centres, the
+    gradient's four probes at site 0, then the couplings' two per (d, j)."""
+    h = _STEP
+    probes = [[(0, d, step)] for step in (h, -h) for d in (0, 1)]
+    probes += [[(0, d, h), (j, d, step)] for d in (0, 1)
+               for j in range(1, n // 2 + 1) for step in (h, -h)]
+    centres, stencils, _, _ = _certificate_rows(n)
+    for k, basis in enumerate(_FRAMES):
+        zero = np.zeros(n)
+        assert np.abs(_unit(centres[k]) - oracles.tilted_axes(basis, zero, zero)).max() <= 1e-15
+        expected = []
+        for probe in probes:
+            tilt = np.zeros((2, n))
+            for site, d, step in probe:
+                tilt[d, site] += step
+            expected.append(oracles.tilted_axes(basis, *tilt))
+        assert stencils[k].shape == (4 + 4 * (n // 2), n, 2)
+        assert np.abs(_unit(stencils[k]) - np.array(expected)).max() <= 1e-15, (n, basis)
 
 
 def test_search_never_beats_the_certified_value(search):
