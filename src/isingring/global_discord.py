@@ -9,16 +9,18 @@ the definition, evaluated with explicit projector sums.
 A state that ``ring.ground_state`` returned is first tried on a certified
 path: the better of the all-sigma^x and all-sigma^z bases, accepted when a
 finite-difference gradient and a Hessian of two scalar circulants (O(N)
-evaluations) show a strict local minimum there.  Its angle rows and
-circulant tables depend on N only and are built once per ring size.  The
-certificate is local; that this minimum is also the global one rests on
-the tests, where no search over ring ground states beats it.  Other states
-with the ring's symmetry need not share this (the tests hold ones whose
-minimum lies in a tilted basis), so every other state, a copy of a ground
-state's amplitudes included, and every failed certificate, goes to the
-multi-start search: one Newton polish (:mod:`newton`) per start, on an
-objective that scores a whole batch of angle rows per call.  The budget
-``max_evals`` counts objective rows.
+evaluations) show a strict local minimum there.  Its angle rows, with
+their rotation matrices and unit axes, and its circulant tables depend on
+N only and are built once per ring size, so a certified objective call
+computes no trigonometry.  The certificate is local; that this minimum is
+also the global one rests on the tests, where no search over ring ground
+states beats it.  Other states with the ring's symmetry need not share
+this (the tests hold ones whose minimum lies in a tilted basis), so every
+other state, a copy of a ground state's amplitudes included, and every
+failed certificate, goes to the multi-start search: one Newton polish
+(:mod:`newton`) per start, on an objective that scores a whole batch of
+angle rows per call and computes their rotation matrices and unit axes
+itself.  The budget ``max_evals`` counts objective rows.
 """
 
 from __future__ import annotations
@@ -135,9 +137,16 @@ class OptimizerConfig:
         return max(16, 4 * n_sites)
 
 
-def _outcome_probs(amps: np.ndarray, ang: np.ndarray) -> np.ndarray:
+def _row_bases(ang: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R_j^dagger, as (rows, N, 2, 2), and the unit axis n_j, as (rows, N,
+    3), of every site of the (rows, N, 2) angle rows."""
+    rdag = rotation_matrix(ang[..., 0], ang[..., 1]).conj().swapaxes(-1, -2)
+    return rdag, _unit(ang)
+
+
+def _outcome_probs(amps: np.ndarray, rdag: np.ndarray) -> np.ndarray:
     """Probabilities of all 2^N outcomes of the product measurement, one row
-    per basis of the (rows, N, 2) angles.
+    per basis of the (rows, N, 2, 2) stack of R_j^dagger (``_row_bases``).
 
     Each site in turn leads the amplitudes viewed as (rows, 2, 2^(N-1)),
     takes its R_j^dagger in one (2 x 2) @ (2 x 2^(N-1)) product per row, and
@@ -145,12 +154,11 @@ def _outcome_probs(amps: np.ndarray, ang: np.ndarray) -> np.ndarray:
     outcomes are back in order.  O(2^N * N) per row in N products, not a
     2^N x 2^N transform; at most two rows x 2^N arrays are alive; no checks.
     """
-    rdag = rotation_matrix(ang[..., 0], ang[..., 1]).conj().swapaxes(-1, -2)
     out = amps.reshape(1, 2, -1)  # the first site's product broadcasts it to every row
-    for j in range(ang.shape[1]):
+    for j in range(rdag.shape[1]):
         out = rdag[:, j] @ out
-        out = out.swapaxes(1, 2).reshape(len(ang), 2, -1)
-    return np.abs(out.reshape(len(ang), -1)) ** 2
+        out = out.swapaxes(1, 2).reshape(len(rdag), 2, -1)
+    return np.abs(out.reshape(len(rdag), -1)) ** 2
 
 
 def _objective_factory(gs: PureState):
@@ -159,7 +167,9 @@ def _objective_factory(gs: PureState):
 
     Site j, with Bloch vector r_j, measured along n_j has the local term
     h((1 + n_j.r_j) / 2) - h((1 + |r_j|) / 2); the r_j are computed once.
-    Angles come from the optimizer already shaped, so nothing is validated.
+    ``bases``, when given, is ``_row_bases(ang)`` computed beforehand, as
+    the certificate's cached rows carry it.  Angles come from the optimizer
+    already shaped, so nothing is validated.
     """
     tensor = gs.as_tensor()
     rho1 = np.array([_gram(tensor, (j,)) for j in range(gs.n_sites)])
@@ -168,9 +178,10 @@ def _objective_factory(gs: PureState):
     base = _h2(0.5 + 0.5 * np.linalg.norm(bloch, axis=1))
     amps = gs.amplitudes
 
-    def objective(ang: np.ndarray) -> np.ndarray:
-        local = _h2(0.5 + 0.5 * np.sum(_unit(ang) * bloch, axis=-1)) - base
-        return (_entropy_bits(_outcome_probs(amps, ang), axis=-1)
+    def objective(ang: np.ndarray, bases: tuple | None = None) -> np.ndarray:
+        rdag, units = _row_bases(ang) if bases is None else bases
+        local = _h2(0.5 + 0.5 * np.sum(units * bloch, axis=-1)) - base
+        return (_entropy_bits(_outcome_probs(amps, rdag), axis=-1)
                 - np.sum(local, axis=-1))
 
     return objective
@@ -196,16 +207,19 @@ class _BudgetTracker:
         self.best_angles = None
 
     def __call__(self, rows: np.ndarray, zero_tol: float = -math.inf,
-                 stop: int | None = None) -> np.ndarray:
+                 stop: int | None = None, bases: tuple | None = None) -> np.ndarray:
         """Values of the (rows, N, 2) angle rows that fit before ``max_evals``
-        and ``stop``, counted up to the first <= ``zero_tol``.  Keeps the best
-        row, then raises ``_ZeroReached`` or ``_BudgetExhausted`` if it
-        stopped short of the last row."""
+        and ``stop``, counted up to the first <= ``zero_tol``.  ``bases``,
+        when given, is the rows' ``_row_bases``, cut to the same rows.  Keeps
+        the best row, then raises ``_ZeroReached`` or ``_BudgetExhausted``
+        if it stopped short of the last row."""
         end = self.max_evals if stop is None else min(stop, self.max_evals)
         fit = rows[:max(end - self.n_evals, 0)]
         if not len(fit):
             raise _BudgetExhausted
-        values = self._objective(fit)
+        if bases is not None:
+            bases = tuple(table[:len(fit)] for table in bases)
+        values = self._objective(fit, bases)
         zeros = np.flatnonzero(values <= zero_tol)
         counted = int(zeros[0]) + 1 if zeros.size else len(fit)
         self.n_evals += counted
@@ -228,7 +242,7 @@ class _ZeroReached(Exception):
 
 
 @functools.lru_cache(maxsize=None)
-def _certificate_rows(n: int) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray]:
+def _certificate_rows(n: int) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray, tuple]:
     """Angle rows and circulant tables of the certificate (depend on N only).
 
     ``centres[k]`` is the uniform row of the k-th basis of ``_FRAMES``, and
@@ -236,7 +250,8 @@ def _certificate_rows(n: int) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray
     along tilt direction d = 0, 1, then the couplings' two per (d, j), site 0
     at +h and site j at +h then -h along d, j = 1..N // 2.
     ``rows[:, index] @ phases`` is the circulant spectrum of the coupling
-    rows.
+    rows.  ``bases`` holds the ``_row_bases`` of the centres, then a tuple
+    of those of each basis's stencil, for the objective to take.
     """
     centres = _angles(np.array([np.tile(f[0], (n, 1)) for f in _FRAMES.values()]))
 
@@ -256,11 +271,13 @@ def _certificate_rows(n: int) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray
     sites = np.arange(n)
     index = np.minimum(sites, n - sites)
     phases = np.cos(2.0 * math.pi * np.outer(sites, sites) / n)
+    bases = _row_bases(centres), tuple(_row_bases(rows) for rows in stencils)
     # Every certificate of this ring size shares the cached rows, so none may
     # write to them.
-    for table in (centres, *stencils, index, phases):
+    for table in (centres, *stencils, index, phases, *bases[0],
+                  *(table for pair in bases[1] for table in pair)):
         table.setflags(write=False)
-    return centres, stencils, index, phases
+    return centres, stencils, index, phases, bases
 
 
 def _certify(tracker: _BudgetTracker, n: int) -> GDResult | None:
@@ -277,17 +294,19 @@ def _certify(tracker: _BudgetTracker, n: int) -> GDResult | None:
     [f(h e_0d + h e_jd) - f(h e_0d - h e_jd)] / (2 h^2): 6 + 4 (N // 2)
     evaluations in all, scored in two calls: both bases' centres, then the
     rest.  These rows depend on N only and are built once per ring size
-    (``_certificate_rows``).  The gradient's four probes spot-check the
+    (``_certificate_rows``), with their rotation matrices and unit axes.
+    The gradient's four probes spot-check the
     evenness.  Where an outcome has probability zero (sigma^z on a parity
     eigenstate) the objective grows like t^2 log(1/t) and the margin
     measures the stencil, not a finite curvature.  Raises
     ``_BudgetExhausted`` when the budget runs out.
     """
-    centres, stencils, index, phases = _certificate_rows(n)
-    values = dict(zip(_FRAMES, tracker(centres)))
+    centres, stencils, index, phases, bases = _certificate_rows(n)
+    centre_bases, stencil_bases = bases
+    values = dict(zip(_FRAMES, tracker(centres, bases=centre_bases)))
     basis = min(values, key=values.get)
     k, f0, h = list(_FRAMES).index(basis), values[basis], _STEP
-    values = tracker(stencils[k])
+    values = tracker(stencils[k], bases=stencil_bases[k])
     plus, minus = values[:4].reshape(2, 2)
     pairs = values[4:].reshape(2, n // 2, 2)
     grad = math.sqrt(n) * math.hypot(plus[0] - minus[0], plus[1] - minus[1]) / (2 * h)

@@ -134,35 +134,52 @@ def test_orbit_statistics_match_every_cut():
             assert stats.n_bipartitions == 2 ** (n - 1) - 1
 
 
+def _images(n, side):
+    """Every rotation and reflection of a site set, as sorted tuples."""
+    return [tuple(sorted((sign * s + shift) % n for s in side))
+            for shift in range(n) for sign in (1, -1)]
+
+
+def _cut_class(n, side, invariant):
+    """The cut a side makes: its dihedral orbit of unordered cuts under
+    invariance, the cut itself otherwise, named by a sorted site tuple."""
+    pair = (tuple(sorted(side)), tuple(s for s in range(n) if s not in side))
+    if invariant:
+        return min(image for part in pair for image in _images(n, part))
+    return min(pair)
+
+
 def _cut_orbit_count(n):
     """Orbits of unordered cuts under rotations, reflections and
     complement, by brute force over the cuts as site sets."""
-    seen = set()
-    for cut in oracles.bipartitions(n):
-        images = []
-        for side in (set(cut), set(range(n)) - set(cut)):
-            for shift in range(n):
-                for sign in (1, -1):
-                    images.append(tuple(sorted((sign * s + shift) % n for s in side)))
-        seen.add(min(images))
-    return len(seen)
+    return len({_cut_class(n, cut, True) for cut in oracles.bipartitions(n)})
 
 
 def _half_side_orbit_count(n):
     """Orbits of the floor(N/2)-site sides under rotations and reflections
     alone, by brute force over the sides holding site 0 (every orbit has
     one)."""
-    seen = set()
-    for cut in oracles.bipartitions(n):
-        if len(cut) == n // 2:
-            seen.add(min(tuple(sorted((sign * s + shift) % n for s in cut))
-                         for shift in range(n) for sign in (1, -1)))
-    return len(seen)
+    return len({min(_images(n, cut)) for cut in oracles.bipartitions(n)
+                if len(cut) == n // 2})
 
 
-def _root_count(n):
-    """Sides of floor(N/2) sites: those holding site 0 at even N, all at odd N."""
+def _half_side_count(n):
+    """Half sides a state without symmetry needs: the sides of floor(N/2)
+    sites, those holding site 0 at even N, all at odd N."""
     return math.comb(n - 1, n // 2 - 1) if n % 2 == 0 else math.comb(n, n // 2)
+
+
+def _replay(plan):
+    """The sides a plan of ``_cut_table`` visits, rebuilt from its site
+    positions alone: per root its sites and, per step, the parent level,
+    the child's sites and the weight."""
+    for sites, steps in plan:
+        held, visited = [tuple(sites)], []
+        for parent, j, weight in steps:
+            child = held[parent][:j] + held[parent][j + 1:]
+            held[parent + 1:] = [child]
+            visited.append((parent, child, weight))
+        yield sites, visited
 
 
 def _counting(monkeypatch):
@@ -215,9 +232,9 @@ def test_one_site_state_has_no_bipartition():
 def test_states_without_dihedral_symmetry_take_every_cut(rng, monkeypatch):
     """A chiral state (rotation-symmetrized, not mirror symmetric), a ground
     state with one amplitude moved by 1e-9 and random states each visit all
-    2^(N-1) - 1 cuts, from one Gram product per side of floor(N/2) sites
-    (those holding site 0 at even N), and reproduce the plain loop within
-    1e-13."""
+    2^(N-1) - 1 cuts, from distinct Gram roots of floor(N/2) + 1 sites
+    (110 at N = 11 and 12, against 462 half sides), and reproduce the plain
+    loop within 1e-13."""
     seed = oracles.random_pure(rng, 6).reshape((2,) * 6)
     tensor = sum(seed.transpose(np.roll(range(6), k)) for k in range(6))
     tensor /= np.linalg.norm(tensor)
@@ -228,32 +245,36 @@ def test_states_without_dihedral_symmetry_take_every_cut(rng, monkeypatch):
     moved[37] += 1e-9
     states = [PureState(chiral, 6), PureState(moved / np.linalg.norm(moved), 8)]
     states += [PureState(oracles.random_pure(rng, n), n) for n in (7, 10, 11, 12)]
+    n_roots = {6: 4, 7: 14, 8: 14, 10: 32, 11: 110, 12: 110}
     for state in states:
         n = state.n_sites
         mean, var = _plain_stats(state)
         roots, values, _ = _counting(monkeypatch)
         stats = entanglement_stats(state)
         monkeypatch.undo()
-        assert len(roots) == len(set(roots)) == _root_count(n), n
-        assert all(len(root) == n // 2 for root in roots)
+        assert len(roots) == len(set(roots)) == n_roots[n], n
+        assert all(len(root) == n // 2 + 1 for root in roots)
         assert len(values) == stats.n_bipartitions == 2 ** (n - 1) - 1
         assert abs(stats.mean - mean) < 1e-13 and abs(stats.variance - var) < 1e-13
-    assert [_root_count(n) for n in (6, 7, 8, 10, 11, 12)] == [
+    assert [_half_side_count(n) for n in (6, 7, 8, 10, 11, 12)] == [
         10, 35, 35, 126, 462, 462]
 
 
 def test_ground_states_take_one_cut_per_orbit(monkeypatch):
     """A ring ground state visits one cut key per orbit of cuts (43 / 62 /
-    121 at N = 10 / 11 / 12), from one Gram product per dihedral orbit of
-    the floor(N/2)-site sides (16 / 26 / 50)."""
-    for n, orbits, n_roots in ((10, 43, 16), (11, 62, 26), (12, 121, 50)):
+    121 at N = 10 / 11 / 12).  Its descent needs one half side per dihedral
+    orbit of the floor(N/2)-site sides (16 / 26 / 50), and takes them from
+    5 / 6 / 9 Gram roots of floor(N/2) + 1 sites."""
+    for n, orbits, halves, n_roots in ((10, 43, 16, 5), (11, 62, 26, 6),
+                                       (12, 121, 50, 9)):
         assert _cut_orbit_count(n) == orbits
-        assert _half_side_orbit_count(n) == n_roots
+        assert _half_side_orbit_count(n) == halves
         gs, _ = ground_state(RingConfig(n, 1.0, 0.9))
         roots, values, _ = _counting(monkeypatch)
         stats = entanglement_stats(gs)
         monkeypatch.undo()
         assert len(roots) == len(set(roots)) == n_roots
+        assert all(len(root) == n // 2 + 1 for root in roots)
         assert len(values) == orbits and stats.n_bipartitions == 2 ** (n - 1) - 1
 
 
@@ -272,42 +293,109 @@ def test_every_visited_cut_matches_the_dense_oracle(rng, monkeypatch):
 
 def test_roots_cover_every_cut_at_every_size(rng, monkeypatch):
     """Random states and random states made invariant under the whole
-    dihedral group, at N = 2..12.  Each root must be a side of floor(N/2)
-    sites, one per side holding site 0 at even N, every side at odd N, one
-    per dihedral orbit of sides for invariant states.  Roots picked by the
-    complement-merged cut key are too few (35 of 50 at N = 12), and which of
-    a half side and its complement is kept decides whether every cut is
-    reached: keeping the last one misses an orbit of 12 cuts at N = 12.
-    Dropping the odd-N roots without site 0 misses cuts at every odd N."""
+    dihedral group, at N = 2..12, reproduce the plain loop from one Gram
+    product per root of the plan, each a side of floor(N/2) + 1 sites.
+    The half sides are not merged with their complements: which of the
+    two a root hands down decides whether every cut is reached, and
+    keeping one per cut key misses an orbit of 12 cuts at N = 12.
+    Dropping the odd-N half sides without site 0 misses cuts at every odd
+    N."""
     for n in range(2, 13):
         symmetric = _dihedral_symmetrized(rng, n)
         assert entanglement._dihedral_invariant(symmetric.as_tensor())
         free = PureState(oracles.random_pure(rng, n), n)
-        for state, n_roots in ((free, _root_count(n)),
-                               (symmetric, _half_side_orbit_count(n))):
+        for state, invariant in ((free, False), (symmetric, True)):
+            _, _, plan, _ = entanglement._cut_table(n, invariant)
             mean, var = _plain_stats(state)
             roots, _, _ = _counting(monkeypatch)
             stats = entanglement_stats(state)
             monkeypatch.undo()
-            assert len(roots) == n_roots, n
+            assert roots == [sites for sites, _ in plan], n
+            assert all(len(root) == n // 2 + 1 for root in roots), n
             assert stats.n_bipartitions == 2 ** (n - 1) - 1, n
             assert abs(stats.mean - mean) < 1e-13, n
             assert abs(stats.variance - var) < 1e-13, n
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_the_cover_hands_every_half_side_down_once(n):
+    """The plan, replayed on site sets and checked against brute-force cut
+    orbits.  Each root is a distinct side of floor(N/2) + 1 sites.  Each
+    half side the descent needs (at even N those holding site 0; with
+    invariance one per dihedral orbit) is handed down by one root at most,
+    and without invariance by exactly one; one left out has its cut taken
+    by another side.  Every cut, or orbit of cuts, is weighted exactly once,
+    by the number of cuts it stands for, in the order of ``counts``."""
+    h = n // 2
+    needed = [side for side in oracles.bipartitions(n) if len(side) == h]
+    needed += [] if n % 2 == 0 else [
+        tuple(s for s in range(n) if s not in side)
+        for side in oracles.bipartitions(n) if len(side) == n - h]
+    for invariant in (False, True):
+        def side_class(side):
+            return min(_images(n, side)) if invariant else side
+
+        classes = {}
+        for cut in oracles.bipartitions(n):
+            key = _cut_class(n, cut, invariant)
+            classes[key] = classes.get(key, 0) + 1
+        _, _, plan, counts = entanglement._cut_table(n, invariant)
+        roots = [sites for sites, _ in plan]
+        assert len(set(roots)) == len(roots), (n, invariant)
+        handed, weighted = [], []
+        for sites, visited in _replay(plan):
+            assert len(sites) == h + 1 and list(sites) == sorted(set(sites))
+            assert all(0 <= s < n for s in sites)
+            for parent, side, weight in visited:
+                if parent == 0:
+                    handed.append(side_class(side))
+                if weight:
+                    weighted.append((_cut_class(n, side, invariant), weight))
+        wanted = {side_class(side) for side in needed}
+        assert len(handed) == len(set(handed)) and set(handed) <= wanted
+        taken = {cut for cut, _ in weighted}
+        for side in wanted - set(handed):
+            assert invariant and _cut_class(n, side, True) in taken, (n, side)
+        assert sorted(cut for cut, _ in weighted) == sorted(classes), (n, invariant)
+        assert all(weight == classes[cut] for cut, weight in weighted)
+        assert counts.tolist() == [weight for _, weight in weighted]
+        assert not counts.flags.writeable
+
+
+def test_gram_cost_is_at_most_half_of_one_product_per_half_side(rng, monkeypatch):
+    """A deterministic cost guard: on random states at N = 11 and 12 the
+    Gram products, sum over roots of 4^r 2^(N-r) multiply-adds for a root
+    of r sites, cost at most half of one Gram product per half side (58M
+    against 121M at N = 12), and the descent takes one partial trace per
+    cut key visited."""
+    for n in (11, 12):
+        h = n // 2
+        state = PureState(oracles.random_pure(rng, n), n)
+        roots, values, traces = _counting(monkeypatch)
+        entanglement_stats(state)
+        monkeypatch.undo()
+        cost = sum(4 ** len(root) * 2 ** (n - len(root)) for root in roots)
+        assert 2 * cost <= _half_side_count(n) * 4 ** h * 2 ** (n - h), n
+        assert len(traces) == len(values) == 2 ** (n - 1) - 1, n
+
+
 def test_descent_skips_the_subtrees_of_visited_cuts(rng, monkeypatch):
-    """Every one-site partial trace gives a cut key not visited before: a
-    child whose key was seen is skipped with its whole subtree.  So one call
-    takes (cut keys visited) - (distinct root keys) traces, on ring ground
-    states (one key per orbit) and on a random state (one per cut)."""
+    """Every one-site partial trace gives a cut key not visited before,
+    except a half side handed down with weight 0, whose key another side
+    took but below which lie sides not reached otherwise: a child whose key
+    was seen is skipped with its whole subtree.  So one call takes (cut
+    keys visited) + (steps of weight 0) traces, on ring ground states (one
+    key per orbit) and on a random state (one per cut, no step of weight
+    0)."""
     states = [ground_state(RingConfig(n, 1.0, 0.9))[0] for n in (10, 11, 12)]
     states.append(PureState(oracles.random_pure(rng, 12), 12))
+    zeros = []
     for state in states:
-        n = state.n_sites
-        keys, _, roots = entanglement._cut_table(
-            n, entanglement._dihedral_invariant(state.as_tensor()))
-        root_keys = {keys[mask] for mask, _ in roots}
+        _, _, plan, _ = entanglement._cut_table(
+            state.n_sites, entanglement._dihedral_invariant(state.as_tensor()))
+        zeros.append(sum(weight == 0 for _, steps in plan for _, _, weight in steps))
         _, values, traces = _counting(monkeypatch)
         entanglement_stats(state)
         monkeypatch.undo()
-        assert len(traces) == len(values) - len(root_keys), (n, len(traces))
+        assert len(traces) == len(values) + zeros[-1], (state.n_sites, len(traces))
+    assert zeros == [2, 0, 2, 0]

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -14,10 +15,13 @@ from isingring.global_discord import (
     _certificate_rows,
     _objective_factory,
     _outcome_probs,
+    _row_bases,
     gd_objective,
     global_discord,
 )
 from isingring.ring import RingConfig, ghz_state, ground_state, product_state_down
+
+gd_module = importlib.import_module("isingring.global_discord")
 
 #: B/J where the all-sigma^x and all-sigma^z objectives cross, to 3 decimals.
 CROSSOVER = {3: 1.089, 4: 1.329, 5: 1.392, 6: 1.402, 7: 1.398, 8: 1.389,
@@ -54,11 +58,12 @@ def reference_global_discord_n2(psi: np.ndarray) -> float:
 
 
 def test_measured_spectrum_anchors():
-    lam = _outcome_probs(ghz_state(4).as_tensor(), np.zeros((1, 4, 2)))[0]
+    lam = _outcome_probs(ghz_state(4).as_tensor(), _row_bases(np.zeros((1, 4, 2)))[0])[0]
     lam = np.sort(lam)[::-1]
     assert abs(lam[0] - 0.5) < 1e-14 and abs(lam[1] - 0.5) < 1e-14
     assert lam[2] < 1e-14
-    lam = _outcome_probs(product_state_down(3).as_tensor(), np.zeros((1, 3, 2)))[0]
+    lam = _outcome_probs(product_state_down(3).as_tensor(),
+                         _row_bases(np.zeros((1, 3, 2)))[0])[0]
     assert abs(lam[-1] - 1.0) < 1e-14
 
 
@@ -75,7 +80,7 @@ def test_measured_spectrum_matches_explicit_projectors(rng):
                 ang = np.stack([rng.uniform(0.0, math.pi, size=(rows, n)),
                                 rng.uniform(0.0, 2.0 * math.pi, size=(rows, n))], axis=-1)
                 ang = np.concatenate([ang, np.tile(centres, (1, n, 1))])
-                lam = _outcome_probs(psi, ang)
+                lam = _outcome_probs(psi, _row_bases(ang)[0])
                 for row, pairs in zip(lam, ang):
                     expected = oracles.product_probabilities(psi, pairs)
                     assert np.abs(row - expected).max() <= 1e-14, (n, rows)
@@ -437,8 +442,9 @@ def test_certificate_rows_are_built_once_per_ring_size_and_read_only():
     second = global_discord(gs)
     info = _certificate_rows.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    centres, stencils, index, phases = _certificate_rows(5)
-    for table in (centres, *stencils, index, phases):
+    centres, stencils, index, phases, (centre_bases, stencil_bases) = _certificate_rows(5)
+    cached = [*centre_bases, *(table for pair in stencil_bases for table in pair)]
+    for table in (centres, *stencils, index, phases, *cached):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table.flat[0] = 0
@@ -457,6 +463,30 @@ def test_certificate_rows_are_built_once_per_ring_size_and_read_only():
     assert np.array_equal(rebuilt.argmin_angles, kept)
 
 
+def test_certified_calls_take_the_cached_bases(monkeypatch):
+    """The cached R^dagger stacks and unit axes are ``_row_bases`` of the
+    cached rows, bit for bit, and a certificate whose rows are cached
+    computes neither: the objective takes them.  Its values equal those of
+    the objective computing them from the angles, bit for bit, also cut to
+    fewer rows."""
+    for n in (3, 5, 12):
+        centres, stencils, _, _, (centre_bases, stencil_bases) = _certificate_rows(n)
+        objective = _objective_factory(ring(n, 0.9))
+        for rows, bases in ((centres, centre_bases), *zip(stencils, stencil_bases)):
+            for table, fresh in zip(bases, _row_bases(rows)):
+                assert np.array_equal(table, fresh) and table.strides == fresh.strides
+            for cut in (1, len(rows)):
+                taken = objective(rows[:cut], tuple(table[:cut] for table in bases))
+                assert taken.tolist() == objective(rows[:cut]).tolist(), (n, cut)
+    calls = []
+    for name in ("rotation_matrix", "_unit"):
+        real = getattr(gd_module, name)
+        monkeypatch.setattr(gd_module, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    res = global_discord(ring(5, 0.9))
+    assert res.basis == "x" and calls == []
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_certificate_rows_match_the_tilt_chart(n):
     """Each cached row, as unit axes, is the oracle's normalize(n0 + a e1 +
@@ -466,7 +496,7 @@ def test_certificate_rows_match_the_tilt_chart(n):
     probes = [[(0, d, step)] for step in (h, -h) for d in (0, 1)]
     probes += [[(0, d, h), (j, d, step)] for d in (0, 1)
                for j in range(1, n // 2 + 1) for step in (h, -h)]
-    centres, stencils, _, _ = _certificate_rows(n)
+    centres, stencils, _, _, _ = _certificate_rows(n)
     for k, basis in enumerate(_FRAMES):
         zero = np.zeros(n)
         assert np.abs(_unit(centres[k]) - oracles.tilted_axes(basis, zero, zero)).max() <= 1e-15
