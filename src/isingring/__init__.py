@@ -44,6 +44,7 @@ from .pair_measures import (
     discord,
     is_x_pattern,
     mid,
+    one_sided_discords,
     reduced_two_spin,
     toeplitz_correlators,
     x_state_from_correlators,
@@ -99,6 +100,7 @@ __all__ = [
     "discord",
     "is_x_pattern",
     "mid",
+    "one_sided_discords",
     "reduced_two_spin",
     "toeplitz_correlators",
     "x_state_from_correlators",

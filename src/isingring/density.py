@@ -188,11 +188,17 @@ def _gram(tensor: np.ndarray, side: tuple) -> np.ndarray:
     return m @ m.conj().T
 
 
-def reduced_state(state: PureState, keep) -> DensityMatrix:
-    """Reduced density matrix of a pure state on the ``keep`` sites (given order)."""
+def _reduced_matrix(state: PureState, keep) -> tuple[np.ndarray, tuple]:
+    """The unvalidated reduced matrix of a pure state on the ``keep`` sites
+    (given order), and the checked sites, for one state type to validate."""
     keep = tuple(_check_integer("site", s) for s in keep)
     if not keep or len(set(keep)) != len(keep):
         raise ValueError("keep must be a nonempty set of distinct sites")
     if any(s < 0 or s >= state.n_sites for s in keep):
         raise ValueError(f"sites {keep} outside ring of {state.n_sites}")
-    return DensityMatrix(_gram(state.as_tensor(), keep), keep)
+    return _gram(state.as_tensor(), keep), keep
+
+
+def reduced_state(state: PureState, keep) -> DensityMatrix:
+    """Reduced density matrix of a pure state on the ``keep`` sites (given order)."""
+    return DensityMatrix(*_reduced_matrix(state, keep))

@@ -366,12 +366,12 @@ def _search(tracker: _BudgetTracker, n: int, opt: OptimizerConfig) -> GDResult:
     def polish(x0: np.ndarray, stop: int) -> bool:
         """One polish from ``x0`` that ends before evaluation ``stop``; True
         when it converged."""
-        def cost(x):
-            return tracker(np.tile(x.reshape(-1, k, 2), (1, n // k, 1)),
-                           _ZERO_TOL, stop)
+        def cost(x, live):
+            return tracker(np.tile(x[0].reshape(-1, k, 2), (1, n // k, 1)),
+                           _ZERO_TOL, stop)[None]
 
         with contextlib.suppress(_BudgetExhausted):
-            return _polish(cost, x0[None])[1]
+            return bool(_polish(cost, x0[None, None])[1][0])
         return False
 
     starts = []

@@ -8,10 +8,15 @@ single-qubit kernels of :mod:`density`.  Discord and AMID share one search:
 score the probe axes (sigma^z, sigma^x, sigma^y, the side's Bloch direction
 and the singular axes of T) in one kernel call, then take the safeguarded
 Newton steps of :mod:`newton` from the best, two kernel calls each (a
-finite-difference stencil, then a line search).  On X states (non-zero
-entries on the diagonal and anti-diagonal only, as in every reduced pair of
-the ring) the probes hold the semi-closed Ali-Rau-Alber discord minimum
-(PRA 81, 042105, 2010), so one step confirms it: three kernel calls.
+finite-difference stencil, then a line search).  The discord kernel takes a
+stack of Bloch forms, so both measured sides of a symmetrized discord run
+as two searches in lockstep and share every kernel call.  On X states
+(non-zero entries on the diagonal and anti-diagonal only, as in every
+reduced pair of the ring) the probes hold the semi-closed Ali-Rau-Alber
+discord minimum (PRA 81, 042105, 2010), so one step confirms it: three
+kernel calls per discord, both sides together, or per AMID.  A caller that
+measures one pair several times builds its ``_Pair`` (Bloch form and
+entropy) once and hands it to each measure.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import newton
 from .density import (DensityMatrix, PureState, _angles, _entropy_bits, _h2,
-                      _unit, reduced_state)
+                      _reduced_matrix, _unit)
 from .errors import (ConvergenceWarning, NonXStateWarning, QuadratureError,
                      _check_integer)
 
@@ -52,9 +57,9 @@ class XState(DensityMatrix):
 
 
 def reduced_two_spin(gs: PureState, i: int, j: int) -> XState:
-    """Reduced state of sites (i, j) of the ring ground state, site i first."""
-    rho = reduced_state(gs, (i, j))
-    return XState(rho.matrix, rho.site_labels)
+    """Reduced state of sites (i, j) of the ring ground state, site i first;
+    validated once, as an X state."""
+    return XState(*_reduced_matrix(gs, (i, j)))
 
 
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
@@ -67,63 +72,104 @@ def _bloch(mat: np.ndarray) -> np.ndarray:
                      _PAULI, _PAULI).real
 
 
-def _pair_form(rho) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix and Bloch form of a two-qubit state; raw arrays are validated."""
+@dataclass(frozen=True)
+class _Pair:
+    """A validated two-qubit state as every pair measure reads it: its
+    matrix, its Bloch form and its entropy S(rho_AB) in bits."""
+
+    matrix: np.ndarray
+    bloch: np.ndarray
+    entropy: float
+
+
+def _pair_form(rho) -> _Pair:
+    """The ``_Pair`` of a two-qubit state; raw arrays are validated.  A
+    ``_Pair`` passes through, so a caller that builds it once can hand it to
+    every measure."""
+    if isinstance(rho, _Pair):
+        return rho
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho, (0, 1))
     if rho.dim != 4:
         raise ValueError("pair measures are defined for two-qubit states")
-    return rho.matrix, _bloch(rho.matrix)
+    return _Pair(rho.matrix, _bloch(rho.matrix),
+                 _entropy_bits(np.linalg.eigvalsh(rho.matrix)))
 
 
-def _mutual_information(bl: np.ndarray, mat: np.ndarray) -> float:
+def _mutual_information(pair: _Pair) -> float:
+    bl = pair.bloch
     s_a, s_b = _h2(0.5 + 0.5 * np.linalg.norm([bl[1:, 0], bl[0, 1:]], axis=1))
-    return float(s_a + s_b - _entropy_bits(np.linalg.eigvalsh(mat)))
+    return float(s_a + s_b - pair.entropy)
 
 
 def pair_mutual_information(mat: np.ndarray) -> float:
     """I(A:B) of a two-qubit state or raw 4x4 density matrix, in bits."""
-    mat, bl = _pair_form(mat)
-    return _mutual_information(bl, mat)
+    return _mutual_information(_pair_form(mat))
 
 
 def _conditional_entropy(bl: np.ndarray, axes: np.ndarray):
-    """sum_b p_b S(rho_{A|b}) for B measured along each row (unit vector) of
-    ``axes``.
+    """sum_b p_b S(rho_{A|b}) for a stack of Bloch forms ``bl`` (S, 4, 4),
+    side B of form s measured along each row (unit vector) of ``axes[s]``
+    (S, R, 3); returns (S, R).
 
     Outcome b = +-1 has p_b = (1 + b s.m) / 2 and leaves A with the Bloch
     vector (r + b T m) / (2 p_b); outcomes with p_b <= 1e-14 count as pure.
     """
-    r, s, t = bl[1:, 0], bl[0, 1:], bl[1:, 1:]
-    b = np.array([[1.0], [-1.0]])  # both outcomes in one pass, axis 0
-    p = 0.5 * (1.0 + b * (axes @ s))
-    v = np.linalg.norm(r + b[..., None] * (axes @ t.T), axis=-1)
+    r, s, t = bl[:, 1:, 0], bl[:, 0, 1:], bl[:, 1:, 1:]
+    b = np.array([1.0, -1.0])[:, None, None]  # both outcomes in one pass, axis 0
+    p = 0.5 * (1.0 + b * (axes @ s[..., None])[..., 0])
+    v = np.linalg.norm(r[:, None] + b[..., None] * (axes @ t.transpose(0, 2, 1)), axis=-1)
     length = np.divide(v, 2.0 * p, out=np.ones_like(p), where=p > 1e-14)
     return np.add.reduce(p * _h2(0.5 + 0.5 * length), axis=0)
 
 
+#: The probe axes every side shares: sigma^z, sigma^x, sigma^y.
+_FIXED_PROBES = np.eye(3)[[2, 0, 1]]
+
+
 def _probe_angles(bl: np.ndarray) -> np.ndarray:
-    """(theta, phi) of the 7 probe axes on side B: sigma^z, sigma^x, sigma^y,
-    B's Bloch direction (sigma^z when B is maximally mixed) and the three
-    right-singular axes of T.  ``_probe_angles(bl.T)`` gives side A's."""
-    axes = np.vstack([np.eye(3)[[2, 0, 1]], bl[0, 1:], np.linalg.svd(bl[1:, 1:])[2]])
+    """(theta, phi) of the 7 probe axes on side B of each Bloch form in the
+    stack ``bl`` (S, 4, 4): sigma^z, sigma^x, sigma^y, B's Bloch direction
+    (sigma^z when B is maximally mixed) and the three right-singular axes of
+    T, from one stacked SVD; (S, 7, 2).  A transposed form gives side A's."""
+    fixed = np.broadcast_to(_FIXED_PROBES, (len(bl), 3, 3))
+    axes = np.concatenate([fixed, bl[:, None, 0, 1:],
+                           np.linalg.svd(bl[:, 1:, 1:])[2]], axis=1)
     return _angles(axes)
 
 
-def _minimum(cost, candidates: np.ndarray) -> float:
-    """``newton._polish``; warns :class:`ConvergenceWarning` on its step cap."""
-    value, converged = newton._polish(cost, candidates)
-    if not converged:
+def _warn_if_stalled(converged: np.ndarray) -> None:
+    """One :class:`ConvergenceWarning` when any search of a ``newton._polish``
+    stopped on its step cap."""
+    if not converged.all():
         warnings.warn(f"the Newton polish did not converge in "
                       f"{newton._POLISH_MAX_ITER} steps; returning the best "
                       "value found", ConvergenceWarning, stacklevel=4)
-    return value
 
 
-def _discord_measured_on_b(bl: np.ndarray, s_ab: float) -> float:
-    h_min = _minimum(lambda x: _conditional_entropy(bl, _unit(x)), _probe_angles(bl))
-    s_b = _h2(0.5 + 0.5 * np.linalg.norm(bl[0, 1:]))
-    return max(float(s_b - s_ab + h_min), 0.0)
+#: ``discord`` direction -> the measured sides, in the order they are scored.
+_MEASURED = {"b->a": "b", "a->b": "a", "sym": "ba"}
+
+
+def _discords(pair: _Pair, measured: str) -> list[float]:
+    """The one-sided discords of ``pair``, one per side named in
+    ``measured`` ("a" or "b"), from one lockstep search over all of them.
+
+    Each side's conditional entropy is scored on its 7 probe axes and
+    polished by Newton steps from the best of them; side A is measured on
+    the transposed Bloch form.
+    """
+    if not is_x_pattern(pair.matrix):
+        warnings.warn("input is not an X state; the minimum rests on the "
+                      "numerical search", NonXStateWarning, stacklevel=3)
+    forms = np.stack([pair.bloch.T if side == "a" else pair.bloch for side in measured])
+    h_min, converged = newton._polish(
+        lambda x, live: _conditional_entropy(forms[live], _unit(x)),
+        _probe_angles(forms))
+    _warn_if_stalled(converged)
+    # each side's own 1-D norm (a dot product): norm(axis=-1) rounds apart
+    s_b = [_h2(0.5 + 0.5 * np.linalg.norm(form[0, 1:])) for form in forms]
+    return [max(float(s - pair.entropy + h), 0.0) for s, h in zip(s_b, h_min)]
 
 
 def discord(rho: DensityMatrix, direction: str = "sym") -> float:
@@ -131,22 +177,27 @@ def discord(rho: DensityMatrix, direction: str = "sym") -> float:
 
     ``direction`` selects the measured side: ``"b->a"`` measures the second
     qubit, ``"a->b"`` the first, and ``"sym"`` returns the maximum of the two
-    (the symmetrized discord).  The conditional entropy is scored on the
-    measured side's 7 probe axes and polished by Newton steps from the best
-    of them (``newton._polish``); it warns :class:`ConvergenceWarning` when
-    the polish reaches its step cap.  On X states the probe axes reproduce the
-    semi-closed formula's minimum; on other states the same search is a
-    numerical minimum only, and a :class:`NonXStateWarning` says so.
+    (the symmetrized discord).  Each measured side's conditional entropy is
+    scored on its 7 probe axes and polished by Newton steps from the best of
+    them; ``"sym"`` runs both sides in one lockstep search
+    (``newton._polish``), so they share every kernel call.  It warns
+    :class:`ConvergenceWarning`, once, when a side's polish reaches its step
+    cap.  On X states the probe axes reproduce the semi-closed formula's
+    minimum; on other states the same search is a numerical minimum only,
+    and a :class:`NonXStateWarning` says so.
     """
-    mat, bl = _pair_form(rho)
-    sides = {"b->a": (bl,), "a->b": (bl.T,), "sym": (bl, bl.T)}
-    if direction not in sides:
+    pair = _pair_form(rho)
+    if direction not in _MEASURED:
         raise ValueError(f"unknown direction {direction!r}")
-    if not is_x_pattern(mat):
-        warnings.warn("input is not an X state; the minimum rests on the "
-                      "numerical search", NonXStateWarning, stacklevel=2)
-    s_ab = _entropy_bits(np.linalg.eigvalsh(mat))
-    return max(_discord_measured_on_b(side, s_ab) for side in sides[direction])
+    return max(_discords(pair, _MEASURED[direction]))
+
+
+def one_sided_discords(rho: DensityMatrix) -> tuple[float, float]:
+    """The discords with A measured ("a->b") and with B measured ("b->a"),
+    in bits, from the one lockstep search of ``discord(rho)``, which is the
+    larger of the two."""
+    d_a, d_b = _discords(_pair_form(rho), "ab")
+    return d_a, d_b
 
 
 def _dephased_information(bl: np.ndarray, angles: np.ndarray):
@@ -170,9 +221,10 @@ def mid(rho: DensityMatrix) -> float:
     """Measurement-induced disturbance: mutual-information loss under
     dephasing in the marginal eigenbases (no optimization).  A maximally
     mixed marginal (Bloch length <= 1e-9) is dephased along sigma^z."""
-    mat, bl = _pair_form(rho)
+    pair = _pair_form(rho)
+    bl = pair.bloch
     eigenbases = _angles(np.stack([bl[1:, 0], bl[0, 1:]])).ravel()
-    value = _mutual_information(bl, mat) - _dephased_information(bl, eigenbases)
+    value = _mutual_information(pair) - _dephased_information(bl, eigenbases)
     return max(float(value), 0.0)
 
 
@@ -180,16 +232,17 @@ def amid(rho: DensityMatrix, n_starts: int = 8, seed: int = 0) -> float:
     """Ameliorated MID: mutual-information loss minimized over all bilocal
     projective bases (4 angles).
 
-    The candidates are the 7 x 7 pairs of A and B probe axes plus
-    ``max(n_starts, 4) - 4`` random angle pairs drawn from ``seed``; one
-    Newton polish (``newton._polish``) starts from the best of them; it warns
-    :class:`ConvergenceWarning` when the polish reaches its step cap.
-    ``seed`` must be None or an integer >= 0 (else TypeError or ValueError,
-    as numpy's generator has it) on every call; only a call that draws
-    loads ``numpy.random``.
+    The candidates are the 7 x 7 pairs of A and B probe axes (both sides
+    from one stacked SVD) plus ``max(n_starts, 4) - 4`` random angle pairs
+    drawn from ``seed``; one Newton polish (``newton._polish``) starts from
+    the best of them; it warns :class:`ConvergenceWarning` when the polish
+    reaches its step cap.  ``seed`` must be None or an integer >= 0 (else
+    TypeError or ValueError, as numpy's generator has it) on every call;
+    only a call that draws loads ``numpy.random``.
     """
-    mat, bl = _pair_form(rho)
-    a, b = _probe_angles(bl.T), _probe_angles(bl)
+    pair = _pair_form(rho)
+    bl = pair.bloch
+    a, b = _probe_angles(np.stack([bl.T, bl]))
     candidates = [np.hstack([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))])]
     if seed is not None and operator.index(seed) < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -199,8 +252,10 @@ def amid(rho: DensityMatrix, n_starts: int = 8, seed: int = 0) -> float:
         for _ in range(n_random):
             th, ph = rng.uniform(0.0, math.pi, 2), rng.uniform(0.0, 2.0 * math.pi, 2)
             candidates.append([[th[0], ph[0], th[1], ph[1]]])
-    loss = _minimum(lambda x: -_dephased_information(bl, x), np.vstack(candidates))
-    return max(_mutual_information(bl, mat) + loss, 0.0)
+    loss, converged = newton._polish(lambda x, live: -_dephased_information(bl, x[0])[None],
+                                     np.vstack(candidates)[None])
+    _warn_if_stalled(converged)
+    return max(_mutual_information(pair) + float(loss[0]), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,9 @@ import numpy as np
 from .entanglement import entanglement_stats
 from .errors import ConvergenceWarning, _check_integer
 from .global_discord import OptimizerConfig, global_discord
-from .pair_measures import (_sorted_unique, amid, discord, mid,
-                            pair_mutual_information, reduced_two_spin)
+from .pair_measures import (_pair_form, _sorted_unique, amid, mid,
+                            one_sided_discords, pair_mutual_information,
+                            reduced_two_spin)
 from .ring import RingConfig, ground_state
 
 COLUMNS = (
@@ -57,8 +58,9 @@ def _gd_record(gs, opt, sites):
 
 
 def _pair_record(gs, opt, sites):
-    pair = reduced_two_spin(gs, *sites)
-    d_a, d_b = discord(pair, direction="a->b"), discord(pair, direction="b->a")
+    # one Bloch form and one spectrum for every measure of the pair
+    pair = _pair_form(reduced_two_spin(gs, *sites))
+    d_a, d_b = one_sided_discords(pair)
     return {"sites": list(sites), "discord": max(d_a, d_b),
             "discord_a_measured": d_a, "discord_b_measured": d_b,
             "mid": mid(pair), "amid": amid(pair, seed=opt.seed),

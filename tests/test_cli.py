@@ -278,19 +278,21 @@ def test_one_seed_reaches_every_amid_call(capsys, monkeypatch):
 
 
 def test_measures_pair_discord_directions(capsys, monkeypatch):
+    """Both one-sided discords of a pair record come from one search, and
+    its discord is the larger."""
     calls = []
 
-    def one_sided(rho, direction="sym"):
-        calls.append(direction)
-        return {"a->b": 0.25, "b->a": 0.5}[direction]
+    def both_sides(rho):
+        calls.append(rho)
+        return 0.25, 0.5
 
-    monkeypatch.setattr(sweep_module, "discord", one_sided)
+    monkeypatch.setattr(sweep_module, "one_sided_discords", both_sides)
     code, out, _ = run_cli(
         capsys, "measures", "--n", "4", "--b", "1", "--pair", "0", "1"
     )
     pair = json.loads(out)["pair"]
     assert code == 0
-    assert sorted(calls) == ["a->b", "b->a"]
+    assert len(calls) == 1
     assert pair["discord_a_measured"] == 0.25
     assert pair["discord_b_measured"] == 0.5
     assert pair["discord"] == 0.5
@@ -315,7 +317,7 @@ def test_measures_pair_discord_not_converged_exit_code(capsys, monkeypatch):
     real = newton._polish
 
     def stall_discord(cost, candidates):
-        if candidates.shape[1] == 2:  # a discord polish; AMID's has 4 angles
+        if candidates.shape[-1] == 2:  # a discord polish; AMID's has 4 angles
             with monkeypatch.context() as patch:
                 patch.setattr(newton, "_POLISH_MAX_ITER", 0)
                 return real(cost, candidates)
@@ -326,6 +328,35 @@ def test_measures_pair_discord_not_converged_exit_code(capsys, monkeypatch):
         capsys, "measures", "--n", "4", "--b", "1", "--pair", "0", "1"
     )
     assert code == 1 and json.loads(out)["converged"] is False
+
+
+def test_one_stalled_discord_side_is_one_warning_and_exit_1(capsys, monkeypatch):
+    """The two measured sides of a pair run in one lockstep polish.  When a
+    steep tilt in theta keeps the second side moving until the step cap,
+    the first still converges alone, the polish warns once (one row error
+    in a sweep), and ``measures --pair`` reports not converged and exits 1."""
+    newton = importlib.import_module("isingring.newton")
+    real, outcomes = newton._polish, []
+
+    def stall_second_side(cost, candidates):
+        if candidates.shape[-1] != 2:  # AMID's polish has 4 angles
+            return real(cost, candidates)
+
+        def tilted(rows, live):
+            return cost(rows, live) - 10.0 * rows[..., 0] * (live == 1)[:, None]
+
+        result = real(tilted, candidates)
+        outcomes.append(result[1].tolist())
+        return result
+
+    monkeypatch.setattr(newton, "_polish", stall_second_side)
+    code, out, _ = run_cli(
+        capsys, "measures", "--n", "4", "--b", "1", "--pair", "0", "1"
+    )
+    assert code == 1 and json.loads(out)["converged"] is False
+    errors = sweep(4, [1.0], measures=("pair",)).metadata["row_errors"]
+    assert outcomes == [[True, False]] * 2
+    assert len(errors) == 1 and "did not converge" in errors[0], errors
 
 
 def test_sweep_row_is_a_projection_of_the_measures_record(capsys):

@@ -8,7 +8,7 @@ import pytest
 import oracles
 import isingring.newton as newton
 import isingring.pair_measures as pair_measures
-from isingring.density import DensityMatrix
+from isingring.density import DensityMatrix, PureState, reduced_state
 from isingring.errors import ConvergenceWarning, NonXStateWarning, QuadratureError
 from isingring.pair_measures import (
     CorrelatorSet,
@@ -17,6 +17,7 @@ from isingring.pair_measures import (
     discord,
     is_x_pattern,
     mid,
+    one_sided_discords,
     pair_mutual_information,
     reduced_two_spin,
     toeplitz_correlators,
@@ -50,6 +51,34 @@ def test_reduced_two_spin_is_x_state():
         assert pair.site_labels == (0, 1)
     with pytest.raises(ValueError):
         reduced_two_spin(gs, 2, 2)
+
+
+def test_reduced_two_spin_validates_once_with_the_same_errors(monkeypatch):
+    """One eigvalsh per pair state (the DensityMatrix checks ran twice, once
+    more inside XState), the same matrix as ``reduced_state``, and the same
+    errors for bad sites and for pairs off the X pattern."""
+    gs, _ = ground_state(RingConfig(n_sites=5, coupling_j=1.0, field_b=0.8))
+    calls, real = [], np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", counted)
+        pair = reduced_two_spin(gs, 0, 2)
+    assert len(calls) == 1
+    assert isinstance(pair, XState) and pair.site_labels == (0, 2)
+    assert np.array_equal(pair.matrix, reduced_state(gs, (0, 2)).matrix)
+    for sites, message in (((2, 2), "nonempty set of distinct sites"),
+                           ((0, 5), r"sites \(0, 5\) outside ring of 5"),
+                           ((-1, 0), r"sites \(-1, 0\) outside ring of 5"),
+                           ((0, 1.0), "site must be an integer, got 1.0")):
+        with pytest.raises(ValueError, match=message):
+            reduced_two_spin(gs, *sites)
+    psi = oracles.random_pure(np.random.default_rng(4), 3)
+    with pytest.raises(ValueError, match="violates the X sparsity pattern"):
+        reduced_two_spin(PureState(psi, 3), 0, 1)
 
 
 def test_pair_mutual_information_matches_general_form(rng):
@@ -149,10 +178,11 @@ def test_discord_warns_when_its_polish_does_not_converge(monkeypatch):
 
 
 def test_ring_pair_polish_confirms_its_probe_in_few_kernel_calls(monkeypatch):
-    """On ring pairs (X states) the best probe is the minimum, so each
-    discord side and each AMID makes at most 4 kernel calls: the probes, then
-    one Newton step's stencil and line search (Nelder-Mead spent ~100-300
-    evaluations).  The discord values still match the scan."""
+    """On ring pairs (X states) the best probe is the minimum, so a whole
+    symmetrized discord, each discord side and each AMID make at most 4
+    kernel calls: the probes, then one Newton step's stencil and line search
+    (Nelder-Mead spent ~100-300 evaluations), both sides of a discord in the
+    same calls.  The discord values still match the scan."""
     calls = []
     for name in ("_conditional_entropy", "_dephased_information"):
         def counted(*args, _kernel=getattr(pair_measures, name)):
@@ -170,6 +200,8 @@ def test_ring_pair_polish_confirms_its_probe_in_few_kernel_calls(monkeypatch):
             gs, _ = ground_state(RingConfig(n_sites=n, coupling_j=1.0, field_b=ratio))
             for sep in range(1, n // 2 + 1):
                 rho = reduced_two_spin(gs, 0, sep)
+                _, count = kernel_calls(discord, rho)
+                assert 1 <= count <= 4, (n, ratio, sep, "sym", count)
                 for direction, measured in (("b->a", 1), ("a->b", 0)):
                     got, count = kernel_calls(discord, rho, direction=direction)
                     assert 1 <= count <= 4, (n, ratio, sep, direction, count)
@@ -177,6 +209,78 @@ def test_ring_pair_polish_confirms_its_probe_in_few_kernel_calls(monkeypatch):
                     assert abs(got - expected) < 1e-6, (n, ratio, sep, got, expected)
                 _, count = kernel_calls(amid, rho)
                 assert 1 <= count <= 4, (n, ratio, sep, "amid", count)
+
+
+def _two_qubit_panel():
+    """926 two-qubit states: 300 random X states and their swaps, 150
+    Ginibre states and the 147th Ginibre draw of rng 99, the pairs (0, s) of
+    ring ground states at N = 2..12 and four fields, Toeplitz states, the
+    Bell and Werner states, an X state with maximally mixed marginals and
+    product states."""
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    rng = np.random.default_rng(2024)
+    states = []
+    for _ in range(300):
+        x = oracles.random_x_matrix(rng)
+        states += [x, swap @ x @ swap]
+    states += [oracles.random_density(rng, 2) for _ in range(150)]
+    rng99 = np.random.default_rng(99)
+    states.append([oracles.random_density(rng99, 2) for _ in range(147)][-1])
+    for n in range(2, 13):
+        for ratio in (0.05, 0.7, 1.0, 2.5):
+            gs, _ = ground_state(RingConfig(n_sites=n, coupling_j=1.0, field_b=ratio))
+            states += [reduced_two_spin(gs, 0, s).matrix for s in range(1, n // 2 + 1)]
+    states += [x_state_from_correlators(toeplitz_correlators(lam, s)).matrix
+               for lam in (0.3, 0.6, 1.0, 1.6) for s in (1, 2, 3)]
+    states += [BELL_RHO] + [werner(p) for p in np.linspace(0.0, 1.0, 9)]
+    states.append(np.diag([0.1, 0.4, 0.4, 0.1]).astype(complex))
+    states += [np.kron(oracles.random_density(rng, 1), oracles.random_density(rng, 1))
+               for _ in range(8)]
+    return states
+
+
+def test_symmetric_discord_is_the_larger_one_sided_discord_bit_for_bit():
+    """The lockstep search of both sides does each side's arithmetic: on
+    926 states, discord(rho) is the larger one-sided discord bit for bit,
+    and one_sided_discords gives both one-sided values bit for bit."""
+    states = _two_qubit_panel()
+    assert len(states) >= 900
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonXStateWarning)
+        for k, rho in enumerate(states):
+            d_a, d_b = discord(rho, direction="a->b"), discord(rho, direction="b->a")
+            assert discord(rho).hex() == max(d_b, d_a).hex(), k
+            assert [d.hex() for d in one_sided_discords(rho)] == [d_a.hex(), d_b.hex()], k
+
+
+def test_pinned_discord_and_amid_values():
+    """Discord (sym, a->b, b->a) and AMID as hex on six states, so that a
+    kernel or search change that moves their last bits shows.  The 28th
+    Ginibre draw of rng 5 moves by 4 ulp when a side's entropy takes its
+    Bloch length from ``norm(axis=-1)`` instead of the 1-D norm."""
+    rng5, rng99 = np.random.default_rng(5), np.random.default_rng(99)
+    states = {"ginibre5.28": [oracles.random_density(rng5, 2) for _ in range(28)][-1],
+              "ginibre99.147": [oracles.random_density(rng99, 2) for _ in range(147)][-1],
+              "toeplitz0.6.2": x_state_from_correlators(toeplitz_correlators(0.6, 2))}
+    for n, ratio, sep in ((6, 1.0, 1), (8, 0.5, 4), (12, 1.0, 2)):
+        gs, _ = ground_state(RingConfig(n_sites=n, coupling_j=1.0, field_b=ratio))
+        states[f"ring{n}.{ratio}.{sep}"] = reduced_two_spin(gs, 0, sep)
+    pinned = {
+        "ring6.1.0.1": ("0x1.020d87e2a1680p-3",) * 3 + ("0x1.b6b89c8ee4660p-3",),
+        "ring8.0.5.4": ("0x1.0d1e1d21ca136p-4",) * 3 + ("0x1.c1ffc69963a00p-4",),
+        "ring12.1.0.2": ("0x1.4f8db5afc0838p-4", "0x1.4f8db5afc0828p-4",
+                         "0x1.4f8db5afc0838p-4", "0x1.13957d02d0e18p-3"),
+        "toeplitz0.6.2": ("0x1.44b97ad1879d0p-6",) * 3 + ("0x1.ea6c24d72d9c0p-6",),
+        "ginibre99.147": ("0x1.14175d0be49f0p-4", "0x1.14175d0be49f0p-4",
+                          "0x1.0d50094451f98p-4", "0x1.31ecb2e063cf0p-4"),
+        "ginibre5.28": ("0x1.0faf4b3cfd2fcp-3", "0x1.0faf4b3cfd2fcp-3",
+                        "0x1.0e3b94ced5f00p-3", "0x1.105a1242e8ed0p-3"),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonXStateWarning)
+        got = {label: tuple(discord(rho, d).hex() for d in ("sym", "a->b", "b->a"))
+               + (amid(rho).hex(),) for label, rho in states.items()}
+    assert got == pinned
 
 
 def test_mid_matches_projector_dephasing_on_non_x_states(rng):

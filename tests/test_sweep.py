@@ -10,8 +10,9 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from isingring.global_discord import OptimizerConfig
-from isingring.pair_measures import toeplitz_correlators
-from isingring.ring import RingConfig
+from isingring.pair_measures import (amid, discord, mid, pair_mutual_information,
+                                     reduced_two_spin, toeplitz_correlators)
+from isingring.ring import RingConfig, ground_state
 from isingring.sweep import (
     COLUMNS,
     SweepTable,
@@ -24,6 +25,7 @@ from isingring.sweep import (
 
 # ``isingring.sweep`` the attribute is the function; this is the module.
 sweep_module = importlib.import_module("isingring.sweep")
+pair_measures = importlib.import_module("isingring.pair_measures")
 
 
 def small_table(**overrides):
@@ -506,3 +508,34 @@ def test_metadata_records_configuration():
     assert meta["measures"] == ["estats"]
     assert meta["grid"] == {"count": 2, "min": 0.8, "max": 1.2}
     assert meta["row_errors"] == []
+
+
+def test_pair_record_builds_one_bloch_form_and_one_spectrum(monkeypatch):
+    """A pair record hands one Bloch form and one joint entropy to all of
+    its measures: one ``_bloch`` and two eigvalsh calls (the X state's
+    validation and the entropy), where it took five and seven; its values
+    are the public measures' bit for bit."""
+    gs, _ = ground_state(RingConfig(n_sites=6, coupling_j=1.0, field_b=0.9))
+    counts = {"_bloch": 0, "eigvalsh": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(pair_measures, "_bloch")
+    counting(np.linalg, "eigvalsh")
+    record = sweep_module._pair_record(gs, OptimizerConfig(seed=2), (0, 2))
+    monkeypatch.undo()
+    assert counts == {"_bloch": 1, "eigvalsh": 2}
+    pair = reduced_two_spin(gs, 0, 2)
+    expected = {"sites": [0, 2], "discord": discord(pair),
+                "discord_a_measured": discord(pair, direction="a->b"),
+                "discord_b_measured": discord(pair, direction="b->a"),
+                "mid": mid(pair), "amid": amid(pair, seed=2),
+                "mutual_information": pair_mutual_information(pair)}
+    assert {k: v if k == "sites" else v.hex() for k, v in record.items()} == {
+        k: v if k == "sites" else v.hex() for k, v in expected.items()}
