@@ -12,7 +12,7 @@ Bloch vector r measured along n gives outcomes with probabilities
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,11 +69,13 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on labeled sites.
 
     ``site_labels`` records which ring sites the tensor factors describe, in
-    register order (first label = most significant qubit).
+    register order (first label = most significant qubit).  ``spectrum``
+    holds the ascending eigenvalues that the positivity check computed.
     """
 
     matrix: np.ndarray
     site_labels: tuple[int, ...]
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -94,6 +96,7 @@ class DensityMatrix:
             raise ValueError(f"negative eigenvalue {evals[0]:.3e} beyond clip window")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "site_labels", labels)
+        object.__setattr__(self, "spectrum", evals)
 
     @property
     def n_sites(self) -> int:
@@ -146,7 +149,7 @@ def shannon_entropy(probs: np.ndarray) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -Tr[rho log2 rho] in bits."""
-    return shannon_entropy(np.linalg.eigvalsh(rho.matrix))
+    return shannon_entropy(rho.spectrum)
 
 
 @dataclass(frozen=True)

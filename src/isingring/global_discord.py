@@ -7,20 +7,16 @@ one local term per site from its Bloch vector.  The tests check it against
 the definition, evaluated with explicit projector sums.
 
 A state that ``ring.ground_state`` returned is first tried on a certified
-path: the better of the all-sigma^x and all-sigma^z bases, accepted when a
-finite-difference gradient and a Hessian of two scalar circulants (O(N)
-evaluations) show a strict local minimum there.  Its angle rows, with
-their rotation matrices and unit axes, and its circulant tables depend on
-N only and are built once per ring size, so a certified objective call
-computes no trigonometry.  The certificate is local; that this minimum is
-also the global one rests on the tests, where no search over ring ground
-states beats it.  Other states with the ring's symmetry need not share
-this (the tests hold ones whose minimum lies in a tilted basis), so every
-other state, a copy of a ground state's amplitudes included, and every
-failed certificate, goes to the multi-start search: one Newton polish
-(:mod:`newton`) per start, on an objective that scores a whole batch of
-angle rows per call and computes their rotation matrices and unit axes
-itself.  The budget ``max_evals`` counts objective rows.
+path: the better of the all-sigma^x and all-sigma^z bases (two scored rows),
+accepted when the exact gradient and tilt Hessian there show a strict local
+minimum.  That it is also the global one rests on the tests, where no
+search over ring ground states beats it.  Other states with the ring's
+symmetry need not share this (the tests hold ones whose minimum lies in a
+tilted basis), so every other state, a copy of a ground state's amplitudes
+included, and every failed certificate, goes to the multi-start search:
+one Newton polish (:mod:`newton`) per start, on an objective that scores a
+whole batch of angle rows per call.  The budget ``max_evals`` counts
+objective rows.
 """
 
 from __future__ import annotations
@@ -33,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (PureState, _angles, _entropy_bits, _gram, _h2, _unit,
-                      as_angles, rotation_matrix)
+from .density import (_MINUS_LN2, PureState, _angles, _entropy_bits, _gram, _h2,
+                      _unit, as_angles, rotation_matrix)
 from .errors import _check_integer
 from .newton import _polish
 from .ring import _GroundState
@@ -45,11 +41,13 @@ DEFAULT_MAX_EVALS = 50_000
 #: objective is >= 0 in every basis.
 _ZERO_TOL = 1e-12
 
-#: Central-difference step of the certificate in tilt coordinates, and the
-#: bounds it must meet: |grad| <= _GRAD_TOL and lambda_min >= _MARGIN_TOL.
-_STEP = 1e-3
+#: Bounds the certificate must meet: |grad| <= _GRAD_TOL and lambda_min >=
+#: _MARGIN_TOL; outcomes of probability <= _ZERO_PROB are zero outcomes, and
+#: a tilt mode with first-order weight > _STRICT_TOL on them is strict.
 _GRAD_TOL = 1e-6
 _MARGIN_TOL = 1e-6
+_ZERO_PROB = 1e-24
+_STRICT_TOL = 1e-12
 
 #: Candidate bases as rows (n0, e1, e2): the measured axis shared by every
 #: site and the two tilt directions spanning its orthogonal complement.  On
@@ -64,8 +62,10 @@ _FRAMES = {
 class GDResult:
     """Result of a global-discord minimization.
 
-    ``basis`` ("x" or "z") and ``hessian_margin`` are set when the certified
-    path returned the result; ``n_restarts`` is then 0.
+    ``basis`` ("x" or "z") is set when the certified path returned the
+    result, and ``n_restarts`` is then 0.  ``hessian_margin`` is then the
+    least exact tilt-Hessian eigenvalue over modes that move no weight onto
+    a zero outcome, or None if all do (the sigma^z branch; sigma^x at B = 0).
     """
 
     value: float
@@ -144,9 +144,10 @@ def _row_bases(ang: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rdag, _unit(ang)
 
 
-def _outcome_probs(amps: np.ndarray, rdag: np.ndarray) -> np.ndarray:
-    """Probabilities of all 2^N outcomes of the product measurement, one row
-    per basis of the (rows, N, 2, 2) stack of R_j^dagger (``_row_bases``).
+def _outcome_amplitudes(amps: np.ndarray, rdag: np.ndarray) -> np.ndarray:
+    """Amplitudes of all 2^N outcomes of the product measurement, one row
+    per basis of the (rows, N, 2, 2) stack of R_j^dagger (``_row_bases``);
+    their squared moduli are the outcome probabilities.
 
     Each site in turn leads the amplitudes viewed as (rows, 2, 2^(N-1)),
     takes its R_j^dagger in one (2 x 2) @ (2 x 2^(N-1)) product per row, and
@@ -158,7 +159,7 @@ def _outcome_probs(amps: np.ndarray, rdag: np.ndarray) -> np.ndarray:
     for j in range(rdag.shape[1]):
         out = rdag[:, j] @ out
         out = out.swapaxes(1, 2).reshape(len(rdag), 2, -1)
-    return np.abs(out.reshape(len(rdag), -1)) ** 2
+    return out.reshape(len(rdag), -1)
 
 
 def _objective_factory(gs: PureState):
@@ -181,7 +182,7 @@ def _objective_factory(gs: PureState):
     def objective(ang: np.ndarray, bases: tuple | None = None) -> np.ndarray:
         rdag, units = _row_bases(ang) if bases is None else bases
         local = _h2(0.5 + 0.5 * np.sum(units * bloch, axis=-1)) - base
-        return (_entropy_bits(_outcome_probs(amps, rdag), axis=-1)
+        return (_entropy_bits(np.abs(_outcome_amplitudes(amps, rdag)) ** 2, axis=-1)
                 - np.sum(local, axis=-1))
 
     return objective
@@ -242,80 +243,81 @@ class _ZeroReached(Exception):
 
 
 @functools.lru_cache(maxsize=None)
-def _certificate_rows(n: int) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray, tuple]:
-    """Angle rows and circulant tables of the certificate (depend on N only).
-
-    ``centres[k]`` is the uniform row of the k-th basis of ``_FRAMES``, and
-    ``stencils[k]`` its probes: the gradient's four, site 0 at +h then -h
-    along tilt direction d = 0, 1, then the couplings' two per (d, j), site 0
-    at +h and site j at +h then -h along d, j = 1..N // 2.
-    ``rows[:, index] @ phases`` is the circulant spectrum of the coupling
-    rows.  ``bases`` holds the ``_row_bases`` of the centres, then a tuple
-    of those of each basis's stencil, for the objective to take.
-    """
+def _certificate_rows(n: int) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """The certificate's tables, which depend on N only: the uniform rows
+    ``centres`` of the bases of ``_FRAMES``, their ``_row_bases``, the
+    ``phases`` taking circulant rows to spectra, and, per site j and outcome
+    s, ``flips[j, s]`` = s xor e_j and ``signs[j, s]`` = sigma_j(s) / 2."""
     centres = _angles(np.array([np.tile(f[0], (n, 1)) for f in _FRAMES.values()]))
-
-    def tilt(d, *steps):
-        t = np.zeros((n, 2))
-        for site, step in steps:
-            t[site, d] += step
-        return t
-
-    h = _STEP
-    steps = [tilt(d, (0, step)) for step in (h, -h) for d in (0, 1)]
-    steps += [tilt(d, (0, h), (j, step)) for d in (0, 1)
-              for j in range(1, n // 2 + 1) for step in (h, -h)]
-    steps = np.array(steps)
-    axes = (f[0] + steps @ f[1:] for f in _FRAMES.values())
-    stencils = tuple(_angles(v / np.linalg.norm(v, axis=-1, keepdims=True)) for v in axes)
     sites = np.arange(n)
-    index = np.minimum(sites, n - sites)
     phases = np.cos(2.0 * math.pi * np.outer(sites, sites) / n)
-    bases = _row_bases(centres), tuple(_row_bases(rows) for rows in stencils)
-    # Every certificate of this ring size shares the cached rows, so none may
-    # write to them.
-    for table in (centres, *stencils, index, phases, *bases[0],
-                  *(table for pair in bases[1] for table in pair)):
+    bits = 1 << (n - 1 - sites)[:, None]
+    flips = np.arange(2 ** n) ^ bits
+    signs = np.where(np.arange(2 ** n) & bits, -0.5, 0.5)
+    bases = _row_bases(centres)
+    # every certificate of this ring size shares them, so none may write
+    for table in (centres, *bases, phases, flips, signs):
         table.setflags(write=False)
-    return centres, stencils, index, phases, bases
+    return centres, bases, phases, flips, signs
 
 
-def _certify(tracker: _BudgetTracker, n: int) -> GDResult | None:
+def _tilt_rows(phi: np.ndarray, flips: np.ndarray, signs: np.ndarray):
+    """Site 0's rows of the a-a and b-b tilt Hessians at real outcome
+    amplitudes phi, their weights on zero outcomes, and |dH/da_0|, all of
+    the gradient on ring ground states; None if site 0 is pure (J = 0).
+    A tilt t of site j along a or b (n_j = normalize(n0 + a_j e1 + b_j e2))
+    moves phi by t g_j + t^2 g_jj / 2 or -i t k_j + t^2 r_jj / 2: g_j(s) =
+    sigma_j(s) phi(s xor e_j) / 2, sigma_j(s) = +-1 as bit j of s is 0 or 1,
+    k_j(s) = phi(s xor e_j) / 2, g_0j(s) = sigma_0(s) g_j(s xor e_0) / 2,
+    r_0j(s) = -k_j(s xor e_0) / 2.  With L = ln phi^2 where phi^2 >
+    ``_ZERO_PROB`` (live), else 0, C^a_0j = -[sum (2 g_0 g_j + 2 phi g_0j) L
+    + 4 sum_live g_0 g_j] / ln 2, C^b_0j = -sum (2 k_0 k_j + 2 phi r_0j) L /
+    ln 2, plus local terms; weights: sum g_0 g_j, sum k_0 k_j off live.
+    """
+    prob = phi * phi
+    live = (prob > _ZERO_PROB).astype(float)
+    log_p = np.log(np.where(live, prob, 1.0))
+    u0 = 2.0 * signs[0] @ prob  # site 0's Bloch component along n0; u1 along e1
+    if not abs(u0) < 1.0:
+        return None
+    moved = phi[flips]  # phi(s xor e_j), one row per site j
+    u1, phi_log = phi @ moved[0], phi * log_p
+    g0, shifted = signs[0] * moved[0], phi_log[flips[0]]  # g_0j, r_0j enter via s xor e_0
+    weights = np.stack([[g0 * (2.0 * log_p + 4.0 * live) - 2.0 * signs[0] * shifted,
+                         moved[0] * log_p - shifted],
+                        [g0 * (1.0 - live), 0.5 * moved[0] * (1.0 - live)]], axis=-1)
+    rows, zero = np.moveaxis(np.stack([signs * moved, 0.5 * moved]) @ weights, -1, 0)
+    rows = rows / _MINUS_LN2
+    rows[:, 0] += 0.5 * u0 * math.log2((1.0 - u0) / (1.0 + u0))
+    rows[0, 0] += u1 * u1 / ((1.0 - u0 * u0) * math.log(2.0))
+    return rows, zero, 2.0 * abs(g0 @ phi_log) / math.log(2.0)
+
+
+def _certify(tracker: _BudgetTracker, gs: PureState) -> GDResult | None:
     """The better uniform basis, if it is a strict local minimum; else None.
 
-    Each site's axis is tilted as n_j = normalize(n0 + a_j e1 + b_j e2), a
-    chart with no pole at either candidate.  Only ring ground states get
-    here.  The ring's symmetry gives every site the same gradient and makes
-    a coupling depend on |i - j| mod N; reality (e2 is sigma^y) and parity
-    (n and -n give one basis) make the objective even in all b_j, and in
-    all a_j, together.  So the a-b couplings vanish and the Hessian is two
-    circulants with spectra sum_j C_{d,j} cos(2 pi m j / N).  Each coupling
-    C_{d,j} = C_{d,N-j} of site 0 takes two probes,
-    [f(h e_0d + h e_jd) - f(h e_0d - h e_jd)] / (2 h^2): 6 + 4 (N // 2)
-    evaluations in all, scored in two calls: both bases' centres, then the
-    rest.  These rows depend on N only and are built once per ring size
-    (``_certificate_rows``), with their rotation matrices and unit axes.
-    The gradient's four probes spot-check the
-    evenness.  Where an outcome has probability zero (sigma^z on a parity
-    eigenstate) the objective grows like t^2 log(1/t) and the margin
-    measures the stencil, not a finite curvature.  Raises
-    ``_BudgetExhausted`` when the budget runs out.
+    Only ring ground states get here.  They are real and parity eigenstates,
+    so the objective is even in all b_j, and in all a_j together, and the
+    ring's symmetry makes the tilt Hessian two circulants, whose rows
+    ``_tilt_rows`` gives.  A zero outcome grows like t^2 log(1/t) along a
+    mode weighing on it above ``_STRICT_TOL``, so that mode is strict, and
+    the others give ``hessian_margin``.  Scores the two centres in one call
+    and no other row.  Raises ``_BudgetExhausted`` when the budget runs out.
     """
-    centres, stencils, index, phases, bases = _certificate_rows(n)
-    centre_bases, stencil_bases = bases
-    values = dict(zip(_FRAMES, tracker(centres, bases=centre_bases)))
+    centres, bases, phases, flips, signs = _certificate_rows(gs.n_sites)
+    values = dict(zip(_FRAMES, tracker(centres, bases=bases)))
     basis = min(values, key=values.get)
-    k, f0, h = list(_FRAMES).index(basis), values[basis], _STEP
-    values = tracker(stencils[k], bases=stencil_bases[k])
-    plus, minus = values[:4].reshape(2, 2)
-    pairs = values[4:].reshape(2, n // 2, 2)
-    grad = math.sqrt(n) * math.hypot(plus[0] - minus[0], plus[1] - minus[1]) / (2 * h)
-    rows = np.column_stack([(plus + minus - 2.0 * f0) / h ** 2,
-                            (pairs[..., 0] - pairs[..., 1]) / (2 * h * h)])
-    margin = float((rows[:, index] @ phases).min())
-    if not (grad <= _GRAD_TOL and margin >= _MARGIN_TOL):
+    k = list(_FRAMES).index(basis)
+    found = _tilt_rows(_outcome_amplitudes(gs.amplitudes, bases[0][k:k + 1])[0].real,
+                       flips, signs)
+    if found is None:
         return None
-    return GDResult(value=float(f0), argmin_angles=centres[k].copy(),
+    rows, zero, grad = found
+    spectra = (rows @ phases)[zero @ phases <= _STRICT_TOL]
+    margin = float(spectra.min()) if spectra.size else None
+    if not (grad <= _GRAD_TOL and (margin is None or margin >= _MARGIN_TOL)):
+        return None
+    return GDResult(value=float(values[basis]), argmin_angles=centres[k].copy(),
                     n_restarts=0, converged=True, n_evals=tracker.n_evals,
                     basis=basis, hessian_margin=margin)
 
@@ -325,21 +327,20 @@ def global_discord(gs: PureState, opt: OptimizerConfig | None = None) -> GDResul
 
     A state that ``ring.ground_state`` returned (a ``ring._GroundState``)
     first takes the certified path (``_certify``): it is converged when, at
-    the better of the all-sigma^x and all-sigma^z bases, the
-    finite-difference gradient has norm <= ``_GRAD_TOL`` (1e-6) and the
-    smallest tilt-Hessian eigenvalue, ``hessian_margin``, is >=
-    ``_MARGIN_TOL`` (1e-6), both with step ``_STEP`` (1e-3).  That shows a
-    strict local minimum; the tests show that no search beats it on ring
-    ground states.  A failed certificate (at J = 0 the objective is flat and
-    the margin 0), or any other state, falls back to the multi-start search,
-    which shares the evaluation budget ``max_evals``.
+    the better of the all-sigma^x and all-sigma^z bases, the exact gradient
+    is <= ``_GRAD_TOL`` (1e-6) per tilt and the exact tilt Hessian shows a
+    strict local minimum, with ``hessian_margin`` >= ``_MARGIN_TOL`` (1e-6)
+    where it is not None.  A failed certificate (at J = 0 the objective is
+    flat; at N = 2, B = 0 the Bell pair's minimum is flat along equal
+    tilts), or any other state, falls back to the multi-start search, which
+    shares the evaluation budget ``max_evals``.
     """
     if opt is None:
         opt = OptimizerConfig()
     tracker = _BudgetTracker(_objective_factory(gs), opt.max_evals)
     if isinstance(gs, _GroundState):
         try:
-            result = _certify(tracker, gs.n_sites)
+            result = _certify(tracker, gs)
         except _BudgetExhausted:
             return GDResult(value=float(tracker.best_value),
                             argmin_angles=tracker.best_angles, n_restarts=0,

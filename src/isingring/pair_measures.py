@@ -92,8 +92,7 @@ def _pair_form(rho) -> _Pair:
         rho = DensityMatrix(rho, (0, 1))
     if rho.dim != 4:
         raise ValueError("pair measures are defined for two-qubit states")
-    return _Pair(rho.matrix, _bloch(rho.matrix),
-                 _entropy_bits(np.linalg.eigvalsh(rho.matrix)))
+    return _Pair(rho.matrix, _bloch(rho.matrix), _entropy_bits(rho.spectrum))
 
 
 def _mutual_information(pair: _Pair) -> float:

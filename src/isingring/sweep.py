@@ -49,12 +49,9 @@ _NN_SITES = (0, 1)
 
 def _gd_record(gs, opt, sites):
     res = global_discord(gs, opt)
-    # ~9 digits of the margin are stable: its central differences scale
-    # rounding by 1e6
-    margin = None if res.hessian_margin is None else round(res.hessian_margin, 8)
     return {"value": res.value, "converged": res.converged,
             "n_restarts": res.n_restarts, "n_evals": res.n_evals,
-            "basis": res.basis, "hessian_margin": margin}
+            "basis": res.basis, "hessian_margin": res.hessian_margin}
 
 
 def _pair_record(gs, opt, sites):

@@ -188,9 +188,11 @@ def tilted_axes(basis: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return axes / np.linalg.norm(axes, axis=1, keepdims=True)
 
 
-def tilt_hessian(psi: np.ndarray, n: int, basis: str, h: float = 1e-3) -> np.ndarray:
-    """Full 2N x 2N central-difference Hessian of ``reference_objective`` at
-    a uniform basis, in tilt coordinates n_j = normalize(n0 + a_j e1 + b_j e2).
+def tilt_hessian_entries(psi: np.ndarray, n: int, basis: str, h: float,
+                         entries) -> np.ndarray:
+    """Entries (i, k) of the 2N x 2N central-difference Hessian of
+    ``reference_objective`` at a uniform basis, in tilt coordinates
+    n_j = normalize(n0 + a_j e1 + b_j e2) ordered (a_0, b_0, a_1, b_1, ...).
 
     Diagonal entries use (f(+h) + f(-h) - 2 f(0)) / h^2 and every
     off-diagonal entry the four corners (+-h, +-h) / (4 h^2).
@@ -201,17 +203,16 @@ def tilt_hessian(psi: np.ndarray, n: int, basis: str, h: float = 1e-3) -> np.nda
         phi = np.arctan2(axes[:, 1], axes[:, 0])
         return reference_objective(psi, n, np.column_stack([theta, phi]))
 
-    dim = 2 * n
-    unit = np.eye(dim) * h
-    f0 = f(np.zeros(dim))
-    hess = np.empty((dim, dim))
-    for i in range(dim):
-        hess[i, i] = (f(unit[i]) + f(-unit[i]) - 2.0 * f0) / h ** 2
-        for k in range(i):
-            hess[i, k] = hess[k, i] = (
-                f(unit[i] + unit[k]) - f(unit[i] - unit[k])
-                - f(unit[k] - unit[i]) + f(-unit[i] - unit[k])) / (4.0 * h * h)
-    return hess
+    unit = np.eye(2 * n) * h
+    f0 = f(np.zeros(2 * n))
+    out = []
+    for i, k in entries:
+        if i == k:
+            out.append((f(unit[i]) + f(-unit[i]) - 2.0 * f0) / h ** 2)
+        else:
+            out.append((f(unit[i] + unit[k]) - f(unit[i] - unit[k])
+                        - f(unit[k] - unit[i]) + f(-unit[i] - unit[k])) / (4.0 * h * h))
+    return np.array(out)
 
 
 def free_fermion_energy(n: int, j: float, b: float) -> float:

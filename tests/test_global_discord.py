@@ -9,13 +9,13 @@ import oracles
 from isingring.density import PureState, _angles, _unit, reduced_state, von_neumann_entropy
 from isingring.global_discord import (
     _FRAMES,
-    _STEP,
     GDResult,
     OptimizerConfig,
     _certificate_rows,
     _objective_factory,
-    _outcome_probs,
+    _outcome_amplitudes,
     _row_bases,
+    _tilt_rows,
     gd_objective,
     global_discord,
 )
@@ -57,13 +57,16 @@ def reference_global_discord_n2(psi: np.ndarray) -> float:
     return max(best, 0.0)
 
 
+def outcome_probs(psi, ang):
+    return np.abs(_outcome_amplitudes(psi, _row_bases(ang)[0])) ** 2
+
+
 def test_measured_spectrum_anchors():
-    lam = _outcome_probs(ghz_state(4).as_tensor(), _row_bases(np.zeros((1, 4, 2)))[0])[0]
+    lam = outcome_probs(ghz_state(4).as_tensor(), np.zeros((1, 4, 2)))[0]
     lam = np.sort(lam)[::-1]
     assert abs(lam[0] - 0.5) < 1e-14 and abs(lam[1] - 0.5) < 1e-14
     assert lam[2] < 1e-14
-    lam = _outcome_probs(product_state_down(3).as_tensor(),
-                         _row_bases(np.zeros((1, 3, 2)))[0])[0]
+    lam = outcome_probs(product_state_down(3).as_tensor(), np.zeros((1, 3, 2)))[0]
     assert abs(lam[-1] - 1.0) < 1e-14
 
 
@@ -71,7 +74,9 @@ def test_measured_spectrum_matches_explicit_projectors(rng):
     """The cascade against explicit Kronecker-product projectors, on random
     complex states and real ring ground states, for 1, 2 and 26 rows of
     random angles and for both certificate centres.  On the all-z rows the
-    probabilities are the squared amplitudes exactly."""
+    probabilities are the squared amplitudes exactly, and a real state's
+    outcome amplitudes in both centres are real: the certificate reads
+    them."""
     centres = np.array([[_angles(f[0])] for f in _FRAMES.values()])
     for n in range(2, 11):
         states = (oracles.random_pure(rng, n), ring(n, 0.9).amplitudes)
@@ -80,12 +85,15 @@ def test_measured_spectrum_matches_explicit_projectors(rng):
                 ang = np.stack([rng.uniform(0.0, math.pi, size=(rows, n)),
                                 rng.uniform(0.0, 2.0 * math.pi, size=(rows, n))], axis=-1)
                 ang = np.concatenate([ang, np.tile(centres, (1, n, 1))])
-                lam = _outcome_probs(psi, _row_bases(ang)[0])
+                amps = _outcome_amplitudes(psi, _row_bases(ang)[0])
+                lam = np.abs(amps) ** 2
                 for row, pairs in zip(lam, ang):
                     expected = oracles.product_probabilities(psi, pairs)
                     assert np.abs(row - expected).max() <= 1e-14, (n, rows)
                 # the z centre, second to last, rotates nothing
                 assert np.array_equal(lam[-2], np.abs(psi) ** 2), n
+                if not np.iscomplexobj(psi):
+                    assert not amps[-2:].imag.any(), n
 
 
 def test_gd_result_validation():
@@ -138,8 +146,9 @@ def test_fast_objective_equals_full_matrix_bracket(rng):
 
 
 def test_objective_scores_a_batch_exactly_as_row_by_row(rng):
-    """The certificate scores its stencil in one call, so a row's value must
-    not depend on the batch it comes in: bit for bit, not within rounding."""
+    """The certificate scores both centres in one call, so a row's value
+    must not depend on the batch it comes in: bit for bit, not within
+    rounding."""
     for n in (3, 5):
         objective = _objective_factory(PureState(oracles.random_pure(rng, n), n))
         rows = rng.uniform(0.0, math.pi, size=(6, n, 2))
@@ -213,37 +222,38 @@ def test_budget_exhaustion_reports_not_converged(search):
     assert math.isfinite(res.value) and res.value >= 0.0
 
 
-def test_certificate_budget_below_its_stencil_reports_not_converged():
-    """N = 4 needs 6 + 4 * 2 = 14 evaluations to certify."""
+def test_certificate_budget_below_its_two_rows_reports_not_converged():
+    """The certificate scores two rows, so max_evals = 1 is the only budget
+    below it: it fits the z row alone and reports that row's value, f_z."""
     gs = ring(4, 1.0)
-    assert global_discord(gs, OptimizerConfig(max_evals=14)).converged
-    res = global_discord(gs, OptimizerConfig(max_evals=13))
-    assert not res.converged and res.n_restarts == 0
-    assert res.n_evals <= 13
+    assert global_discord(gs, OptimizerConfig(max_evals=2)).converged
+    res = global_discord(gs, OptimizerConfig(max_evals=1))
+    assert not res.converged and res.n_restarts == 0 and res.n_evals == 1
     assert res.basis is None and res.hessian_margin is None
-    assert abs(res.value - gd_objective(gs, np.tile([math.pi / 2.0, 0.0], (4, 1)))) < 1e-12
+    assert res.value == gd_objective(gs, np.zeros((4, 2)))
 
 
-#: (N, B/J, max_evals): value, n_evals, basis and converged under budgets
-#: below the certificate's, as scoring the two centre rows in separate calls
-#: gave them.
+#: (N, B/J, max_evals): value, n_evals, basis and converged under budgets at
+#: and next to the certificate's two rows, as scoring the two centre rows in
+#: separate calls gave them.
 BUDGET_PINS = {
     (4, 0.5, 1): (2.757490566815693, 1, None, False),
-    (4, 0.5, 2): (1.3286919909624437, 2, None, False),
-    (4, 0.5, 3): (1.3286919909624437, 3, None, False),
+    (4, 0.5, 2): (1.3286919909624437, 2, "x", True),
+    (4, 0.5, 3): (1.3286919909624437, 2, "x", True),
     (6, 2.0, 1): (0.7921183793106663, 1, None, False),
-    (6, 2.0, 2): (0.7921183793106663, 2, None, False),
-    (6, 2.0, 3): (0.7921183793106663, 3, None, False),
+    (6, 2.0, 2): (0.7921183793106663, 2, "z", True),
+    (6, 2.0, 3): (0.7921183793106663, 2, "z", True),
     (8, 1.0, 1): (4.255499619828898, 1, None, False),
-    (8, 1.0, 2): (2.6897328781849783, 2, None, False),
-    (8, 1.0, 3): (2.6897328781849783, 3, None, False),
+    (8, 1.0, 2): (2.6897328781849783, 2, "x", True),
+    (8, 1.0, 3): (2.6897328781849783, 2, "x", True),
 }
 
 
 @pytest.mark.parametrize("n, ratio, max_evals", sorted(BUDGET_PINS))
 def test_budgets_below_the_certificate_keep_their_results(n, ratio, max_evals):
     """One call scores both centres: max_evals = 1 still fits only the z row
-    (f_z), 2 fits both and keeps the lower, and 3 adds one stencil row."""
+    (f_z), and 2 fits both, keeps the lower and certifies it; a larger
+    budget scores nothing more."""
     value, n_evals, basis, converged = BUDGET_PINS[n, ratio, max_evals]
     res = global_discord(ring(n, ratio), OptimizerConfig(max_evals=max_evals))
     assert abs(res.value - value) <= 1e-14
@@ -258,20 +268,33 @@ def test_ghz8_fallback_search_keeps_its_path():
 
 
 def test_certified_path_takes_every_ring_ground_state():
-    """O(N) evaluations, no search, on both branches and on both sides of
-    the crossover; a silent fall back to the search fails n_restarts."""
+    """Two evaluations, no search, on both branches and on both sides of
+    the crossover; a silent fall back to the search fails n_restarts.  The
+    margin is finite on the sigma^x branch for B > 0 and None where every
+    tilt mode moves weight onto a zero outcome: the sigma^z branch, and
+    sigma^x at B = 0, where the state is GHZ-like in that basis.  N = 2 at
+    B = 0 is the one ring ground state that takes the search: there the
+    Bell pair's minimum is flat along equal tilts, so it is not strict.  At
+    B/J = 0.01 some sigma^x amplitudes fall below 1e-12 (N = 10..12), yet
+    the margin stays finite."""
     for n in range(2, 13):
-        ratios = [0.0, 0.5, 1.0, 6.0]
+        ratios = [0.0, 0.01, 0.5, 1.0, 6.0]
         if n in CROSSOVER:
             ratios += [CROSSOVER[n] - 0.01, CROSSOVER[n] + 0.01]
         for ratio in ratios:
             res = global_discord(ring(n, ratio))
-            assert res.converged and res.n_restarts == 0, (n, ratio)
-            assert res.n_evals == 6 + 4 * (n // 2), (n, ratio, res.n_evals)
-            assert res.hessian_margin >= 1e-6
-            # N = 2 has no crossover: at B = 0 the two bases tie, z is kept
+            assert res.converged, (n, ratio)
+            if n == 2 and ratio == 0.0:
+                assert res.basis is None and res.n_restarts > 0
+                assert res.value.hex() == "0x1.fffffffffffffp-1"
+                continue
+            assert res.n_restarts == 0 and res.n_evals == 2, (n, ratio, res.n_evals)
             below = n > 2 and ratio < CROSSOVER[n]
             assert res.basis == ("x" if below else "z"), (n, ratio)
+            if below and ratio > 0.0:
+                assert res.hessian_margin >= 1e-6, (n, ratio)
+            else:
+                assert res.hessian_margin is None, (n, ratio)
 
 
 def symmetric_state(rng, n, parity):
@@ -302,15 +325,19 @@ def test_other_states_fall_back_to_the_search(rng):
 
 def test_only_states_from_ground_state_take_the_certified_path():
     """The certificate is tried on what ``ground_state`` returned, at any J,
-    and on nothing else.  A copy rebuilt from a ground state's amplitudes,
-    excited eigenstates, GHZ, the product state and random ring-symmetric
-    states all take the search; the copies land within 1e-9 of the
-    certified value (the largest gap seen is 2.8e-15)."""
+    and on nothing else; it takes every one of them here but the N = 2
+    Bell pair at B = 0, whose minimum is not strict.  A copy rebuilt from a
+    ground state's amplitudes, excited eigenstates, GHZ, the product state
+    and random ring-symmetric states all take the search; the copies land
+    within 1e-9 of the certified value (the largest gap seen is 2.8e-15)."""
     opt = OptimizerConfig(seed=0, restarts=4)
     for n in range(2, 9):
         for b in (0.0, 0.5, 1.3, 6.0):
             gs, _ = ground_state(RingConfig(n_sites=n, coupling_j=2.0, field_b=2.0 * b))
             cert = global_discord(gs, opt)
+            if n == 2 and b == 0.0:
+                assert cert.basis is None and cert.n_restarts == 4
+                continue
             assert cert.basis is not None and cert.n_restarts == 0, (n, b)
             if n <= 5 and b > 0.0:
                 copy = global_discord(PureState(gs.amplitudes, n), opt)
@@ -332,19 +359,18 @@ def test_only_states_from_ground_state_take_the_certified_path():
 
 def test_zero_coupling_fails_the_certificate_then_stops_at_the_first_row():
     """At J = 0 the ground state is all spins down and the objective is 0 in
-    every basis: the certificate's margin is 0, so it fails after its
-    6 + 4 (N // 2) evaluations, and the search stops, converged, at its
-    first row.  A budget below the certificate's stencil reports not
-    converged, as on every other ring ground state."""
+    every basis: every site is pure, so the certificate fails after its two
+    evaluations, and the search stops, converged, at its first row.  A
+    budget of one evaluation reports not converged, as on every other ring
+    ground state."""
     for n in (2, 3, 4, 7):
         gs, _ = ground_state(RingConfig(n_sites=n, coupling_j=0.0, field_b=0.3))
-        stencil = 6 + 4 * (n // 2)
         res = global_discord(gs)
-        assert res.converged and res.n_evals == stencil + 1, (n, res.n_evals)
+        assert res.converged and res.n_evals == 3, (n, res.n_evals)
         assert res.value == 0.0 and math.copysign(1.0, res.value) == 1.0
         assert res.basis is None and res.hessian_margin is None
-        res = global_discord(gs, OptimizerConfig(max_evals=stencil - 1))
-        assert not res.converged and res.n_evals == stencil - 1, n
+        res = global_discord(gs, OptimizerConfig(max_evals=1))
+        assert not res.converged and res.n_evals == 1, n
 
 
 def test_ring_symmetry_alone_does_not_take_the_certified_path():
@@ -416,35 +442,61 @@ def test_fallback_search_reaches_the_best_known_minima():
                 assert abs(ref - res.value) <= 1e-9, (label, uniform, ref, res.value)
 
 
-def test_hessian_margin_matches_full_oracle_hessian():
-    """The two scalar circulants give the smallest eigenvalue of the full
-    2N x 2N tilt Hessian of the reference objective, whose e1-e2 couplings
-    vanish, as the certificate assumes: 0.0 on the sigma^x branch, and on
-    the sigma^z branch up to 2.3e-9, the objective's rounding divided by
-    the stencil's 4 h^2."""
+def test_hessian_margin_matches_richardson_oracle_rows():
+    """Site 0's rows of the tilt Hessian of the reference objective, by
+    central differences at h = 1e-2 and 5e-3 and Richardson extrapolation,
+    give the closed-form margin within 1e-8 relative: the smallest
+    eigenvalue of the a-a and b-b circulants these rows define.  Their a-b
+    coupling vanishes, as the certificate assumes.  On the sigma^z branch
+    every tilt mode moves weight onto a zero outcome, so the margin is
+    None there.  On random real states the same extrapolation gives both
+    of ``_tilt_rows``' rows within 1e-5 of their largest entry (the 5e-3
+    rows alone miss by up to 2.7e-4)."""
     for n in (3, 4, 5):
+        phases = np.cos(2.0 * math.pi * np.outer(range(n), range(n)) / n)
+        # (a_0, a_j) and (b_0, b_j) for every j, then one a-b coupling
+        entries = [(d, 2 * j + d) for d in (0, 1) for j in range(n)] + [(0, 3)]
         for ratio in (0.5, CROSSOVER[n] - 0.015, 3.0):
             gs = ring(n, ratio)
             res = global_discord(gs)
-            hess = oracles.tilt_hessian(gs.amplitudes, n, res.basis)
-            assert np.abs(hess[0::2, 1::2]).max() <= 1e-8, (n, ratio)
-            lam = np.linalg.eigvalsh(hess)[0]
-            assert abs(res.hessian_margin - lam) <= 1e-4 * abs(lam), (n, ratio)
+            if res.basis == "z":
+                assert res.hessian_margin is None, (n, ratio)
+                continue
+            coarse, fine = (oracles.tilt_hessian_entries(gs.amplitudes, n, res.basis, h, entries)
+                            for h in (1e-2, 5e-3))
+            values = (4.0 * fine - coarse) / 3.0
+            assert abs(values[-1]) <= 1e-9, (n, ratio)
+            lam = (values[:-1].reshape(2, n) @ phases).min()
+            assert abs(res.hessian_margin - lam) <= 1e-8 * abs(lam), (n, ratio)
+    # The rows themselves, b-b too, which no margin above reaches, on random
+    # real states: both local terms count there, and no row is a circulant.
+    rng = np.random.default_rng(5)
+    for n in (3, 4):
+        psi = rng.standard_normal(2 ** n)
+        psi /= np.linalg.norm(psi)
+        entries = [(d, 2 * j + d) for d in (0, 1) for j in range(n)]
+        _, bases, _, flips, signs = _certificate_rows(n)
+        for k, basis in enumerate(_FRAMES):
+            phi = _outcome_amplitudes(psi, bases[0][k:k + 1])[0].real
+            coarse, fine = (oracles.tilt_hessian_entries(psi, n, basis, h, entries)
+                            for h in (1e-2, 5e-3))
+            expected = ((4.0 * fine - coarse) / 3.0).reshape(2, n)
+            rows = _tilt_rows(phi, flips, signs)[0]
+            assert np.abs(rows - expected).max() <= 1e-5 * np.abs(expected).max(), (n, basis)
 
 
 def test_certificate_rows_are_built_once_per_ring_size_and_read_only():
     """A second certificate at the same N builds nothing, no caller can
-    write into the shared rows, each result owns its argmin, and a rebuilt
-    cache gives the same bits."""
+    write into the shared tables, each result owns its argmin, and a
+    rebuilt cache gives the same bits."""
     gs = ring(5, 0.9)
     _certificate_rows.cache_clear()
     first = global_discord(gs)
     second = global_discord(gs)
     info = _certificate_rows.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    centres, stencils, index, phases, (centre_bases, stencil_bases) = _certificate_rows(5)
-    cached = [*centre_bases, *(table for pair in stencil_bases for table in pair)]
-    for table in (centres, *stencils, index, phases, *cached):
+    centres, bases, *tables = _certificate_rows(5)
+    for table in (centres, *bases, *tables):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table.flat[0] = 0
@@ -457,7 +509,7 @@ def test_certificate_rows_are_built_once_per_ring_size_and_read_only():
     _certificate_rows.cache_clear()
     rebuilt = global_discord(gs)
     for res in (third, rebuilt):
-        assert res.basis == "x" and res.n_evals == 14
+        assert res.basis == "x" and res.n_evals == 2
     assert rebuilt.value.hex() == third.value.hex()
     assert rebuilt.hessian_margin.hex() == third.hessian_margin.hex()
     assert np.array_equal(rebuilt.argmin_angles, kept)
@@ -465,49 +517,65 @@ def test_certificate_rows_are_built_once_per_ring_size_and_read_only():
 
 def test_certified_calls_take_the_cached_bases(monkeypatch):
     """The cached R^dagger stacks and unit axes are ``_row_bases`` of the
-    cached rows, bit for bit, and a certificate whose rows are cached
-    computes neither: the objective takes them.  Its values equal those of
-    the objective computing them from the angles, bit for bit, also cut to
-    fewer rows."""
+    centre rows, bit for bit, and the objective gives the same values from
+    them as from the angles, also cut to one row.  A certified call makes
+    one objective call, on the two centre rows, and computes no rotation
+    matrix and no unit axis."""
     for n in (3, 5, 12):
-        centres, stencils, _, _, (centre_bases, stencil_bases) = _certificate_rows(n)
+        centres, bases, *_ = _certificate_rows(n)
         objective = _objective_factory(ring(n, 0.9))
-        for rows, bases in ((centres, centre_bases), *zip(stencils, stencil_bases)):
-            for table, fresh in zip(bases, _row_bases(rows)):
-                assert np.array_equal(table, fresh) and table.strides == fresh.strides
-            for cut in (1, len(rows)):
-                taken = objective(rows[:cut], tuple(table[:cut] for table in bases))
-                assert taken.tolist() == objective(rows[:cut]).tolist(), (n, cut)
+        for table, fresh in zip(bases, _row_bases(centres)):
+            assert np.array_equal(table, fresh) and table.strides == fresh.strides
+        for cut in (1, 2):
+            taken = objective(centres[:cut], tuple(table[:cut] for table in bases))
+            assert taken.tolist() == objective(centres[:cut]).tolist(), (n, cut)
     calls = []
     for name in ("rotation_matrix", "_unit"):
         real = getattr(gd_module, name)
         monkeypatch.setattr(gd_module, name,
                             lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    res = global_discord(ring(5, 0.9))
-    assert res.basis == "x" and calls == []
+    factory = gd_module._objective_factory
+
+    def counting_factory(gs):
+        objective = factory(gs)
+        return lambda rows, bases=None: calls.append(len(rows)) or objective(rows, bases)
+
+    monkeypatch.setattr(gd_module, "_objective_factory", counting_factory)
+    for ratio in (0.9, 3.0):
+        res = global_discord(ring(5, ratio))
+        assert res.basis == ("x" if ratio < 1 else "z") and calls == [2], ratio
+        calls.clear()
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_certificate_rows_match_the_tilt_chart(n):
-    """Each cached row, as unit axes, is the oracle's normalize(n0 + a e1 +
-    b e2) at the probe ``_certificate_rows`` lists: both centres, the
-    gradient's four probes at site 0, then the couplings' two per (d, j)."""
-    h = _STEP
-    probes = [[(0, d, step)] for step in (h, -h) for d in (0, 1)]
-    probes += [[(0, d, h), (j, d, step)] for d in (0, 1)
-               for j in range(1, n // 2 + 1) for step in (h, -h)]
-    centres, stencils, _, _, _ = _certificate_rows(n)
+    """Both centres are the oracle's chart normalize(n0 + a e1 + b e2) at
+    zero tilt, and the moves the certificate builds from ``flips`` and
+    ``signs`` are the chart's: tilting site j by t along a moves the outcome
+    amplitudes phi to phi + t g_j - t^2 phi / 8, and along b to
+    phi - i t k_j - t^2 phi / 8, with g_j(s) = sigma_j(s) phi(s xor e_j) / 2
+    and k_j(s) = phi(s xor e_j) / 2.  In the sigma^x basis e1 = z is -x
+    in the frame of phi, so there t flips sign, which no second derivative
+    sees.  Checked on the outcome probabilities by central differences of
+    step 1e-4."""
+    h = 1e-4
+    centres, bases, _, flips, signs = _certificate_rows(n)
+    psi = ring(n, 0.9).amplitudes
     for k, basis in enumerate(_FRAMES):
         zero = np.zeros(n)
         assert np.abs(_unit(centres[k]) - oracles.tilted_axes(basis, zero, zero)).max() <= 1e-15
-        expected = []
-        for probe in probes:
-            tilt = np.zeros((2, n))
-            for site, d, step in probe:
-                tilt[d, site] += step
-            expected.append(oracles.tilted_axes(basis, *tilt))
-        assert stencils[k].shape == (4 + 4 * (n // 2), n, 2)
-        assert np.abs(_unit(stencils[k]) - np.array(expected)).max() <= 1e-15, (n, basis)
+        phi = _outcome_amplitudes(psi, bases[0][k:k + 1])[0].real
+        moves = {0: signs * phi[flips], 1: 0.5 * phi[flips]}
+        for d, move in moves.items():
+            tilts = np.zeros((2, n, 2, n))
+            tilts[0, :, d], tilts[1, :, d] = h * np.eye(n), -h * np.eye(n)
+            axes = [oracles.tilted_axes(basis, *tilt) for tilt in tilts.reshape(-1, 2, n)]
+            plus, minus = outcome_probs(psi, _angles(np.array(axes))).reshape(2, n, -1)
+            slope = (1.0 if basis == "z" else -1.0) * 2.0 * phi * move if d == 0 else 0.0
+            curvature = 2.0 * move ** 2 - 0.5 * phi ** 2
+            assert np.abs((plus - minus) / (2.0 * h) - slope).max() <= 1e-8, (n, basis, d)
+            assert np.abs((plus + minus - 2.0 * phi ** 2) / h ** 2 - curvature).max() <= 1e-6, \
+                (n, basis, d)
 
 
 def test_search_never_beats_the_certified_value(search):

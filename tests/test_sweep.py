@@ -512,9 +512,9 @@ def test_metadata_records_configuration():
 
 def test_pair_record_builds_one_bloch_form_and_one_spectrum(monkeypatch):
     """A pair record hands one Bloch form and one joint entropy to all of
-    its measures: one ``_bloch`` and two eigvalsh calls (the X state's
-    validation and the entropy), where it took five and seven; its values
-    are the public measures' bit for bit."""
+    its measures: one ``_bloch`` and one eigvalsh call (the X state's
+    validation, whose spectrum gives the entropy), where it took five and
+    seven; its values are the public measures' bit for bit."""
     gs, _ = ground_state(RingConfig(n_sites=6, coupling_j=1.0, field_b=0.9))
     counts = {"_bloch": 0, "eigvalsh": 0}
 
@@ -530,7 +530,7 @@ def test_pair_record_builds_one_bloch_form_and_one_spectrum(monkeypatch):
     counting(np.linalg, "eigvalsh")
     record = sweep_module._pair_record(gs, OptimizerConfig(seed=2), (0, 2))
     monkeypatch.undo()
-    assert counts == {"_bloch": 1, "eigvalsh": 2}
+    assert counts == {"_bloch": 1, "eigvalsh": 1}
     pair = reduced_two_spin(gs, 0, 2)
     expected = {"sites": [0, 2], "discord": discord(pair),
                 "discord_a_measured": discord(pair, direction="a->b"),
