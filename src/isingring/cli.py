@@ -36,6 +36,7 @@ from .sweep import (
     _checked_ratios,
     _normalize_measures,
     _stalls,
+    _table_settings,
     default_ratio_grid,
     find_peak,
     fit_scaling,
@@ -316,11 +317,12 @@ def _cmd_fit(args):
             else SweepTable.from_csv
         )
         table = loader(path)
+        n_sites = _table_settings(table.metadata)[0]
         peak = find_peak(table, "gd")
-        points.append((table.metadata["n_sites"], peak.value))
+        points.append((n_sites, peak.value))
         peaks.append(
             {
-                "n_sites": table.metadata["n_sites"],
+                "n_sites": n_sites,
                 "ratio_star": peak.ratio_star,
                 "value": peak.value,
                 "boundary": peak.boundary,

@@ -19,10 +19,8 @@ class CapacityError(ValueError):
 class EigensolverError(RuntimeError):
     """Eigensolver failed to produce a trustworthy eigenpair."""
 
-    def __init__(self, message: str, residual: float | None = None):
-        if residual is not None:
-            message = f"{message} (residual norm {residual:.3e})"
-        super().__init__(message)
+    def __init__(self, message: str, residual: float):
+        super().__init__(f"{message} (residual norm {residual:.3e})")
         self.residual = residual
 
 

@@ -9,14 +9,16 @@ the definition, evaluated with explicit projector sums.
 A state that ``ring.ground_state`` returned is first tried on a certified
 path: the better of the all-sigma^x and all-sigma^z bases (two scored rows),
 accepted when the exact gradient and tilt Hessian there show a strict local
-minimum.  That it is also the global one rests on the tests, where no
-search over ring ground states beats it.  Other states with the ring's
-symmetry need not share this (the tests hold ones whose minimum lies in a
-tilted basis), so every other state, a copy of a ground state's amplitudes
-included, and every failed certificate, goes to the multi-start search:
-one Newton polish (:mod:`newton`) per start, on an objective that scores a
-whole batch of angle rows per call.  The budget ``max_evals`` counts
-objective rows.
+minimum.  One cascade with the cached real R^dagger of both centres gives
+their real outcome amplitudes; the objective's own terms score them, and
+the winner's feed the Hessian.  That it is also the global minimum rests
+on the tests, where no search over ring ground states beats it.  Other
+states with the ring's symmetry need not share this (the tests hold ones
+whose minimum lies in a tilted basis), so every other state, a copy of a
+ground state's amplitudes included, and every failed certificate, goes to
+the multi-start search: one Newton polish (:mod:`newton`) per start, on an
+objective that scores a whole batch of angle rows per call.  The budget
+``max_evals`` counts scored rows, the certificate's two included.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (_MINUS_LN2, PureState, _angles, _entropy_bits, _gram, _h2,
-                      _unit, as_angles, rotation_matrix)
+from .density import (_MINUS_LN2, PureState, _entropy_bits, _gram, _h2, _unit,
+                      as_angles, rotation_matrix)
 from .errors import _check_integer
 from .newton import _polish
 from .ring import _GroundState
@@ -49,13 +51,9 @@ _MARGIN_TOL = 1e-6
 _ZERO_PROB = 1e-24
 _STRICT_TOL = 1e-12
 
-#: Candidate bases as rows (n0, e1, e2): the measured axis shared by every
-#: site and the two tilt directions spanning its orthogonal complement.  On
-#: a tie the first, z, is kept.
-_FRAMES = {
-    "z": np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-    "x": np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
-}
+#: The certificate's centres: the (theta, phi) shared by every site of the
+#: all-sigma^z and all-sigma^x bases.  On a tie the first, z, is kept.
+_CENTRES = {"z": (0.0, 0.0), "x": (math.pi / 2.0, 0.0)}
 
 
 @dataclass(frozen=True)
@@ -137,17 +135,10 @@ class OptimizerConfig:
         return max(16, 4 * n_sites)
 
 
-def _row_bases(ang: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R_j^dagger, as (rows, N, 2, 2), and the unit axis n_j, as (rows, N,
-    3), of every site of the (rows, N, 2) angle rows."""
-    rdag = rotation_matrix(ang[..., 0], ang[..., 1]).conj().swapaxes(-1, -2)
-    return rdag, _unit(ang)
-
-
 def _outcome_amplitudes(amps: np.ndarray, rdag: np.ndarray) -> np.ndarray:
     """Amplitudes of all 2^N outcomes of the product measurement, one row
-    per basis of the (rows, N, 2, 2) stack of R_j^dagger (``_row_bases``);
-    their squared moduli are the outcome probabilities.
+    per basis of the (rows, N, 2, 2) stack of R_j^dagger, real if both inputs
+    are; their squared moduli are the outcome probabilities.
 
     Each site in turn leads the amplitudes viewed as (rows, 2, 2^(N-1)),
     takes its R_j^dagger in one (2 x 2) @ (2 x 2^(N-1)) product per row, and
@@ -163,14 +154,12 @@ def _outcome_amplitudes(amps: np.ndarray, rdag: np.ndarray) -> np.ndarray:
 
 
 def _objective_factory(gs: PureState):
-    """Closure evaluating the pure-state objective on angle rows of shape
-    ``(rows, n_sites, 2)``, one value per row.
-
-    Site j, with Bloch vector r_j, measured along n_j has the local term
-    h((1 + n_j.r_j) / 2) - h((1 + |r_j|) / 2); the r_j are computed once.
-    ``bases``, when given, is ``_row_bases(ang)`` computed beforehand, as
-    the certificate's cached rows carry it.  Angles come from the optimizer
-    already shaped, so nothing is validated.
+    """``(score, objective)``: the pure-state objective of angle rows of
+    shape ``(rows, n_sites, 2)``, one value per row, and ``score``, the same
+    from the rows' outcome amplitudes and unit axes, as the certificate
+    caches them.  Site j, with Bloch vector r_j, measured along n_j has the
+    local term h((1 + n_j.r_j) / 2) - h((1 + |r_j|) / 2); the r_j are
+    computed once.  Angles come already shaped, so nothing is validated.
     """
     tensor = gs.as_tensor()
     rho1 = np.array([_gram(tensor, (j,)) for j in range(gs.n_sites)])
@@ -179,13 +168,15 @@ def _objective_factory(gs: PureState):
     base = _h2(0.5 + 0.5 * np.linalg.norm(bloch, axis=1))
     amps = gs.amplitudes
 
-    def objective(ang: np.ndarray, bases: tuple | None = None) -> np.ndarray:
-        rdag, units = _row_bases(ang) if bases is None else bases
+    def score(outcomes: np.ndarray, units: np.ndarray) -> np.ndarray:
         local = _h2(0.5 + 0.5 * np.sum(units * bloch, axis=-1)) - base
-        return (_entropy_bits(np.abs(_outcome_amplitudes(amps, rdag)) ** 2, axis=-1)
-                - np.sum(local, axis=-1))
+        return _entropy_bits(np.abs(outcomes) ** 2, axis=-1) - np.sum(local, axis=-1)
 
-    return objective
+    def objective(ang: np.ndarray) -> np.ndarray:
+        rdag = rotation_matrix(ang[..., 0], ang[..., 1]).conj().swapaxes(-1, -2)
+        return score(_outcome_amplitudes(amps, rdag), _unit(ang))
+
+    return score, objective
 
 
 def gd_objective(gs: PureState, angles) -> float:
@@ -194,33 +185,28 @@ def gd_objective(gs: PureState, angles) -> float:
     Equals H(lambda) - sum_j [S(Pi_j(rho_j)) - S(rho_j)] where lambda is the
     measured spectrum; the global entropy term vanishes for pure states.
     """
-    return float(_objective_factory(gs)(as_angles(angles, gs.n_sites)[None])[0])
+    return float(_objective_factory(gs)[1](as_angles(angles, gs.n_sites)[None])[0])
 
 
 class _BudgetTracker:
-    """Wraps the objective, counting scored rows and keeping the best row."""
+    """Counts the rows scored against ``max_evals`` and keeps the best row."""
 
-    def __init__(self, objective, max_evals: int):
-        self._objective = objective
+    def __init__(self, max_evals: int):
         self.max_evals = max_evals
         self.n_evals = 0
         self.best_value = math.inf
         self.best_angles = None
 
-    def __call__(self, rows: np.ndarray, zero_tol: float = -math.inf,
-                 stop: int | None = None, bases: tuple | None = None) -> np.ndarray:
-        """Values of the (rows, N, 2) angle rows that fit before ``max_evals``
-        and ``stop``, counted up to the first <= ``zero_tol``.  ``bases``,
-        when given, is the rows' ``_row_bases``, cut to the same rows.  Keeps
-        the best row, then raises ``_ZeroReached`` or ``_BudgetExhausted``
-        if it stopped short of the last row."""
-        end = self.max_evals if stop is None else min(stop, self.max_evals)
-        fit = rows[:max(end - self.n_evals, 0)]
+    def __call__(self, rows: np.ndarray, cost, zero_tol: float, stop: int) -> np.ndarray:
+        """Values of the (rows, N, 2) angle rows that fit before
+        ``max_evals`` and ``stop``, as ``cost`` of that leading slice gives
+        them, counted up to the first <= ``zero_tol``.  Keeps the best row,
+        then raises ``_ZeroReached`` or ``_BudgetExhausted`` if it stopped
+        short of the last row."""
+        fit = rows[:max(min(stop, self.max_evals) - self.n_evals, 0)]
         if not len(fit):
             raise _BudgetExhausted
-        if bases is not None:
-            bases = tuple(table[:len(fit)] for table in bases)
-        values = self._objective(fit, bases)
+        values = cost(fit)
         zeros = np.flatnonzero(values <= zero_tol)
         counted = int(zeros[0]) + 1 if zeros.size else len(fit)
         self.n_evals += counted
@@ -243,22 +229,25 @@ class _ZeroReached(Exception):
 
 
 @functools.lru_cache(maxsize=None)
-def _certificate_rows(n: int) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray, np.ndarray]:
+def _certificate_rows(n: int) -> tuple[np.ndarray, ...]:
     """The certificate's tables, which depend on N only: the uniform rows
-    ``centres`` of the bases of ``_FRAMES``, their ``_row_bases``, the
-    ``phases`` taking circulant rows to spectra, and, per site j and outcome
-    s, ``flips[j, s]`` = s xor e_j and ``signs[j, s]`` = sigma_j(s) / 2."""
-    centres = _angles(np.array([np.tile(f[0], (n, 1)) for f in _FRAMES.values()]))
+    ``centres`` of the bases of ``_CENTRES``, their real R_j^dagger stack
+    ``rdag`` and unit axes ``units``, the ``phases`` taking circulant rows
+    to spectra, and, per site j and outcome s, ``flips[j, s]`` = s xor e_j
+    and ``signs[j, s]`` = sigma_j(s) / 2."""
+    centres = np.array([np.tile(centre, (n, 1)) for centre in _CENTRES.values()])
+    # at phi = 0 every R_j^dagger is real, so a real state's cascade stays real
+    rdag = rotation_matrix(centres[..., 0], centres[..., 1]).swapaxes(-1, -2).real.copy()
     sites = np.arange(n)
     phases = np.cos(2.0 * math.pi * np.outer(sites, sites) / n)
     bits = 1 << (n - 1 - sites)[:, None]
     flips = np.arange(2 ** n) ^ bits
     signs = np.where(np.arange(2 ** n) & bits, -0.5, 0.5)
-    bases = _row_bases(centres)
+    tables = (centres, rdag, _unit(centres), phases, flips, signs)
     # every certificate of this ring size shares them, so none may write
-    for table in (centres, *bases, phases, flips, signs):
+    for table in tables:
         table.setflags(write=False)
-    return centres, bases, phases, flips, signs
+    return tables
 
 
 def _tilt_rows(phi: np.ndarray, flips: np.ndarray, signs: np.ndarray):
@@ -293,7 +282,7 @@ def _tilt_rows(phi: np.ndarray, flips: np.ndarray, signs: np.ndarray):
     return rows, zero, 2.0 * abs(g0 @ phi_log) / math.log(2.0)
 
 
-def _certify(tracker: _BudgetTracker, gs: PureState) -> GDResult | None:
+def _certify(tracker: _BudgetTracker, score, gs: PureState) -> GDResult | None:
     """The better uniform basis, if it is a strict local minimum; else None.
 
     Only ring ground states get here.  They are real and parity eigenstates,
@@ -301,15 +290,17 @@ def _certify(tracker: _BudgetTracker, gs: PureState) -> GDResult | None:
     ring's symmetry makes the tilt Hessian two circulants, whose rows
     ``_tilt_rows`` gives.  A zero outcome grows like t^2 log(1/t) along a
     mode weighing on it above ``_STRICT_TOL``, so that mode is strict, and
-    the others give ``hessian_margin``.  Scores the two centres in one call
-    and no other row.  Raises ``_BudgetExhausted`` when the budget runs out.
+    the others give ``hessian_margin``.  One real cascade gives both
+    centres' outcome amplitudes; ``score`` (the objective's) scores them as
+    one tracker call, and ``_tilt_rows`` reads the winner's.  Raises
+    ``_BudgetExhausted`` when the budget runs out.
     """
-    centres, bases, phases, flips, signs = _certificate_rows(gs.n_sites)
-    values = dict(zip(_FRAMES, tracker(centres, bases=bases)))
-    basis = min(values, key=values.get)
-    k = list(_FRAMES).index(basis)
-    found = _tilt_rows(_outcome_amplitudes(gs.amplitudes, bases[0][k:k + 1])[0].real,
-                       flips, signs)
+    centres, rdag, units, phases, flips, signs = _certificate_rows(gs.n_sites)
+    outcomes = _outcome_amplitudes(gs.amplitudes, rdag)
+    values = tracker(centres, lambda fit: score(outcomes[:len(fit)], units[:len(fit)]),
+                     -math.inf, tracker.max_evals)
+    k = int(np.argmin(values))
+    found = _tilt_rows(outcomes[k], flips, signs)
     if found is None:
         return None
     rows, zero, grad = found
@@ -317,9 +308,9 @@ def _certify(tracker: _BudgetTracker, gs: PureState) -> GDResult | None:
     margin = float(spectra.min()) if spectra.size else None
     if not (grad <= _GRAD_TOL and (margin is None or margin >= _MARGIN_TOL)):
         return None
-    return GDResult(value=float(values[basis]), argmin_angles=centres[k].copy(),
+    return GDResult(value=float(values[k]), argmin_angles=centres[k].copy(),
                     n_restarts=0, converged=True, n_evals=tracker.n_evals,
-                    basis=basis, hessian_margin=margin)
+                    basis=list(_CENTRES)[k], hessian_margin=margin)
 
 
 def global_discord(gs: PureState, opt: OptimizerConfig | None = None) -> GDResult:
@@ -337,20 +328,21 @@ def global_discord(gs: PureState, opt: OptimizerConfig | None = None) -> GDResul
     """
     if opt is None:
         opt = OptimizerConfig()
-    tracker = _BudgetTracker(_objective_factory(gs), opt.max_evals)
+    tracker = _BudgetTracker(opt.max_evals)
+    score, objective = _objective_factory(gs)
     if isinstance(gs, _GroundState):
         try:
-            result = _certify(tracker, gs)
+            result = _certify(tracker, score, gs)
         except _BudgetExhausted:
             return GDResult(value=float(tracker.best_value),
                             argmin_angles=tracker.best_angles, n_restarts=0,
                             converged=False, n_evals=tracker.n_evals)
         if result is not None:
             return result
-    return _search(tracker, gs.n_sites, opt)
+    return _search(tracker, objective, gs.n_sites, opt)
 
 
-def _search(tracker: _BudgetTracker, n: int, opt: OptimizerConfig) -> GDResult:
+def _search(tracker: _BudgetTracker, objective, n: int, opt: OptimizerConfig) -> GDResult:
     """Multi-start Newton polish over the 2N angles (or one shared pair).
 
     The starts are the all-z and all-x bases, the best point of a coarse
@@ -369,7 +361,7 @@ def _search(tracker: _BudgetTracker, n: int, opt: OptimizerConfig) -> GDResult:
         when it converged."""
         def cost(x, live):
             return tracker(np.tile(x[0].reshape(-1, k, 2), (1, n // k, 1)),
-                           _ZERO_TOL, stop)[None]
+                           objective, _ZERO_TOL, stop)[None]
 
         with contextlib.suppress(_BudgetExhausted):
             return bool(_polish(cost, x0[None, None])[1][0])
@@ -382,8 +374,9 @@ def _search(tracker: _BudgetTracker, n: int, opt: OptimizerConfig) -> GDResult:
         grid = np.array(list(itertools.product(np.linspace(0.0, math.pi, 13),
                                                np.linspace(0.0, math.pi, 8))))
         with contextlib.suppress(_BudgetExhausted):
-            tracker(np.tile(grid[:, None], (1, n, 1)), _ZERO_TOL)
-        starts = [np.tile(_angles(frame[0]), k) for frame in _FRAMES.values()]
+            tracker(np.tile(grid[:, None], (1, n, 1)), objective, _ZERO_TOL,
+                    tracker.max_evals)
+        starts = [np.tile(centre, k) for centre in _CENTRES.values()]
         starts.append(tracker.best_angles[:k].ravel())
         if len(starts) < opt.n_restarts(n):
             # only random starts load numpy.random

@@ -146,13 +146,9 @@ def _warn_if_stalled(converged: np.ndarray) -> None:
                       "value found", ConvergenceWarning, stacklevel=4)
 
 
-#: ``discord`` direction -> the measured sides, in the order they are scored.
-_MEASURED = {"b->a": "b", "a->b": "a", "sym": "ba"}
-
-
-def _discords(pair: _Pair, measured: str) -> list[float]:
-    """The one-sided discords of ``pair``, one per side named in
-    ``measured`` ("a" or "b"), from one lockstep search over all of them.
+def _discords(pair: _Pair) -> list[float]:
+    """The discords of ``pair`` with A measured and with B measured, from
+    one lockstep search over both sides.
 
     Each side's conditional entropy is scored on its 7 probe axes and
     polished by Newton steps from the best of them; side A is measured on
@@ -161,7 +157,7 @@ def _discords(pair: _Pair, measured: str) -> list[float]:
     if not is_x_pattern(pair.matrix):
         warnings.warn("input is not an X state; the minimum rests on the "
                       "numerical search", NonXStateWarning, stacklevel=3)
-    forms = np.stack([pair.bloch.T if side == "a" else pair.bloch for side in measured])
+    forms = np.stack([pair.bloch.T, pair.bloch])
     h_min, converged = newton._polish(
         lambda x, live: _conditional_entropy(forms[live], _unit(x)),
         _probe_angles(forms))
@@ -171,31 +167,26 @@ def _discords(pair: _Pair, measured: str) -> list[float]:
     return [max(float(s - pair.entropy + h), 0.0) for s, h in zip(s_b, h_min)]
 
 
-def discord(rho: DensityMatrix, direction: str = "sym") -> float:
-    """Quantum discord of a two-qubit state, in bits.
+def discord(rho: DensityMatrix) -> float:
+    """Symmetrized quantum discord of a two-qubit state, in bits: the larger
+    of the two one-sided discords (``one_sided_discords``).
 
-    ``direction`` selects the measured side: ``"b->a"`` measures the second
-    qubit, ``"a->b"`` the first, and ``"sym"`` returns the maximum of the two
-    (the symmetrized discord).  Each measured side's conditional entropy is
-    scored on its 7 probe axes and polished by Newton steps from the best of
-    them; ``"sym"`` runs both sides in one lockstep search
-    (``newton._polish``), so they share every kernel call.  It warns
-    :class:`ConvergenceWarning`, once, when a side's polish reaches its step
-    cap.  On X states the probe axes reproduce the semi-closed formula's
-    minimum; on other states the same search is a numerical minimum only,
-    and a :class:`NonXStateWarning` says so.
+    Each measured side's conditional entropy is scored on its 7 probe axes
+    and polished by Newton steps from the best of them; both sides run in
+    one lockstep search (``newton._polish``), so they share every kernel
+    call.  It warns :class:`ConvergenceWarning`, once, when a side's polish
+    reaches its step cap.  On X states the probe axes reproduce the
+    semi-closed formula's minimum; on other states the same search is a
+    numerical minimum only, and a :class:`NonXStateWarning` says so.
     """
-    pair = _pair_form(rho)
-    if direction not in _MEASURED:
-        raise ValueError(f"unknown direction {direction!r}")
-    return max(_discords(pair, _MEASURED[direction]))
+    return max(_discords(_pair_form(rho)))
 
 
 def one_sided_discords(rho: DensityMatrix) -> tuple[float, float]:
     """The discords with A measured ("a->b") and with B measured ("b->a"),
     in bits, from the one lockstep search of ``discord(rho)``, which is the
     larger of the two."""
-    d_a, d_b = _discords(_pair_form(rho), "ab")
+    d_a, d_b = _discords(_pair_form(rho))
     return d_a, d_b
 
 

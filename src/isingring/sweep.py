@@ -18,7 +18,7 @@ import os
 import tempfile
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -427,19 +427,32 @@ class PeakResult:
     n_evals: int
 
 
+def _table_settings(meta: dict) -> tuple[int, OptimizerConfig]:
+    """The ring size and optimizer settings a table's metadata records; a
+    missing or malformed ``n_sites`` or ``optimizer`` raises ValueError
+    naming the key."""
+    if "n_sites" not in meta:
+        raise ValueError("table metadata has no 'n_sites'")
+    given = meta.get("optimizer") or {}
+    if not isinstance(given, dict):
+        raise ValueError(f"table metadata 'optimizer' must be a mapping, got {given!r}")
+    # older tables carry xatol and fatol as optimizer fields, and some a
+    # coupling_j, ignored since every measure depends on B/J alone
+    given = {k: v for k, v in given.items() if k not in ("xatol", "fatol")}
+    unknown = sorted(given.keys() - {f.name for f in fields(OptimizerConfig)})
+    if unknown:
+        raise ValueError(f"table metadata 'optimizer' has unknown fields {unknown}")
+    return _check_integer("n_sites", meta["n_sites"]), OptimizerConfig(**given)
+
+
 def _make_evaluator(table: SweepTable, column: str):
     """Re-evaluator for a measure column at an arbitrary ratio.
 
-    Reconstructs the measure from the table metadata so refinement probes
-    the actual function, under the same optimizer settings and seed.
+    Reconstructs the measure from the table metadata (``_table_settings``)
+    so refinement probes the actual function, under the same optimizer
+    settings and seed.
     """
-    meta = table.metadata
-    n_sites = meta["n_sites"]
-    # older tables carry xatol and fatol as optimizer fields, and some a
-    # coupling_j, ignored since every measure depends on B/J alone
-    opt_fields = {k: v for k, v in (meta.get("optimizer") or {}).items()
-                  if k not in ("xatol", "fatol")}
-    opt = OptimizerConfig(**opt_fields)
+    n_sites, opt = _table_settings(table.metadata)
     _, record_of, columns = _MEASURES[_REFINABLE[column]]
 
     def evaluate(ratio: float) -> float:

@@ -27,6 +27,6 @@ def search():
     """The multi-start search alone, which ring ground states skip when
     their certificate holds: ``search(gs, opt)``."""
     def run(gs, opt):
-        return _search(_BudgetTracker(_objective_factory(gs), opt.max_evals),
+        return _search(_BudgetTracker(opt.max_evals), _objective_factory(gs)[1],
                        gs.n_sites, opt)
     return run

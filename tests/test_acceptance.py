@@ -222,7 +222,7 @@ def test_criterion_05_hierarchy_suite():
     n_cases = 0
     for k in range(500):
         mat = oracles.random_x_matrix(rng)
-        d = discord(mat, direction="sym")
+        d = discord(mat)
         a = amid(mat, seed=k)
         m = mid(mat)
         n_cases += 1

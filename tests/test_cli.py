@@ -19,7 +19,7 @@ from isingring.cli import _parse_ratio_grid, build_parser, main
 from isingring.errors import ConvergenceWarning
 from isingring.global_discord import OptimizerConfig, global_discord
 from isingring.ring import RingConfig, ground_state
-from isingring.sweep import SweepTable, _q12, sweep
+from isingring.sweep import SweepTable, _q12, find_peak, sweep
 
 # ``isingring.sweep`` the attribute is the function; this is the module.
 sweep_module = importlib.import_module("isingring.sweep")
@@ -572,6 +572,28 @@ def test_fit_from_tables(capsys, tmp_path):
     table.to_csv(old_file)
     code, out, _ = run_cli(capsys, "fit", "--tables", old_file)
     assert code == 0 and json.loads(out)["peaks"] == [peak]
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("n_sites", lambda meta: meta.pop("n_sites")),
+    ("optimizer", lambda meta: meta.update(optimizer=[1, 2])),
+    ("bogus", lambda meta: meta["optimizer"].update(bogus=1)),
+])
+def test_fit_rejects_bad_table_metadata_naming_the_key(capsys, tmp_path, key, edit):
+    """A table whose metadata lacks ``n_sites``, or whose ``optimizer`` is not
+    a mapping of optimizer fields, fails with exit 3 and a message naming
+    the key, not a bare KeyError or TypeError; ``find_peak`` raises the same
+    ValueError."""
+    table_file = os.fspath(tmp_path / "n3.csv")
+    run_cli(capsys, "sweep", "--n", "3", "--ratio-grid", "0.5,0.6,0.7,0.85,1.0",
+            "--measures", "gd", "--uniform-angles", "--out", table_file)
+    table = SweepTable.from_csv(table_file)
+    edit(table.metadata)
+    table.to_csv(table_file)
+    code, out, err = run_cli(capsys, "fit", "--tables", table_file)
+    assert code == 3 and out == "" and "table metadata" in err and repr(key) in err, err
+    with pytest.raises(ValueError, match=repr(key)):
+        find_peak(SweepTable.from_csv(table_file), "gd")
 
 
 def test_fit_requires_exactly_one_source(capsys):

@@ -6,15 +6,15 @@ import pytest
 from scipy.optimize import minimize
 
 import oracles
-from isingring.density import PureState, _angles, _unit, reduced_state, von_neumann_entropy
+from isingring.density import (PureState, _angles, _unit, reduced_state, rotation_matrix,
+                               von_neumann_entropy)
 from isingring.global_discord import (
-    _FRAMES,
+    _CENTRES,
     GDResult,
     OptimizerConfig,
     _certificate_rows,
     _objective_factory,
     _outcome_amplitudes,
-    _row_bases,
     _tilt_rows,
     gd_objective,
     global_discord,
@@ -57,8 +57,14 @@ def reference_global_discord_n2(psi: np.ndarray) -> float:
     return max(best, 0.0)
 
 
+def row_rdag(ang):
+    """R_j^dagger of every site of the (rows, N, 2) angle rows, as the
+    objective builds them."""
+    return rotation_matrix(ang[..., 0], ang[..., 1]).conj().swapaxes(-1, -2)
+
+
 def outcome_probs(psi, ang):
-    return np.abs(_outcome_amplitudes(psi, _row_bases(ang)[0])) ** 2
+    return np.abs(_outcome_amplitudes(psi, row_rdag(ang))) ** 2
 
 
 def test_measured_spectrum_anchors():
@@ -75,9 +81,9 @@ def test_measured_spectrum_matches_explicit_projectors(rng):
     complex states and real ring ground states, for 1, 2 and 26 rows of
     random angles and for both certificate centres.  On the all-z rows the
     probabilities are the squared amplitudes exactly, and a real state's
-    outcome amplitudes in both centres are real: the certificate reads
-    them."""
-    centres = np.array([[_angles(f[0])] for f in _FRAMES.values()])
+    outcome amplitudes in both centres are real: the certificate's cached
+    real stack gives their real parts, bit for bit."""
+    centres = np.array([[centre] for centre in _CENTRES.values()])
     for n in range(2, 11):
         states = (oracles.random_pure(rng, n), ring(n, 0.9).amplitudes)
         for psi in states:
@@ -85,7 +91,7 @@ def test_measured_spectrum_matches_explicit_projectors(rng):
                 ang = np.stack([rng.uniform(0.0, math.pi, size=(rows, n)),
                                 rng.uniform(0.0, 2.0 * math.pi, size=(rows, n))], axis=-1)
                 ang = np.concatenate([ang, np.tile(centres, (1, n, 1))])
-                amps = _outcome_amplitudes(psi, _row_bases(ang)[0])
+                amps = _outcome_amplitudes(psi, row_rdag(ang))
                 lam = np.abs(amps) ** 2
                 for row, pairs in zip(lam, ang):
                     expected = oracles.product_probabilities(psi, pairs)
@@ -94,6 +100,9 @@ def test_measured_spectrum_matches_explicit_projectors(rng):
                 assert np.array_equal(lam[-2], np.abs(psi) ** 2), n
                 if not np.iscomplexobj(psi):
                     assert not amps[-2:].imag.any(), n
+                    real = _outcome_amplitudes(psi, _certificate_rows(n)[1])
+                    assert real.dtype == np.float64, n
+                    assert np.array_equal(real, amps[-2:].real), n
 
 
 def test_gd_result_validation():
@@ -150,7 +159,7 @@ def test_objective_scores_a_batch_exactly_as_row_by_row(rng):
     must not depend on the batch it comes in: bit for bit, not within
     rounding."""
     for n in (3, 5):
-        objective = _objective_factory(PureState(oracles.random_pure(rng, n), n))
+        objective = _objective_factory(PureState(oracles.random_pure(rng, n), n))[1]
         rows = rng.uniform(0.0, math.pi, size=(6, n, 2))
         one_by_one = [objective(row[None])[0] for row in rows]
         assert objective(rows).tolist() == one_by_one
@@ -475,14 +484,44 @@ def test_hessian_margin_matches_richardson_oracle_rows():
         psi = rng.standard_normal(2 ** n)
         psi /= np.linalg.norm(psi)
         entries = [(d, 2 * j + d) for d in (0, 1) for j in range(n)]
-        _, bases, _, flips, signs = _certificate_rows(n)
-        for k, basis in enumerate(_FRAMES):
-            phi = _outcome_amplitudes(psi, bases[0][k:k + 1])[0].real
+        _, rdag, _, _, flips, signs = _certificate_rows(n)
+        for k, basis in enumerate(_CENTRES):
+            phi = _outcome_amplitudes(psi, rdag[k:k + 1])[0]
             coarse, fine = (oracles.tilt_hessian_entries(psi, n, basis, h, entries)
                             for h in (1e-2, 5e-3))
             expected = ((4.0 * fine - coarse) / 3.0).reshape(2, n)
             rows = _tilt_rows(phi, flips, signs)[0]
             assert np.abs(rows - expected).max() <= 1e-5 * np.abs(expected).max(), (n, basis)
+
+
+#: hessian_margin on the sigma^x branch at B/J = STENCIL_RATIOS, N = 3..12,
+#: to 12 digits, from the finite-difference certificate this closed form
+#: replaced (step 1e-3); None where the basis is sigma^z.
+STENCIL_RATIOS = (0.05, 0.2, 0.5, 1.0, 1.2)
+STENCIL_MARGINS = {
+    3: (4.75030116798, 2.52522843036, 0.976174761469, 0.160299360452, None),
+    4: (4.87274446137, 2.81036219574, 1.28228057639, 0.218327029122, 0.0919083822382),
+    5: (4.87758756251, 2.85440758074, 1.40102873947, 0.242094603919, 0.0931892478739),
+    6: (4.87776403046, 2.86116771686, 1.45003195262, 0.254210331452, 0.0902312029538),
+    7: (4.87777192881, 2.86234601266, 1.47129794015, 0.261249306188, 0.0863816804753),
+    8: (4.87777224767, 2.86254555726, 1.48071731521, 0.265710062397, 0.082636757881),
+    9: (4.87777226477, 2.86258211202, 1.48498627883, 0.268718943985, 0.0792977878916),
+    10: (4.87777226366, 2.86258860038, 1.48694339175, 0.270846284067, 0.0764295613465),
+    11: (4.87777226432, 2.86258982074, 1.48785271437, 0.272406800228, 0.0740118952791),
+    12: (4.87777226177, 2.8625900429, 1.48827828195, 0.273585941457, 0.0719958022088),
+}
+
+
+def test_exact_margins_match_the_stencil_margins():
+    """The exact sigma^x margins are the stencil's within 5e-5 relative: the
+    stencil's O(h^2) bias, largest (3.9e-5) at B/J = 0.05, where some
+    outcome amplitudes are near zero, 3.4e-6 at 0.2 and below 6e-7 above."""
+    for n, margins in STENCIL_MARGINS.items():
+        for ratio, pinned in zip(STENCIL_RATIOS, margins):
+            res = global_discord(ring(n, ratio))
+            assert res.basis == ("z" if pinned is None else "x"), (n, ratio)
+            if pinned is not None:
+                assert abs(res.hessian_margin - pinned) <= 5e-5 * pinned, (n, ratio)
 
 
 def test_certificate_rows_are_built_once_per_ring_size_and_read_only():
@@ -495,8 +534,7 @@ def test_certificate_rows_are_built_once_per_ring_size_and_read_only():
     second = global_discord(gs)
     info = _certificate_rows.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    centres, bases, *tables = _certificate_rows(5)
-    for table in (centres, *bases, *tables):
+    for table in _certificate_rows(5):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table.flat[0] = 0
@@ -515,35 +553,51 @@ def test_certificate_rows_are_built_once_per_ring_size_and_read_only():
     assert np.array_equal(rebuilt.argmin_angles, kept)
 
 
-def test_certified_calls_take_the_cached_bases(monkeypatch):
-    """The cached R^dagger stacks and unit axes are ``_row_bases`` of the
-    centre rows, bit for bit, and the objective gives the same values from
-    them as from the angles, also cut to one row.  A certified call makes
-    one objective call, on the two centre rows, and computes no rotation
-    matrix and no unit axis."""
+def test_certified_calls_score_their_own_centres(monkeypatch):
+    """The cached real R^dagger stack and unit axes are the objective's, bit
+    for bit, and ``score`` gives the objective's values from the centres'
+    outcome amplitudes, also cut to one row.  A certified call makes one
+    ``_outcome_amplitudes`` call, real in and out, on both centres, and
+    computes no rotation matrix and no unit axis; ``_tilt_rows`` reads the
+    row that was scored, and the value is that row's score."""
     for n in (3, 5, 12):
-        centres, bases, *_ = _certificate_rows(n)
-        objective = _objective_factory(ring(n, 0.9))
-        for table, fresh in zip(bases, _row_bases(centres)):
-            assert np.array_equal(table, fresh) and table.strides == fresh.strides
+        centres, rdag, units, *_ = _certificate_rows(n)
+        assert rdag.dtype == np.float64 and np.array_equal(rdag, row_rdag(centres).real)
+        assert np.array_equal(units, _unit(centres))
+        score, objective = _objective_factory(ring(n, 0.9))
+        outcomes = _outcome_amplitudes(ring(n, 0.9).amplitudes, rdag)
         for cut in (1, 2):
-            taken = objective(centres[:cut], tuple(table[:cut] for table in bases))
+            taken = score(outcomes[:cut], units[:cut])
             assert taken.tolist() == objective(centres[:cut]).tolist(), (n, cut)
     calls = []
     for name in ("rotation_matrix", "_unit"):
         real = getattr(gd_module, name)
         monkeypatch.setattr(gd_module, name,
                             lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    factory = gd_module._objective_factory
+    cascade, tilt = gd_module._outcome_amplitudes, gd_module._tilt_rows
 
-    def counting_factory(gs):
-        objective = factory(gs)
-        return lambda rows, bases=None: calls.append(len(rows)) or objective(rows, bases)
+    def counting_cascade(amps, rdag):
+        out = cascade(amps, rdag)
+        calls.append(("cascade", rdag.shape, rdag.dtype, out.dtype, out))
+        return out
 
-    monkeypatch.setattr(gd_module, "_objective_factory", counting_factory)
+    def counting_tilt(phi, flips, signs):
+        calls.append(("tilt", phi))
+        return tilt(phi, flips, signs)
+
+    monkeypatch.setattr(gd_module, "_outcome_amplitudes", counting_cascade)
+    monkeypatch.setattr(gd_module, "_tilt_rows", counting_tilt)
     for ratio in (0.9, 3.0):
-        res = global_discord(ring(5, ratio))
-        assert res.basis == ("x" if ratio < 1 else "z") and calls == [2], ratio
+        gs = ring(5, ratio)
+        res = global_discord(gs)
+        k = 1 if ratio < 1 else 0
+        assert res.basis == list(_CENTRES)[k] and res.n_evals == 2, ratio
+        assert [c[0] for c in calls] == ["cascade", "tilt"], ratio
+        (_, shape, rdag_type, out_type, out), (_, phi) = calls
+        assert shape == (2, 5, 2, 2) and rdag_type == out_type == np.float64, ratio
+        assert phi is not None and np.shares_memory(phi, out) and np.array_equal(phi, out[k])
+        units = _certificate_rows(5)[2]
+        assert res.value == _objective_factory(gs)[0](phi[None], units[k:k + 1])[0]
         calls.clear()
 
 
@@ -559,12 +613,12 @@ def test_certificate_rows_match_the_tilt_chart(n):
     sees.  Checked on the outcome probabilities by central differences of
     step 1e-4."""
     h = 1e-4
-    centres, bases, _, flips, signs = _certificate_rows(n)
+    _, rdag, units, _, flips, signs = _certificate_rows(n)
     psi = ring(n, 0.9).amplitudes
-    for k, basis in enumerate(_FRAMES):
+    for k, basis in enumerate(_CENTRES):
         zero = np.zeros(n)
-        assert np.abs(_unit(centres[k]) - oracles.tilted_axes(basis, zero, zero)).max() <= 1e-15
-        phi = _outcome_amplitudes(psi, bases[0][k:k + 1])[0].real
+        assert np.abs(units[k] - oracles.tilted_axes(basis, zero, zero)).max() <= 1e-15
+        phi = _outcome_amplitudes(psi, rdag[k:k + 1])[0]
         moves = {0: signs * phi[flips], 1: 0.5 * phi[flips]}
         for d, move in moves.items():
             tilts = np.zeros((2, n, 2, n))

@@ -107,33 +107,38 @@ def test_werner_discord_closed_form():
     """D(p) = (1-p)/4 log(1-p) + (1+3p)/4 log(1+3p) - (1+p)/2 log(1+p),
     the known projective-measurement result for Werner states."""
     for p in (0.3, 0.5, 0.8):
-        got = discord(werner(p), direction="b->a")
+        d_a, got = one_sided_discords(werner(p))
         expected = (
             0.25 * (1 - p) * math.log2(1 - p)
             + 0.25 * (1 + 3 * p) * math.log2(1 + 3 * p)
             - 0.5 * (1 + p) * math.log2(1 + p)
         )
         assert abs(got - expected) < 1e-7, p
-        assert abs(discord(werner(p), direction="a->b") - got) < 1e-9
-        assert abs(discord(werner(p), direction="sym") - got) < 1e-9
+        assert abs(d_a - got) < 1e-9
+        assert abs(discord(werner(p)) - got) < 1e-9
     assert abs(discord(werner(0.5)) - 0.2624834) < 1e-6
 
 
 def test_discord_directions_and_errors(rng):
+    """Both directions come from ``one_sided_discords``; ``discord`` is the
+    symmetrized one alone and takes no direction."""
     mat = oracles.random_x_matrix(rng)
-    d_ab = discord(mat, direction="a->b")
-    d_ba = discord(mat, direction="b->a")
-    assert abs(discord(mat, direction="sym") - max(d_ab, d_ba)) < 1e-12
-    with pytest.raises(ValueError):
-        discord(mat, direction="up")
+    d_ab, d_ba = one_sided_discords(mat)
+    assert discord(mat) == max(d_ab, d_ba)
+    with pytest.raises(TypeError):
+        discord(mat, direction="sym")
     with pytest.raises(ValueError):
         discord(np.eye(2) / 2.0)
 
 
 def test_non_x_state_falls_back_with_warning(rng):
+    """The warning names the caller's line, from either entry point."""
     dense = oracles.random_density(rng, 2)
-    with pytest.warns(NonXStateWarning):
-        value = discord(dense, direction="b->a")
+    with pytest.warns(NonXStateWarning) as caught:
+        value = discord(dense)
+    with pytest.warns(NonXStateWarning) as more:
+        assert max(one_sided_discords(dense)) == value
+    assert [w.filename for w in [*caught, *more]] == [__file__] * 2
     assert 0.0 <= value <= 1.0 + 1e-9
 
 
@@ -143,9 +148,9 @@ def test_discord_matches_brute_force_scan_on_non_x_states(rng):
     rng99 = np.random.default_rng(99)
     hard = [oracles.random_density(rng99, 2) for _ in range(147)][-1]
     for rho in [oracles.random_density(rng, 2) for _ in range(3)] + [hard]:
-        for direction, measured in (("b->a", 1), ("a->b", 0)):
-            with pytest.warns(NonXStateWarning):
-                got = discord(rho, direction=direction)
+        with pytest.warns(NonXStateWarning):
+            d_a, d_b = one_sided_discords(rho)
+        for direction, measured, got in (("b->a", 1, d_b), ("a->b", 0, d_a)):
             expected = oracles.discord_scan(rho, measured)
             assert got <= expected + 1e-10, (direction, got, expected)
             assert abs(got - expected) < 1e-6, (direction, got, expected)
@@ -163,7 +168,7 @@ def test_discord_polish_converges_from_a_zero_angle_probe():
     expected = oracles.discord_scan(rho, 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        one_sided, symmetric = discord(rho, direction="a->b"), discord(rho)
+        one_sided, symmetric = one_sided_discords(rho)[0], discord(rho)
     assert {w.category for w in caught} == {NonXStateWarning}
     assert abs(one_sided - expected) < 1e-6, (one_sided, expected)
     expected = max(expected, oracles.discord_scan(rho, 1))
@@ -171,18 +176,22 @@ def test_discord_polish_converges_from_a_zero_angle_probe():
 
 
 def test_discord_warns_when_its_polish_does_not_converge(monkeypatch):
+    """One warning, naming the caller's line, from either entry point."""
     monkeypatch.setattr(newton, "_POLISH_MAX_ITER", 0)
-    with pytest.warns(ConvergenceWarning):
+    with pytest.warns(ConvergenceWarning) as caught:
         value = discord(BELL_RHO)
     assert abs(value - 1.0) < 1e-12
+    with pytest.warns(ConvergenceWarning) as more:
+        assert max(one_sided_discords(BELL_RHO)) == value
+    assert [w.filename for w in [*caught, *more]] == [__file__] * 2
 
 
 def test_ring_pair_polish_confirms_its_probe_in_few_kernel_calls(monkeypatch):
     """On ring pairs (X states) the best probe is the minimum, so a whole
-    symmetrized discord, each discord side and each AMID make at most 4
-    kernel calls: the probes, then one Newton step's stencil and line search
-    (Nelder-Mead spent ~100-300 evaluations), both sides of a discord in the
-    same calls.  The discord values still match the scan."""
+    symmetrized discord, both one-sided discords and each AMID make at most
+    4 kernel calls: the probes, then one Newton step's stencil and line
+    search (Nelder-Mead spent ~100-300 evaluations), both sides of a discord
+    in the same calls.  The one-sided values still match the scan."""
     calls = []
     for name in ("_conditional_entropy", "_dephased_information"):
         def counted(*args, _kernel=getattr(pair_measures, name)):
@@ -202,9 +211,9 @@ def test_ring_pair_polish_confirms_its_probe_in_few_kernel_calls(monkeypatch):
                 rho = reduced_two_spin(gs, 0, sep)
                 _, count = kernel_calls(discord, rho)
                 assert 1 <= count <= 4, (n, ratio, sep, "sym", count)
-                for direction, measured in (("b->a", 1), ("a->b", 0)):
-                    got, count = kernel_calls(discord, rho, direction=direction)
-                    assert 1 <= count <= 4, (n, ratio, sep, direction, count)
+                sides, count = kernel_calls(one_sided_discords, rho)
+                assert 1 <= count <= 4, (n, ratio, sep, "one-sided", count)
+                for measured, got in enumerate(sides):
                     expected = oracles.discord_scan(rho.matrix, measured)
                     assert abs(got - expected) < 1e-6, (n, ratio, sep, got, expected)
                 _, count = kernel_calls(amid, rho)
@@ -240,17 +249,16 @@ def _two_qubit_panel():
 
 
 def test_symmetric_discord_is_the_larger_one_sided_discord_bit_for_bit():
-    """The lockstep search of both sides does each side's arithmetic: on
-    926 states, discord(rho) is the larger one-sided discord bit for bit,
-    and one_sided_discords gives both one-sided values bit for bit."""
+    """On 926 states, discord(rho) is the larger of one_sided_discords(rho)
+    bit for bit; ``test_pinned_discord_and_amid_values`` pins both sides
+    as one search of a single side gave them."""
     states = _two_qubit_panel()
     assert len(states) >= 900
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonXStateWarning)
         for k, rho in enumerate(states):
-            d_a, d_b = discord(rho, direction="a->b"), discord(rho, direction="b->a")
+            d_a, d_b = one_sided_discords(rho)
             assert discord(rho).hex() == max(d_b, d_a).hex(), k
-            assert [d.hex() for d in one_sided_discords(rho)] == [d_a.hex(), d_b.hex()], k
 
 
 def test_pinned_discord_and_amid_values():
@@ -278,8 +286,8 @@ def test_pinned_discord_and_amid_values():
     }
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonXStateWarning)
-        got = {label: tuple(discord(rho, d).hex() for d in ("sym", "a->b", "b->a"))
-               + (amid(rho).hex(),) for label, rho in states.items()}
+        got = {label: (discord(rho).hex(), *(d.hex() for d in one_sided_discords(rho)),
+                       amid(rho).hex()) for label, rho in states.items()}
     assert got == pinned
 
 
@@ -350,7 +358,7 @@ def test_amid_warns_when_its_polish_does_not_converge(monkeypatch):
 def test_hierarchy_on_random_x_states(rng):
     for k in range(25):
         mat = oracles.random_x_matrix(rng)
-        d = discord(mat, direction="sym")
+        d = discord(mat)
         a = amid(mat, seed=k)
         m = mid(mat)
         assert d <= a + 1e-6, (k, d, a)

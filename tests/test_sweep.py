@@ -10,8 +10,9 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from isingring.global_discord import OptimizerConfig
-from isingring.pair_measures import (amid, discord, mid, pair_mutual_information,
-                                     reduced_two_spin, toeplitz_correlators)
+from isingring.pair_measures import (amid, discord, mid, one_sided_discords,
+                                     pair_mutual_information, reduced_two_spin,
+                                     toeplitz_correlators)
 from isingring.ring import RingConfig, ground_state
 from isingring.sweep import (
     COLUMNS,
@@ -532,9 +533,9 @@ def test_pair_record_builds_one_bloch_form_and_one_spectrum(monkeypatch):
     monkeypatch.undo()
     assert counts == {"_bloch": 1, "eigvalsh": 1}
     pair = reduced_two_spin(gs, 0, 2)
+    d_a, d_b = one_sided_discords(pair)
     expected = {"sites": [0, 2], "discord": discord(pair),
-                "discord_a_measured": discord(pair, direction="a->b"),
-                "discord_b_measured": discord(pair, direction="b->a"),
+                "discord_a_measured": d_a, "discord_b_measured": d_b,
                 "mid": mid(pair), "amid": amid(pair, seed=2),
                 "mutual_information": pair_mutual_information(pair)}
     assert {k: v if k == "sites" else v.hex() for k, v in record.items()} == {
