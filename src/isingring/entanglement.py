@@ -174,7 +174,7 @@ def _cut_table(n_sites: int, invariant: bool) -> tuple[tuple, tuple, tuple, np.n
     """
     n, full = n_sites, 2 ** n_sites - 1
     sides = np.arange(2 ** n)
-    _, orbit_labels, popcount, _ = _dihedral_orbits(n)
+    orbit_labels, _, popcount, _, _ = _dihedral_orbits(n)
     labels = orbit_labels if invariant else sides
     keys = np.minimum(labels, labels[sides ^ full])
     # The cuts, once each: masks that hold site 0 and are not the full ring.

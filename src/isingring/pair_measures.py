@@ -137,13 +137,13 @@ def _probe_angles(bl: np.ndarray) -> np.ndarray:
     return _angles(axes)
 
 
-def _warn_if_stalled(converged: np.ndarray) -> None:
+def _warn_if_stalled(converged: np.ndarray, stacklevel: int) -> None:
     """One :class:`ConvergenceWarning` when any search of a ``newton._polish``
-    stopped on its step cap."""
+    stopped on its step cap, at ``stacklevel`` as seen from the caller."""
     if not converged.all():
         warnings.warn(f"the Newton polish did not converge in "
                       f"{newton._POLISH_MAX_ITER} steps; returning the best "
-                      "value found", ConvergenceWarning, stacklevel=4)
+                      "value found", ConvergenceWarning, stacklevel=stacklevel + 1)
 
 
 def _discords(pair: _Pair) -> list[float]:
@@ -161,7 +161,7 @@ def _discords(pair: _Pair) -> list[float]:
     h_min, converged = newton._polish(
         lambda x, live: _conditional_entropy(forms[live], _unit(x)),
         _probe_angles(forms))
-    _warn_if_stalled(converged)
+    _warn_if_stalled(converged, stacklevel=3)
     # each side's own 1-D norm (a dot product): norm(axis=-1) rounds apart
     s_b = [_h2(0.5 + 0.5 * np.linalg.norm(form[0, 1:])) for form in forms]
     return [max(float(s - pair.entropy + h), 0.0) for s, h in zip(s_b, h_min)]
@@ -244,7 +244,7 @@ def amid(rho: DensityMatrix, n_starts: int = 8, seed: int = 0) -> float:
             candidates.append([[th[0], ph[0], th[1], ph[1]]])
     loss, converged = newton._polish(lambda x, live: -_dephased_information(bl, x[0])[None],
                                      np.vstack(candidates)[None])
-    _warn_if_stalled(converged)
+    _warn_if_stalled(converged, stacklevel=2)
     return max(_mutual_information(pair) + float(loss[0]), 0.0)
 
 

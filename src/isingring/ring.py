@@ -7,7 +7,11 @@ in the sigma^z basis is ``-J <= 0``, so by Perron-Frobenius the lowest state
 of each parity sector of ``prod_n sz_n`` is nondegenerate with positive
 amplitudes, hence invariant under the rotations and reflections of the ring.
 Only the block of H spanned by the dihedral orbit states of configurations is
-diagonalized (224 orbits instead of 4096 states at N = 12).
+diagonalized (224 orbits instead of 4096 states at N = 12).  It is read off
+one representative per orbit, with f_b the flip mask of bond b:
+``<P|sum_b X_b X_{b+1}|O> = sqrt(|O|/|P|) * #{b : rep_O ^ f_b in P}``, and
+|O| times that count is an integer symmetric in O and P, so the block is
+exactly symmetric.
 
 ``ground_state`` returns its state as a ``_GroundState``, a ``PureState``
 that global discord may certify; no state built any other way is one.
@@ -60,17 +64,25 @@ class RingConfig:
 
 
 @functools.lru_cache(maxsize=None)
-def _dihedral_orbits(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Configuration tables of one ring size (depend on N only).
+def _dihedral_orbits(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Configuration and orbit tables of one ring size (depend on N only).
 
     Bit ``n`` of a configuration index (most significant first) encodes site
     ``n``, with bit 0 meaning spin-up.  Under the rotations and reflections
-    of the ring, ``reps[labels[x]]`` is the smallest index among all
-    rotations of ``x`` and of its mirror image, and ``reps`` is sorted, so
-    comparing labels compares representatives.  ``popcount[x]`` counts the
-    down spins of ``x``.  ``x ^ flips[b]`` is ``x`` with the two spins of
-    bond ``b`` flipped; for N = 2 both bonds flip the same pair, so that
-    coupling enters with weight 2J.
+    of the ring, ``labels[x]`` numbers the orbit of ``x`` by its smallest
+    index, its representative, in increasing order, so comparing labels
+    compares representatives; ``sizes`` holds the orbit sizes.
+    ``popcount[x]`` counts the down spins of ``x``.  ``x ^ flips[b]`` is
+    ``x`` with the two spins of bond ``b`` flipped; for N = 2 both bonds
+    flip the same pair, so that coupling enters with weight 2J.
+
+    ``sectors`` holds, even parity first, the orbit indices, the bond-flip
+    block and the summed sigma^z of each parity's normalized orbit states.
+    The block is read off the representatives: with c[O, P] the number of
+    bonds that take O's representative into orbit P, |O| c[O, P] counts the
+    adjacent configuration pairs between O and P, an integer symmetric in O
+    and P, so <P|sum_b X_b X_{b+1}|O> = |O| c[O, P] / sqrt(|O| |P|) is
+    symmetric to the last bit.
     """
     n = n_sites
     idx = np.arange(2 ** n)
@@ -79,39 +91,22 @@ def _dihedral_orbits(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     for word in (idx, reversed_idx):
         for k in range(n):
             np.minimum(rep, ((word << k) | (word >> (n - k))) & (2 ** n - 1), out=rep)
-    reps, labels = np.unique(rep, return_inverse=True)
+    reps, labels, sizes = np.unique(rep, return_inverse=True, return_counts=True)
     popcount = sum((idx >> k) & 1 for k in range(n))
     flips = np.array([(1 << (n - 1 - s)) | (1 << (n - 1 - (s + 1) % n)) for s in range(n)])
-    # Every caller shares the cached tables, so none may write to them.
-    for table in (reps, labels, popcount, flips):
-        table.setflags(write=False)
-    return reps, labels, popcount, flips
-
-
-@functools.lru_cache(maxsize=None)
-def _symmetric_basis(n_sites: int) -> tuple[np.ndarray, tuple]:
-    """Orbit-state tables of one ring size (depend on N only).
-
-    ``norm[x]`` is the amplitude of ``x`` in the normalized state of its
-    orbit.  ``sectors`` holds, even parity first, the orbit indices, the
-    bond-flip block and the summed sigma^z of each parity's orbit states.
-    """
-    reps, labels, popcount, flips = _dihedral_orbits(n_sites)
-    norm = 1.0 / np.sqrt(np.bincount(labels))[labels]
-    partners = np.arange(2 ** n_sites)[None, :] ^ flips[:, None]
-    # <O|sum_b X_b X_{b+1}|P> accumulated over every configuration and bond.
-    hop = np.zeros((reps.size, reps.size))
-    np.add.at(hop, (np.broadcast_to(labels, partners.shape), labels[partners]),
-              norm[None, :] * norm[partners])
-    sz_total = n_sites - 2 * popcount[reps]
     sectors = []
     for parity in (0, 1):
         orbits = np.flatnonzero(popcount[reps] % 2 == parity)
-        sectors.append((orbits, hop[np.ix_(orbits, orbits)], sz_total[orbits]))
+        k, size = orbits.size, sizes[orbits]
+        # A bond flip keeps the parity, so each target is in ``orbits``.
+        targets = np.searchsorted(orbits, labels[reps[orbits, None] ^ flips])
+        bonds = np.bincount((np.arange(k)[:, None] * k + targets).ravel(), minlength=k * k)
+        hop = bonds.reshape(k, k) * size[:, None] / np.sqrt(np.outer(size, size))
+        sectors.append((orbits, hop, n - 2 * popcount[reps[orbits]]))
     # Every caller shares the cached tables, so none may write to them.
-    for table in (norm, *(a for sec in sectors for a in sec)):
+    for table in (labels, sizes, popcount, flips, *(a for sec in sectors for a in sec)):
         table.setflags(write=False)
-    return norm, tuple(sectors)
+    return labels, sizes, popcount, flips, tuple(sectors)
 
 
 def parity_diagonal(n_sites: int) -> np.ndarray:
@@ -145,8 +140,7 @@ def ground_state(config: RingConfig) -> tuple[PureState, float]:
     ``_GroundState``.
     """
     n = config.n_sites
-    reps, labels, popcount, flips = _dihedral_orbits(n)
-    norm, sectors = _symmetric_basis(n)
+    labels, sizes, popcount, flips, sectors = _dihedral_orbits(n)
     j, b = config.coupling_j, config.field_b
     best = None
     for orbits, hop, sz_total in sectors:
@@ -154,9 +148,9 @@ def ground_state(config: RingConfig) -> tuple[PureState, float]:
         if best is None or evals[0] < best[0] - DEGENERACY_TOL:
             best = (float(evals[0]), orbits, evecs[:, 0])
     energy, orbits, coef = best
-    coef_all = np.zeros(reps.size)
-    coef_all[orbits] = coef
-    vec = coef_all[labels] * norm
+    coef_all = np.zeros(sizes.size)
+    coef_all[orbits] = coef / np.sqrt(sizes[orbits])
+    vec = coef_all[labels]
     # sum_n sx_n sx_{n+1} applied to vec, one bond flip at a time
     idx = np.arange(vec.size)
     bond_hop = sum(vec[idx ^ flip] for flip in flips)

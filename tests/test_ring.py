@@ -11,6 +11,7 @@ from isingring.errors import CapacityError, EigensolverError
 from isingring.ring import (
     MAX_SITES,
     RingConfig,
+    _dihedral_orbits,
     _fix_sign,
     ghz_state,
     ground_state,
@@ -62,6 +63,49 @@ def test_ground_state_matches_dense_oracle():
                 assert abs(parity - (-1.0) ** n) < 1e-12, (n, b)
             if b == 0.0:
                 assert abs(parity - 1.0) < 1e-12, n
+
+
+def test_orbit_blocks_match_configuration_space():
+    """Each parity block read off the orbit representatives is Q^T X Q, with
+    X = sum_b X_b X_{b+1} over configurations and Q[x, labels[x]] =
+    1/sqrt(|O|) the orbit states; so are the summed sigma^z.  The blocks are
+    exactly symmetric, and at N = 2 the doubled bond enters with weight 2."""
+    for n in range(2, 13):
+        labels, _, _, _, sectors = _dihedral_orbits(n)
+        sizes = np.bincount(labels)
+        q = np.zeros((2 ** n, sizes.size))
+        q[np.arange(2 ** n), labels] = 1.0 / np.sqrt(sizes[labels])
+        bonds = q.T @ (-oracles.sparse_tfim(n, 1.0, 0.0).real @ q)
+        field = q.T @ (oracles.sparse_tfim(n, 0.0, 1.0).real @ q)
+        assert sorted(np.concatenate([sec[0] for sec in sectors])) == list(range(sizes.size))
+        for orbits, hop, sz_total in sectors:
+            block = np.ix_(orbits, orbits)
+            assert np.array_equal(hop, hop.T), n
+            assert np.abs(hop - bonds[block]).max() <= 1e-14, n
+            assert np.abs(np.diag(sz_total) - field[block]).max() <= 1e-14, n
+    (even, hop_even, _), (odd, hop_odd, _) = _dihedral_orbits(2)[4]
+    assert even.tolist() == [0, 2] and odd.tolist() == [1]
+    assert hop_even.tolist() == [[0.0, 2.0], [2.0, 0.0]] and hop_odd.tolist() == [[2.0]]
+
+
+def test_orbit_tables_are_built_once_per_ring_size_and_read_only():
+    """A second ground state at the same N builds nothing, no caller can
+    write into the shared tables, and a rebuilt cache gives the same bits."""
+    cfg = RingConfig(n_sites=5, coupling_j=1.0, field_b=0.9)
+    _dihedral_orbits.cache_clear()
+    first, energy = ground_state(cfg)
+    ground_state(cfg)
+    info = _dihedral_orbits.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    labels, sizes, popcount, flips, sectors = _dihedral_orbits(5)
+    for table in (labels, sizes, popcount, flips, *(a for sec in sectors for a in sec)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
+    _dihedral_orbits.cache_clear()
+    rebuilt, rebuilt_energy = ground_state(cfg)
+    assert np.array_equal(rebuilt.amplitudes, first.amplitudes)
+    assert rebuilt_energy.hex() == energy.hex()
 
 
 def test_zero_coupling_ground_state_is_all_down():
