@@ -7,17 +7,24 @@ indicator whose variance is sensitive to the entanglement-sharing structure.
 The statistics take each cut from the reduced state of its smaller side and
 build those states by a depth-first descent from the half sides, of
 floor(N/2) sites: at even N those that hold site 0 (the others are their
-complements), at odd N all of them.  The Gram products m m^dagger of the
-reshaped amplitude tensor are taken on sides one site larger, of
-floor(N/2) + 1 sites, picked so that each half side is one site short of
-one of them; a half side is then its root's reduced state with one site
-traced out, a reshape and a sum of two slices, and so is every smaller
-side, from its parent.  A root costs twice a half side's Gram product but
-stands for up to floor(N/2) + 1 of them: at N = 12, 110 roots instead of
-462 products, 58M complex multiply-adds instead of 121M.  The order of the
-descent depends on N and the symmetry alone, so it is planned once per
+complements), at odd N all of them.  The Gram products of the reshaped
+amplitude tensor are taken on sides one site larger, of floor(N/2) + 1
+sites, picked so that each half side is one site short of one of them; a
+half side is then its root's reduced state with one site traced out, a
+reshape and a sum of two slices, and so is every smaller side, from its
+parent.  A root costs twice a half side's Gram product but stands for up to
+floor(N/2) + 1 of them: at N = 12, 110 roots instead of 462 products.
+
+Every reduced state rho is carried as one real matrix, T = Re rho + Im rho.
+Re rho is symmetric and Im rho antisymmetric, so sum T_ij^2 = Tr rho^2, and
+a partial trace of T is the T of the child.  With the reshaped tensor
+m = A + iB, T = [A | B] [A - B | A + B]^T, one real product with half the
+real multiply-adds of m m^dagger: 115M against 231M for the roots at
+N = 12.  A real state, such as a ring ground state, has T = rho = m m^T.
+The descent depends on N and the symmetry alone, so it is planned once per
 ring size and replayed holding one reduced state per level, floor(N/2) + 1
-levels.
+levels, in buffers allocated once per call; one batched log turns the
+purities into E.
 
 A rotation or reflection of the ring maps a cut to a cut of equal purity in
 any state that it leaves unchanged.  So when one rotation and one reflection
@@ -32,12 +39,11 @@ products at N = 12).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import PureState, _gram
+from .density import PureState
 from .errors import _check_integer
 from .ring import _dihedral_orbits
 
@@ -68,33 +74,45 @@ def _normalize_subset(subset, n_sites: int) -> tuple:
     return sites
 
 
-def _entanglement(rho: np.ndarray) -> float:
-    """E = -log2 Tr rho^2 of a reduced state, the purity clipped to its
-    range [1/d, 1]."""
-    purity = min(max(np.vdot(rho, rho).real, 1.0 / rho.shape[0]), 1.0)
-    return max(-math.log2(purity), 0.0)
+def _folded_gram(tensor: np.ndarray, side: tuple) -> np.ndarray:
+    """T = Re rho + Im rho of the reduced state rho on the sites ``side``
+    (in that register order): with the reshaped tensor m = A + iB,
+    T = A(A - B)^T + B(A + B)^T, one real product; a real m gives m m^T."""
+    other = tuple(s for s in range(tensor.ndim) if s not in side)
+    m = tensor.transpose(side + other).reshape(2 ** len(side), -1)
+    if not np.iscomplexobj(m):
+        return m @ m.T
+    a, b = m.real, m.imag
+    return np.concatenate([a, b], axis=1) @ np.concatenate([a - b, a + b], axis=1).T
+
+
+def _entanglement(purities, dims) -> np.ndarray:
+    """E = -log2 Tr rho^2 from purities clipped to their range [1/d, 1]."""
+    return -np.log2(np.clip(purities, 1.0 / np.asarray(dims), 1.0))
 
 
 def bipartition_entanglement(gs: PureState, subset) -> float:
     """E = -log2 Tr rho_A^2 for the cut (subset, complement).
 
-    The purity is computed from the Gram matrix of the reshaped amplitude
-    tensor on the smaller side of the cut, so no 2^N x 2^N object is formed.
+    The purity is computed from the folded Gram matrix of the reshaped
+    tensor on the smaller side of the cut: no 2^N x 2^N object is formed.
     """
     n = gs.n_sites
     sites = _normalize_subset(subset, n)
     if 2 * len(sites) > n:
         sites = tuple(s for s in range(n) if s not in sites)
-    return _entanglement(_gram(gs.as_tensor(), sites))
+    rho = _folded_gram(gs.as_tensor(), sites)
+    return float(_entanglement(np.vdot(rho, rho), len(rho)))
 
 
-def _trace_site(rho: np.ndarray, j: int) -> np.ndarray:
-    """A reduced state on k sites with its j-th site traced out: a reshape
-    and a sum of two slices."""
+def _trace_site(rho: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
+    """A reduced state on k sites with its j-th site traced out, a reshape
+    and a sum of two slices, written into ``out`` of the child's shape."""
     a = 2 ** j
     b = rho.shape[0] // (2 * a)
     r = rho.reshape(a, 2, b, a, 2, b)
-    return (r[:, 0, :, :, 0] + r[:, 1, :, :, 1]).reshape(a * b, a * b)
+    np.add(r[:, 0, :, :, 0], r[:, 1, :, :, 1], out=out.reshape(a, b, a, b))
+    return out
 
 
 def _dihedral_invariant(tensor: np.ndarray) -> bool:
@@ -141,15 +159,16 @@ def _cover(n: int, labels: np.ndarray, popcount: np.ndarray,
 
 
 @functools.lru_cache(maxsize=None)
-def _cut_table(n_sites: int, invariant: bool) -> tuple[tuple, tuple, tuple, np.ndarray]:
-    """Keys, weights and the descent plan for the cuts of an N-site ring.
+def _cut_table(n_sites: int, invariant: bool) -> tuple[tuple, np.ndarray]:
+    """The descent plan for the cuts of an N-site ring, and its weights.
 
-    A side is a site mask (bit N-1-s for site s).  ``keys[side]`` names the
-    cut the side makes: min(labels[side], labels[complement]), with the
-    dihedral orbit labels of ``_dihedral_orbits`` under invariance and
-    ``labels[side] = side`` otherwise.
-    ``weights[key]`` counts the unordered cuts with that key, so the weights
-    of the distinct keys sum to 2^(N-1) - 1.
+    A side is a site mask (bit N-1-s for site s).  The planning names the
+    cut a side makes by its key, min(labels[side], labels[complement]),
+    with the dihedral orbit labels of ``_dihedral_orbits`` under invariance
+    and ``labels[side] = side`` otherwise, and weights each key by the
+    number of unordered cuts that have it, so the weights of the distinct
+    keys sum to 2^(N-1) - 1.  Only the plan and the weights it visits are
+    kept.
 
     The descent needs the half sides, of floor(N/2) sites: at even N those
     holding site 0 (the others are their complements), at odd N all of
@@ -174,8 +193,8 @@ def _cut_table(n_sites: int, invariant: bool) -> tuple[tuple, tuple, tuple, np.n
     """
     n, full = n_sites, 2 ** n_sites - 1
     sides = np.arange(2 ** n)
-    orbit_labels, _, popcount, _, _ = _dihedral_orbits(n)
-    labels = orbit_labels if invariant else sides
+    popcount = sum((sides >> k) & 1 for k in range(n))
+    labels = _dihedral_orbits(n)[0] if invariant else sides
     keys = np.minimum(labels, labels[sides ^ full])
     # The cuts, once each: masks that hold site 0 and are not the full ring.
     weights = np.bincount(keys[2 ** (n - 1):full], minlength=keys.max() + 1)
@@ -184,9 +203,7 @@ def _cut_table(n_sites: int, invariant: bool) -> tuple[tuple, tuple, tuple, np.n
         halves = halves[halves >> (n - 1) & 1 == 1]
     halves = halves[np.unique(labels[halves], return_index=True)[1]]
     roots = _cover(n, labels, popcount, halves)
-    # Every caller shares the cached table, so it is made of tuples and
-    # read-only arrays.
-    keys, weights = tuple(keys.tolist()), tuple(weights.tolist())
+    keys, weights = keys.tolist(), weights.tolist()
     seen, plan = set(), []
 
     def descend(level, sites, mask, steps):
@@ -213,32 +230,35 @@ def _cut_table(n_sites: int, invariant: bool) -> tuple[tuple, tuple, tuple, np.n
                 steps.pop()
         if steps:
             plan.append((sites, tuple(steps)))
+    # Every caller shares the cached table, so it is made of tuples and a
+    # read-only array; the keys and weights are dropped once planned.
     counts = np.array([w for _, steps in plan for _, _, w in steps if w])
     counts.setflags(write=False)
-    return keys, weights, tuple(plan), counts
+    return tuple(plan), counts
 
 
 def entanglement_stats(gs: PureState) -> EntanglementStats:
     """Mean and population variance of E over all unordered bipartitions.
 
     Each cut key of ``_cut_table`` is taken once, from the reduced state of
-    its smaller side, by the plan stored there: per root one Gram product,
-    then one partial trace per step, each of a reduced state held in the
-    slot of its level.
+    its smaller side, by the plan stored there: per root one folded Gram
+    product, then one partial trace per step, into the buffer of its level.
     """
     n = gs.n_sites
     if n < 2:
         raise ValueError("a one-site state has no bipartition")
     tensor = gs.as_tensor()
-    _, _, plan, counts = _cut_table(n, _dihedral_invariant(tensor))
-    levels, values = [None] * (n // 2 + 1), []
+    plan, counts = _cut_table(n, _dihedral_invariant(tensor))
+    levels = [None] + [np.empty((2 ** k, 2 ** k)) for k in range(n // 2, 0, -1)]
+    purities, dims = [], []
     for sites, steps in plan:
-        levels[0] = _gram(tensor, sites)
+        levels[0] = _folded_gram(tensor, sites)
         for parent, j, weight in steps:
-            levels[parent + 1] = rho = _trace_site(levels[parent], j)
+            rho = _trace_site(levels[parent], j, levels[parent + 1])
             if weight:
-                values.append(_entanglement(rho))
-    values = np.array(values)
+                purities.append(np.vdot(rho, rho))
+                dims.append(len(rho))
+    values = _entanglement(purities, dims)
     mean = np.average(values, weights=counts)
     return EntanglementStats(
         mean=float(mean),

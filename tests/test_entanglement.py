@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from isingring import entanglement
-from isingring.density import PureState
+from isingring.density import PureState, _gram
 from isingring.entanglement import bipartition_entanglement, entanglement_stats
 from isingring.ring import RingConfig, ghz_state, ground_state, product_state_down
 
@@ -183,27 +183,28 @@ def _replay(plan):
 
 
 def _counting(monkeypatch):
-    """Wrap the Gram product, the purity kernel and the one-site partial
-    trace: the first list gets the side of every Gram product (the
+    """Wrap the folded Gram product, the purity kernel and the one-site
+    partial trace: the first list gets the side of every Gram product (the
     descent's roots), the second the E of every cut key visited, the third
     the size of every reduced state a site is traced out of."""
     roots, values, traces = [], [], []
-    gram, kernel, trace = (entanglement._gram, entanglement._entanglement,
+    gram, kernel, trace = (entanglement._folded_gram, entanglement._entanglement,
                            entanglement._trace_site)
 
     def counted_gram(tensor, side):
         roots.append(side)
         return gram(tensor, side)
 
-    def counted_kernel(rho):
-        values.append(kernel(rho))
-        return values[-1]
+    def counted_kernel(purities, dims):
+        result = kernel(purities, dims)
+        values.extend(np.atleast_1d(result).tolist())
+        return result
 
-    def counted_trace(rho, j):
+    def counted_trace(rho, j, out):
         traces.append(rho.shape[0])
-        return trace(rho, j)
+        return trace(rho, j, out)
 
-    monkeypatch.setattr(entanglement, "_gram", counted_gram)
+    monkeypatch.setattr(entanglement, "_folded_gram", counted_gram)
     monkeypatch.setattr(entanglement, "_entanglement", counted_kernel)
     monkeypatch.setattr(entanglement, "_trace_site", counted_trace)
     return roots, values, traces
@@ -305,7 +306,7 @@ def test_roots_cover_every_cut_at_every_size(rng, monkeypatch):
         assert entanglement._dihedral_invariant(symmetric.as_tensor())
         free = PureState(oracles.random_pure(rng, n), n)
         for state, invariant in ((free, False), (symmetric, True)):
-            _, _, plan, _ = entanglement._cut_table(n, invariant)
+            plan, _ = entanglement._cut_table(n, invariant)
             mean, var = _plain_stats(state)
             roots, _, _ = _counting(monkeypatch)
             stats = entanglement_stats(state)
@@ -339,7 +340,7 @@ def test_the_cover_hands_every_half_side_down_once(n):
         for cut in oracles.bipartitions(n):
             key = _cut_class(n, cut, invariant)
             classes[key] = classes.get(key, 0) + 1
-        _, _, plan, counts = entanglement._cut_table(n, invariant)
+        plan, counts = entanglement._cut_table(n, invariant)
         roots = [sites for sites, _ in plan]
         assert len(set(roots)) == len(roots), (n, invariant)
         handed, weighted = [], []
@@ -363,20 +364,51 @@ def test_the_cover_hands_every_half_side_down_once(n):
 
 
 def test_gram_cost_is_at_most_half_of_one_product_per_half_side(rng, monkeypatch):
-    """A deterministic cost guard: on random states at N = 11 and 12 the
-    Gram products, sum over roots of 4^r 2^(N-r) multiply-adds for a root
-    of r sites, cost at most half of one Gram product per half side (58M
-    against 121M at N = 12), and the descent takes one partial trace per
-    cut key visited."""
+    """A deterministic cost guard, in real multiply-adds.  For a side of r
+    sites, the complex product m m^dagger takes 4 * 4^r 2^(N-r) and the
+    folded product [A | B] [A - B | A + B]^T of a complex state half that.
+    On random complex states at N = 11 and 12 the folded roots cost at most
+    a quarter of one complex product per half side (115M against 121M at
+    N = 12), so at most half of one folded product per half side, and the
+    descent takes one partial trace per cut key visited."""
     for n in (11, 12):
         h = n // 2
         state = PureState(oracles.random_pure(rng, n), n)
         roots, values, traces = _counting(monkeypatch)
         entanglement_stats(state)
         monkeypatch.undo()
-        cost = sum(4 ** len(root) * 2 ** (n - len(root)) for root in roots)
-        assert 2 * cost <= _half_side_count(n) * 4 ** h * 2 ** (n - h), n
+        folded = sum(2 * 4 ** len(root) * 2 ** (n - len(root)) for root in roots)
+        complex_product = 4 * 4 ** h * 2 ** (n - h)
+        assert 4 * folded <= _half_side_count(n) * complex_product, n
         assert len(traces) == len(values) == 2 ** (n - 1) - 1, n
+    assert folded == 110 * 2 * 4 ** 7 * 2 ** 5 < 116e6
+
+
+def test_folded_gram_is_the_real_plus_imaginary_part(rng):
+    """On random complex and real states at N = 2..8 and sides of shuffled
+    sites, the folded Gram product is float64 and equals Re rho + Im rho of
+    the complex Gram product within 1e-15, and the sum of its squared
+    entries is Tr rho^2 within 1e-15.  A complex state with zero imaginary
+    part gives the statistics of its real copy within 1e-15, and the purity
+    kernel clips each purity to [1/d, 1]."""
+    for n in range(2, 9):
+        real = rng.normal(size=2 ** n)
+        real /= np.linalg.norm(real)
+        for psi in (oracles.random_pure(rng, n), real):
+            tensor = PureState(psi, n).as_tensor()
+            for size in range(1, n + 1):
+                side = tuple(int(s) for s in rng.permutation(n)[:size])
+                rho = _gram(tensor, side)
+                folded = entanglement._folded_gram(tensor, side)
+                assert folded.dtype == np.float64
+                assert np.max(np.abs(folded - (rho.real + rho.imag))) <= 1e-15
+                assert abs(np.sum(folded ** 2) - np.vdot(rho, rho).real) <= 1e-15
+        as_real = entanglement_stats(PureState(real, n))
+        as_complex = entanglement_stats(PureState(real + 0j, n))
+        assert abs(as_complex.mean - as_real.mean) <= 1e-15, n
+        assert abs(as_complex.variance - as_real.variance) <= 1e-15, n
+    clipped = entanglement._entanglement([1.0 + 1e-15, 0.25 - 1e-15, 0.5], [2, 4, 8])
+    assert clipped.tolist() == [0.0, 2.0, 1.0]
 
 
 def test_descent_skips_the_subtrees_of_visited_cuts(rng, monkeypatch):
@@ -391,7 +423,7 @@ def test_descent_skips_the_subtrees_of_visited_cuts(rng, monkeypatch):
     states.append(PureState(oracles.random_pure(rng, 12), 12))
     zeros = []
     for state in states:
-        _, _, plan, _ = entanglement._cut_table(
+        plan, _ = entanglement._cut_table(
             state.n_sites, entanglement._dihedral_invariant(state.as_tensor()))
         zeros.append(sum(weight == 0 for _, steps in plan for _, _, weight in steps))
         _, values, traces = _counting(monkeypatch)

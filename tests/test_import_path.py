@@ -2,7 +2,9 @@
 call into any layer.  A one-worker run also leaves numpy.ma, numpy.random
 and the process machinery unloaded: np.unique's masked check, random
 search starts and AMID candidates, and the worker pool are their only
-users, and the script below draws no random start or candidate.  Checked
+users, and the script below draws no random start or candidate.  It takes
+the entanglement statistics of a real ground state and of an entangled
+complex state with no dihedral symmetry, so both Gram paths run.  Checked
 in a fresh interpreter, since this test process has loaded scipy for the
 oracles."""
 
@@ -23,6 +25,7 @@ LAZY = ("numpy.ma", "numpy.random", "multiprocessing", "concurrent.futures")
 
 SCRIPT = """
 import json, pathlib, sys, tempfile
+import numpy as np
 import isingring as ir, isingring.cli as cli
 
 gs, _ = ir.ground_state(ir.RingConfig(4, 1.0, 0.8))
@@ -30,6 +33,8 @@ pair = ir.reduced_two_spin(gs, 0, 1)
 ir.discord(pair), ir.mid(pair), ir.amid(pair, n_starts=4)
 ir.x_state_from_correlators(ir.toeplitz_correlators(0.5, 2))
 ir.entanglement_stats(gs)
+phased = ir.PureState(np.exp(1j * np.arange(64) ** 2 / 8) / 8, 6)
+ir.entanglement_stats(phased), ir.bipartition_entanglement(phased, (0, 2))
 opt = ir.OptimizerConfig(uniform_angles=True, restarts=2, max_evals=200)
 ir.global_discord(gs, opt)
 table = ir.sweep(3, [0.5, 0.7, 1.0], measures=("gd",), opt=opt)
