@@ -205,19 +205,6 @@ def _cut_table(n_sites: int, invariant: bool) -> tuple[tuple, np.ndarray]:
     roots = _cover(n, labels, popcount, halves)
     keys, weights = keys.tolist(), weights.tolist()
     seen, plan = set(), []
-
-    def descend(level, sites, mask, steps):
-        for j, s in enumerate(sites):
-            child = mask ^ (1 << (n - 1 - s))
-            key = keys[child]
-            if child and key not in seen:
-                # Else it is the empty side, or its key was met, and with it
-                # every smaller side of the same site set or of one of its
-                # dihedral images.
-                seen.add(key)
-                steps.append((level, j, weights[key]))
-                descend(level + 1, sites[:j] + sites[j + 1:], child, steps)
-
     for mask, sites, handed in roots:
         steps = []
         for j in handed:
@@ -225,7 +212,20 @@ def _cut_table(n_sites: int, invariant: bool) -> tuple[tuple, np.ndarray]:
             weight = 0 if keys[half] in seen else weights[keys[half]]
             seen.add(keys[half])
             steps.append((0, j, weight))
-            descend(1, sites[:j] + sites[j + 1:], half, steps)
+            # Depth first, on a stack of (level, sites, side, next site).
+            stack = [(1, sites[:j] + sites[j + 1:], half, 0)]
+            while stack:
+                level, rest, side, i = stack.pop()
+                child = side ^ (1 << (n - 1 - rest[i]))
+                if i + 1 < len(rest):
+                    stack.append((level, rest, side, i + 1))
+                if child and keys[child] not in seen:
+                    # Else it is the empty side, or its key was met, and with
+                    # it every smaller side of the same site set or of one of
+                    # its dihedral images.
+                    seen.add(keys[child])
+                    steps.append((level, i, weights[keys[child]]))
+                    stack.append((level + 1, rest[:i] + rest[i + 1:], child, 0))
             if steps[-1] == (0, j, 0):
                 steps.pop()
         if steps:

@@ -6,12 +6,14 @@ found in its symmetric sector: for ``J >= 0`` every off-diagonal element of H
 in the sigma^z basis is ``-J <= 0``, so by Perron-Frobenius the lowest state
 of each parity sector of ``prod_n sz_n`` is nondegenerate with positive
 amplitudes, hence invariant under the rotations and reflections of the ring.
-Only the block of H spanned by the dihedral orbit states of configurations is
-diagonalized (224 orbits instead of 4096 states at N = 12).  It is read off
-one representative per orbit, with f_b the flip mask of bond b:
+Only the block of H spanned by the dihedral orbit states of configurations
+is used (224 orbits instead of 4096 states at N = 12).  It is read off one
+representative per orbit, with f_b the flip mask of bond b:
 ``<P|sum_b X_b X_{b+1}|O> = sqrt(|O|/|P|) * #{b : rep_O ^ f_b in P}``, and
 |O| times that count is an integer symmetric in O and P, so the block is
-exactly symmetric.
+exactly symmetric.  A call runs one ``eigh``, on one parity block, and rules
+the other out with one Cholesky factorization of that block shifted to the
+``DEGENERACY_TOL`` threshold; only odd N at small B needs a second ``eigh``.
 
 ``ground_state`` returns its state as a ``_GroundState``, a ``PureState``
 that global discord may certify; no state built any other way is one.
@@ -132,21 +134,34 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 def ground_state(config: RingConfig) -> tuple[PureState, float]:
     """Lowest eigenvector of the ring Hamiltonian and its energy.
 
-    Each parity sector's symmetric block is diagonalized; the odd sector wins
-    only if it is lower by more than ``DEGENERACY_TOL``, so a degenerate
-    ground doublet (e.g. at B = 0) resolves to the state with parity +1 under
-    ``prod_n sigma^z_n``.  The amplitudes are real (float64), with the sign
-    fixed so the largest-magnitude one is positive.  The state is a
+    The odd sector wins only if it is lower by more than ``DEGENERACY_TOL``,
+    so a degenerate ground doublet (e.g. at B = 0) resolves to the state with
+    parity +1 under ``prod_n sigma^z_n``.  One ``eigh`` solves the block of
+    the sector that usually wins: parity N mod 2 (all spins down) for B > 0,
+    even at B = 0.  The other block is solved too only if a Cholesky test
+    finds it not positive definite when shifted by that energy minus the
+    tolerance (odd) or plus it (even), i.e. only if it might win: at odd N
+    and small B.  The choice is thus the two-block comparison's, except
+    within rounding of a gap of exactly the tolerance.  The amplitudes are
+    real (float64), the largest-magnitude one positive; the state is a
     ``_GroundState``.
     """
     n = config.n_sites
     labels, sizes, popcount, flips, sectors = _dihedral_orbits(n)
     j, b = config.coupling_j, config.field_b
+    first, other = (n % 2, 1 - n % 2) if b > 0 else (0, 1)
+    diag = [b * sz_total for _, _, sz_total in sectors]
+    solved = {first: np.linalg.eigh(np.diag(diag[first]) - j * sectors[first][1])}
+    shift = solved[first][0][0] + (DEGENERACY_TOL if other == 0 else -DEGENERACY_TOL)
+    try:
+        np.linalg.cholesky(np.diag(diag[other] - shift) - j * sectors[other][1])
+    except np.linalg.LinAlgError:
+        solved[other] = np.linalg.eigh(np.diag(diag[other]) - j * sectors[other][1])
     best = None
-    for orbits, hop, sz_total in sectors:
-        evals, evecs = np.linalg.eigh(np.diag(b * sz_total) - j * hop)
+    for parity in sorted(solved):
+        evals, evecs = solved[parity]
         if best is None or evals[0] < best[0] - DEGENERACY_TOL:
-            best = (float(evals[0]), orbits, evecs[:, 0])
+            best = (float(evals[0]), sectors[parity][0], evecs[:, 0])
     energy, orbits, coef = best
     coef_all = np.zeros(sizes.size)
     coef_all[orbits] = coef / np.sqrt(sizes[orbits])

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -431,3 +432,17 @@ def test_descent_skips_the_subtrees_of_visited_cuts(rng, monkeypatch):
         monkeypatch.undo()
         assert len(traces) == len(values) + zeros[-1], (state.n_sites, len(traces))
     assert zeros == [2, 0, 2, 0]
+
+
+def test_plan_build_leaves_no_reference_cycle():
+    """A fresh plan build frees its keys, weights and seen set on return:
+    with the cyclic collector off, nothing is left for it to find."""
+    gc.collect()
+    gc.disable()
+    try:
+        for n in (6, 10, 12):
+            for invariant in (False, True):
+                entanglement._cut_table.__wrapped__(n, invariant)
+                assert gc.collect() == 0, (n, invariant)
+    finally:
+        gc.enable()

@@ -2,7 +2,8 @@
 call into any layer.  A one-worker run also leaves numpy.ma, numpy.random
 and the process machinery unloaded: np.unique's masked check, random
 search starts and AMID candidates, and the worker pool are their only
-users, and the script below draws no random start or candidate.  It takes
+users, and the script below draws no random start or candidate.  Its ring
+ground states at N = 11 and 12 take the shifted Cholesky test.  It takes
 the entanglement statistics of a real ground state and of an entangled
 complex state with no dihedral symmetry, so both Gram paths run.  Checked
 in a fresh interpreter, since this test process has loaded scipy for the
@@ -28,6 +29,8 @@ import json, pathlib, sys, tempfile
 import numpy as np
 import isingring as ir, isingring.cli as cli
 
+for cfg in ((11, 1.0, 0.0), (11, 1.0, 0.93), (12, 1.0, 1.0)):
+    ir.ground_state(ir.RingConfig(*cfg))
 gs, _ = ir.ground_state(ir.RingConfig(4, 1.0, 0.8))
 pair = ir.reduced_two_spin(gs, 0, 1)
 ir.discord(pair), ir.mid(pair), ir.amid(pair, n_starts=4)

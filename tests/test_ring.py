@@ -9,6 +9,7 @@ from isingring.density import PureState, reduced_state
 from isingring.entanglement import entanglement_stats
 from isingring.errors import CapacityError, EigensolverError
 from isingring.ring import (
+    DEGENERACY_TOL,
     MAX_SITES,
     RingConfig,
     _dihedral_orbits,
@@ -211,3 +212,70 @@ def test_residual_check_rejects_a_perturbed_eigenvector(monkeypatch, capsys):
     assert main(["ground-state", "--n", "4", "--b", "0.7"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "residual check" in captured.err
+
+
+def _two_block_ground_state(config):
+    """Both parity blocks solved with ``eigh``, the odd one winning only if
+    lower by more than DEGENERACY_TOL, embedded as ``ground_state`` does."""
+    labels, sizes, _, _, sectors = _dihedral_orbits(config.n_sites)
+    j, b = config.coupling_j, config.field_b
+    best = None
+    for orbits, hop, sz_total in sectors:
+        evals, evecs = np.linalg.eigh(np.diag(b * sz_total) - j * hop)
+        if best is None or evals[0] < best[0] - DEGENERACY_TOL:
+            best = (float(evals[0]), orbits, evecs[:, 0])
+    energy, orbits, coef = best
+    coef_all = np.zeros(sizes.size)
+    coef_all[orbits] = coef / np.sqrt(sizes[orbits])
+    return _fix_sign(coef_all[labels]), energy
+
+
+#: N = 2..12 x B/J x J; at J = 0 the ratio is B itself.
+PANEL = [RingConfig(n, j, ratio * j if j else ratio)
+         for n in range(2, MAX_SITES + 1) for j in (0.0, 0.5, 1.0)
+         for ratio in (0.0, 1e-12, 1e-6, 0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 50.0)]
+
+
+def _assert_panel_matches_two_blocks():
+    for cfg in PANEL:
+        gs, energy = ground_state(cfg)
+        amps, ref_energy = _two_block_ground_state(cfg)
+        assert energy.hex() == ref_energy.hex(), cfg
+        assert np.array_equal(gs.amplitudes, amps), cfg
+
+
+def test_one_block_solve_is_bit_identical_to_solving_both():
+    """Solving one parity block and ruling the other out with a shifted
+    Cholesky test picks the same sector, and so the same bits, as solving
+    both and comparing, on every ring size, across the near-degenerate small
+    fields, the critical region and the polarized limit."""
+    _assert_panel_matches_two_blocks()
+
+
+def test_cholesky_failure_falls_back_to_solving_both_blocks(monkeypatch):
+    """If every shifted factorization fails, the second block is solved and
+    the two-block comparison decides, with the same bits."""
+
+    def failing_cholesky(matrix):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+    _assert_panel_matches_two_blocks()
+
+
+@pytest.mark.parametrize("n, ratio, solves, parity", [
+    (12, 1.0, 1, 1.0), (11, 0.0, 1, 1.0), (11, 0.93, 1, -1.0), (11, 0.05, 2, 1.0)])
+def test_one_eigh_per_call_unless_odd_ring_at_small_field(monkeypatch, n, ratio, solves, parity):
+    """One ``eigh`` per call, except at odd N and small B/J, where the
+    sectors are nearly degenerate and the even one wins by the tolerance."""
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(matrix):
+        calls.append(matrix.shape)
+        return real_eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    gs, _ = ground_state(RingConfig(n, 1.0, ratio))
+    assert len(calls) == solves, calls
+    assert abs(parity_expectation(gs) - parity) < 1e-12
