@@ -13,7 +13,8 @@ representative per orbit, with f_b the flip mask of bond b:
 |O| times that count is an integer symmetric in O and P, so the block is
 exactly symmetric.  A call runs one ``eigh``, on one parity block, and rules
 the other out with one Cholesky factorization of that block shifted to the
-``DEGENERACY_TOL`` threshold; only odd N at small B needs a second ``eigh``.
+``DEGENERACY_TOL`` threshold; only odd N in a narrow band of small B needs a
+second ``eigh``.
 
 ``ground_state`` returns its state as a ``_GroundState``, a ``PureState``
 that global discord may certify; no state built any other way is one.
@@ -137,19 +138,25 @@ def ground_state(config: RingConfig) -> tuple[PureState, float]:
     The odd sector wins only if it is lower by more than ``DEGENERACY_TOL``,
     so a degenerate ground doublet (e.g. at B = 0) resolves to the state with
     parity +1 under ``prod_n sigma^z_n``.  One ``eigh`` solves the block of
-    the sector that usually wins: parity N mod 2 (all spins down) for B > 0,
-    even at B = 0.  The other block is solved too only if a Cholesky test
-    finds it not positive definite when shifted by that energy minus the
-    tolerance (odd) or plus it (even), i.e. only if it might win: at odd N
-    and small B.  The choice is thus the two-block comparison's, except
-    within rounding of a gap of exactly the tolerance.  The amplitudes are
+    the sector that usually wins: even when (B/J)**N <= ``DEGENERACY_TOL``
+    (B = 0 included), where for J <= 1 the sectors lie within the tolerance,
+    and parity N mod 2 (all spins down) above.  The other block is
+    solved too only if a Cholesky test finds it not positive definite when
+    shifted by that energy minus the tolerance (odd) or plus it (even), i.e.
+    only if it might win: at odd N, in the narrow band of B/J just above that
+    bound.  The choice is thus the two-block comparison's, except within
+    rounding of a gap of exactly the tolerance.  The amplitudes are
     real (float64), the largest-magnitude one positive; the state is a
     ``_GroundState``.
     """
     n = config.n_sites
     labels, sizes, popcount, flips, sectors = _dihedral_orbits(n)
     j, b = config.coupling_j, config.field_b
-    first, other = (n % 2, 1 - n % 2) if b > 0 else (0, 1)
+    # The sector gap is 0.35-0.75 J (B/J)**N at small B (N = 3..11), so below
+    # b = j * tol**(1/N) the even sector wins for J <= 1; the root form cannot
+    # overflow as b**N can.
+    first = 0 if b <= j * DEGENERACY_TOL ** (1 / n) else n % 2
+    other = 1 - first
     diag = [b * sz_total for _, _, sz_total in sectors]
     solved = {first: np.linalg.eigh(np.diag(diag[first]) - j * sectors[first][1])}
     shift = solved[first][0][0] + (DEGENERACY_TOL if other == 0 else -DEGENERACY_TOL)

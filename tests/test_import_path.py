@@ -3,7 +3,8 @@ call into any layer.  A one-worker run also leaves numpy.ma, numpy.random
 and the process machinery unloaded: np.unique's masked check, random
 search starts and AMID candidates, and the worker pool are their only
 users, and the script below draws no random start or candidate.  Its ring
-ground states at N = 11 and 12 take the shifted Cholesky test.  It takes
+ground states at N = 11 and 12 take the shifted Cholesky test, and it
+writes one table twice, so the second write exchanges the names.  It takes
 the entanglement statistics of a real ground state and of an entangled
 complex state with no dihedral symmetry, so both Gram paths run.  Checked
 in a fresh interpreter, since this test process has loaded scipy for the
@@ -45,6 +46,7 @@ ir.find_peak(table, "gd", xtol=0.1)
 ir.default_ratio_grid()
 with tempfile.TemporaryDirectory() as tmp:
     path = str(pathlib.Path(tmp) / "table.csv")
+    table.to_csv(path)
     table.to_csv(path)
     assert ir.SweepTable.from_csv(path).same_as(table)
     code = cli.main(["ground-state", "--n", "2", "--b", "1.0",

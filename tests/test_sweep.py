@@ -3,6 +3,9 @@ import importlib
 import json
 import math
 import os
+import stat
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -134,18 +137,122 @@ def test_table_checks_reach_headers_ratio_shape_and_metadata(tmp_path):
     assert table.same_as(small_table()) and not table.same_as(other)
 
 
+def _refused(*args):
+    """A ``renameat2`` that fails, as on a filesystem without the exchange."""
+    return -1
+
+
 def test_atomic_write_leaves_no_temp_file_when_the_rename_fails(monkeypatch, tmp_path):
+    """Both the exchange and ``os.replace`` refuse, so the write fails; the
+    old file stays and the temp file is removed."""
     target = tmp_path / "t.csv"
     target.write_text("old\n")
 
     def refuse(src, dst):
         raise OSError("rename refused")
 
+    monkeypatch.setattr(sweep_module, "_renameat2", lambda: _refused)
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="rename refused"):
         small_table().to_csv(os.fspath(target))
     assert target.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="renameat2 is Linux's")
+def test_atomic_overwrite_exchanges_instead_of_renaming_over(monkeypatch, tmp_path):
+    """Over an existing file the write swaps the two names, so ``os.replace``,
+    which makes ext4 flush the new data first, is never called."""
+    target = tmp_path / "t.csv"
+    target.write_text("old\n")
+
+    def refuse(src, dst):
+        raise AssertionError("os.replace called on an overwrite")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    small_table().to_csv(os.fspath(target))
+    assert target.read_text() == small_table()._csv_text()
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+@pytest.mark.parametrize("renameat2", [lambda: _refused, lambda: None],
+                         ids=["refused", "missing"])
+def test_atomic_write_falls_back_to_a_rename(monkeypatch, tmp_path, renameat2):
+    """A refused or missing exchange falls back to ``os.replace``: the file
+    ends with the new text and no temp file is left."""
+    target = tmp_path / "t.csv"
+    target.write_text("old\n")
+    monkeypatch.setattr(sweep_module, "_renameat2", renameat2)
+    small_table().to_csv(os.fspath(target))
+    assert target.read_text() == small_table()._csv_text()
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_atomic_write_to_a_directory_or_symlink(tmp_path):
+    """A directory target raises as a rename onto it does; a symlink target
+    is replaced by a regular file and the file it pointed to is kept."""
+    (tmp_path / "d").mkdir()
+    with pytest.raises(IsADirectoryError):
+        sweep_module._atomic_write(os.fspath(tmp_path / "d"), "new\n")
+    pointee = tmp_path / "pointee.txt"
+    pointee.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(pointee)
+    sweep_module._atomic_write(os.fspath(link), "new\n")
+    assert not link.is_symlink() and link.read_text() == "new\n"
+    assert pointee.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "link.txt", "pointee.txt"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_atomic_write_mode_follows_the_umask(tmp_path, umask, mode):
+    """New files and overwrites get mode 0o666 less the umask, as ``open``
+    gives, not the 0o600 of a ``mkstemp`` file."""
+    target = os.fspath(tmp_path / "t.csv")
+    old = os.umask(umask)
+    try:
+        small_table().to_csv(target)
+        assert stat.S_IMODE(os.stat(target).st_mode) == mode
+        os.chmod(target, 0o640)
+        small_table().to_json(target)
+        assert stat.S_IMODE(os.stat(target).st_mode) == mode
+    finally:
+        os.umask(old)
+
+
+def test_reader_sees_only_whole_files_during_rewrites(tmp_path):
+    """A reader thread that opens and reads the target while 200 rewrites
+    alternate two texts sees one of the two whole, never a missing file."""
+    target = os.fspath(tmp_path / "t.txt")
+    texts = ("a" * 70000 + "\n", "b" * 30000 + "\n")
+    sweep_module._atomic_write(target, texts[1])
+    seen, failures, done = set(), [], threading.Event()
+
+    def read():
+        while not done.is_set():
+            try:
+                with open(target, encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                failures.append(repr(exc))
+                continue
+            if text in texts:
+                seen.add(text[0])
+            else:
+                failures.append(f"partial read of {len(text)} chars")
+
+    reader = threading.Thread(target=read)
+    reader.start()
+    try:
+        for i in range(200):
+            sweep_module._atomic_write(target, texts[i % 2])
+    finally:
+        done.set()
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert failures == []
+    assert seen and os.listdir(tmp_path) == ["t.txt"]
 
 
 def test_row_passes_other_warnings_on_and_keeps_its_cells(monkeypatch):
