@@ -265,11 +265,11 @@ def test_cholesky_failure_falls_back_to_solving_both_blocks(monkeypatch):
 
 @pytest.mark.parametrize("n, ratio, solves, parity", [
     (12, 1.0, 1, 1.0), (11, 0.0, 1, 1.0), (11, 0.93, 1, -1.0), (11, 0.05, 1, 1.0),
-    (5, 0.01, 2, 1.0)])
+    (11, 0.13, 2, 1.0), (11, 0.14, 1, -1.0)])
 def test_one_eigh_per_call_unless_odd_ring_at_small_field(monkeypatch, n, ratio, solves, parity):
     """One ``eigh`` per call, except at odd N in the band of small B/J just
-    above (B/J)**N = DEGENERACY_TOL, where the solve starts from the odd
-    sector but the even one wins by the tolerance."""
+    above (B/J)**N = DEGENERACY_TOL (0.123-0.136 at N = 11), where the solve
+    starts from the odd sector but the even one wins by the tolerance."""
     calls = []
     real_eigh = np.linalg.eigh
 
